@@ -1,7 +1,10 @@
 """Command-line front end: simulate, theory, verify, clt, oracle.
 
 Option precedence is flags > config file (``key=value`` lines, ``--config``)
-> environment (``CATLAB_SEED``) > built-in defaults.  Exit codes: 0 success,
+> environment (``CATLAB_SEED``) > built-in defaults.  A config key must be
+one of the command's option names (``tolerance_profile`` for
+``--tolerance-profile``); output paths and ``--index``/``--exact`` are flags
+only, and any other key is a usage error.  Exit codes: 0 success,
 1 verification failure, 2 usage or domain error, 3 resource guard exceeded.
 All emitted data files are byte-identical across runs for a fixed
 configuration; the manifest sidecar carries the wall-clock timestamp.
@@ -19,17 +22,17 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, theory
-from .caterpillar import Caterpillar, RngSeed, sample_direct_counts, simulate_counts
 from .errors import DomainError, ResourceLimitError, ValidityError
 from .experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
     jarque_bera,
     ks_normality,
+    replicate_rows,
     run_mc,
     standardize_zagreb,
 )
-from .indices import IndexSpec, compute_index
+from .indices import IndexSpec
 from .oracle import choose_method, enumerate_exact
 from .svg import histogram_kde_svg
 from .verify import SUITES, render_table, report_json, run_suite
@@ -37,10 +40,6 @@ from .verify import SUITES, render_table, report_json, run_suite
 __all__ = ["main"]
 
 DEFAULT_INDICES = "gini_degree,hoover,zagreb,randic:1,wiener,hyper_wiener"
-
-
-def _default_threads() -> int:
-    return min(8, os.cpu_count() or 1)
 
 
 def _fmt_value(v) -> str:
@@ -96,11 +95,20 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+# parsed arguments that commands read from the command line only
+_FLAG_ONLY = {"command", "config", "func", "out", "report", "plot", "index", "exact"}
+
+
 class _Resolver:
     """Implements the flag > config > env > default precedence."""
 
     def __init__(self, args: argparse.Namespace):
         self.config = _read_config_file(args.config) if getattr(args, "config", None) else {}
+        unknown = sorted(set(self.config) - (set(vars(args)) - _FLAG_ONLY))
+        if unknown:
+            raise DomainError(
+                f"unknown config key(s) for {args.command}: {', '.join(unknown)}"
+            )
         self.args = args
 
     def get(self, name: str, default, cast):
@@ -136,36 +144,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n = res.get("n", None, int)
     if m is None or n is None:
         raise DomainError("simulate requires --m and --n")
-    seed = res.seed()
-    replications = res.get("replications", 1, int)
-    sampler = res.get("sampler", "sequential", str)
     fmt = res.get("format", "csv", str)
-    indices = _parse_indices(res.get("indices", DEFAULT_INDICES, str))
-    if sampler not in ("sequential", "direct"):
-        raise DomainError(f"unknown sampler {sampler!r}")
     if fmt not in ("csv", "json"):
         raise DomainError(f"unknown format {fmt!r}")
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
-    if n < 0 or replications < 1:
-        raise DomainError("need n >= 0 and replications >= 1")
-
-    draw = simulate_counts if sampler == "sequential" else sample_direct_counts
-    columns = ["replicate_id"] + [str(spec) for spec in indices]
-
-    def one_row(r: int) -> list:
-        rng = RngSeed(seed, r).generator()
-        c = Caterpillar(m=m, leaf_counts=tuple(draw(m, n, rng)))
-        return [r] + [compute_index(c, spec) for spec in indices]
-
-    threads = res.get("threads", _default_threads(), int)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one_row, range(replications)))
-    else:
-        rows = [one_row(r) for r in range(replications)]
+    cfg = ExperimentConfig(
+        m=m, n=n, replications=res.get("replications", 1, int), seed=res.seed(),
+        indices=_parse_indices(res.get("indices", DEFAULT_INDICES, str)),
+        sampler=res.get("sampler", "sequential", str),
+    )
+    columns = ["replicate_id"] + [str(spec) for spec in cfg.indices]
+    rows = [[r] + values for r, values in enumerate(replicate_rows(cfg))]
 
     if fmt == "csv":
         lines = [",".join(columns)]
@@ -179,8 +167,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ) + "\n"
 
     config = {
-        "m": m, "n": n, "seed": seed, "replications": replications,
-        "sampler": sampler, "indices": [str(s) for s in indices], "format": fmt,
+        "m": m, "n": n, "seed": cfg.seed, "replications": cfg.replications,
+        "sampler": cfg.sampler, "indices": columns[1:], "format": fmt,
     }
     if args.out:
         _write_text(args.out, text)
@@ -233,9 +221,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     res = _Resolver(args)
     suite = res.get("suite", "all", str)
     profile = res.get("tolerance_profile", "default", str)
-    threads = res.get("threads", _default_threads(), int)
     seed = res.seed()
-    results = run_suite(suite, seed=seed, profile=profile, threads=threads)
+    results = run_suite(suite, seed=seed, profile=profile)
     sys.stdout.write(render_table(results) + "\n")
     passed = sum(r.passed for r in results)
     sys.stdout.write(f"{passed}/{len(results)} criteria passed\n")
@@ -357,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--replications", type=int, help="independent replicates (default 1)")
     p_sim.add_argument("--indices", help=f"comma list (default {DEFAULT_INDICES})")
     p_sim.add_argument("--sampler", choices=["sequential", "direct"])
-    p_sim.add_argument("--threads", type=int, help="worker threads (results identical)")
     p_sim.add_argument("--out", help="output file (default stdout)")
     p_sim.add_argument("--format", choices=["csv", "json"])
     p_sim.set_defaults(func=cmd_simulate)
@@ -376,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=list(SUITES))
     p_ver.add_argument("--tolerance-profile", dest="tolerance_profile",
                        choices=["default", "strict"])
-    p_ver.add_argument("--threads", type=int)
     p_ver.add_argument("--report", help="write the JSON report here")
     p_ver.set_defaults(func=cmd_verify)
 

@@ -1,9 +1,10 @@
 """Seeded Monte Carlo engine with streaming statistics and normality tests.
 
-Replicate r of a run always uses the substream (seed, r), so results are
-independent of the number of worker threads: per-replicate values are
-collected in replicate order and folded into a Welford accumulator
-sequentially, which makes every summary bit-identical across thread counts.
+:func:`replicate_rows` is the one replicate engine: replicate r always draws
+from the substream (seed, r) and its index values come back exact (Python
+ints stay ints) in replicate order.  ``catlab simulate`` formats those rows
+directly; :func:`run_mc` folds them, in replicate order, into Welford
+accumulators.  Neither result depends on ``ExperimentConfig.threads``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .caterpillar import (
     Caterpillar,
     RngSeed,
+    _as_generator,
     sample_direct_counts,
     simulate_counts,
 )
@@ -33,6 +35,7 @@ __all__ = [
     "TestResult",
     "ComparisonRow",
     "Welford",
+    "replicate_rows",
     "run_mc",
     "standardize_zagreb",
     "normal_cdf",
@@ -182,22 +185,31 @@ class ExperimentSummary:
         )
 
 
-def _replicate_values(cfg: ExperimentConfig, r: int) -> list[float]:
-    rng = RngSeed(cfg.seed, r).generator()
-    if cfg.sampler == "sequential":
-        counts = simulate_counts(cfg.m, cfg.n, rng)
-    else:
-        counts = sample_direct_counts(cfg.m, cfg.n, rng)
-    c = Caterpillar(m=cfg.m, leaf_counts=tuple(counts))
-    return [float(compute_index(c, spec)) for spec in cfg.indices]
+def replicate_rows(cfg: ExperimentConfig) -> list[list]:
+    """Exact index values of every replicate, in replicate order.
+
+    Replicate r draws from substream (seed, r) whatever the scheduling, so
+    the rows are identical for every thread count.
+    """
+
+    def row(r: int) -> list:
+        rng = RngSeed(cfg.seed, r).generator()
+        draw = simulate_counts if cfg.sampler == "sequential" else sample_direct_counts
+        c = Caterpillar(m=cfg.m, leaf_counts=tuple(draw(cfg.m, cfg.n, rng)))
+        return [compute_index(c, spec) for spec in cfg.indices]
+
+    replicates = range(cfg.replications)
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            return list(pool.map(row, replicates))
+    return [row(r) for r in replicates]
 
 
 def run_mc(cfg: ExperimentConfig) -> ExperimentSummary:
     """Run R independent replicates and fold them into streaming summaries.
 
-    Deterministic for a fixed config: replicate r draws from substream
-    (seed, r) regardless of scheduling, and reduction happens in replicate
-    order.
+    Deterministic for a fixed config: the rows come from
+    :func:`replicate_rows` and are reduced in replicate order.
     """
     keys = [str(spec) for spec in cfg.indices]
     if len(set(keys)) != len(keys):
@@ -211,17 +223,12 @@ def run_mc(cfg: ExperimentConfig) -> ExperimentSummary:
                 f" over the cap of {cfg.memory_cap_bytes}"
             )
     started = time.perf_counter()
-    replicates = range(cfg.replications)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(lambda r: _replicate_values(cfg, r), replicates))
-    else:
-        rows = [_replicate_values(cfg, r) for r in replicates]
+    rows = replicate_rows(cfg)
 
     accs = [Welford() for _ in keys]
     samples = [np.empty(cfg.replications) for _ in keys] if retain else None
     for r, row in enumerate(rows):
-        for k, value in enumerate(row):
+        for k, value in enumerate(map(float, row)):
             accs[k].update(value)
             if retain:
                 samples[k][r] = value
@@ -381,7 +388,7 @@ def trajectory_check(
     if n_max < 16:
         raise DomainError("n_max must be >= 16 to have at least three checkpoints")
     spec = IndexSpec.parse(index) if isinstance(index, str) else index
-    rng = seed.generator() if isinstance(seed, RngSeed) else RngSeed(int(seed)).generator()
+    rng = _as_generator(seed)
 
     checkpoints = []
     k = 4
@@ -389,14 +396,13 @@ def trajectory_check(
         checkpoints.append(k)
         k *= 2
 
-    counts = np.zeros(m, dtype=np.int64)
+    counts = [0] * m
     values = []
     previous = 0
     for ck in checkpoints:
-        picks = rng.integers(0, m, size=ck - previous)
-        counts += np.bincount(picks, minlength=m)
+        counts = [a + b for a, b in zip(counts, simulate_counts(m, ck - previous, rng))]
         previous = ck
-        c = Caterpillar(m=m, leaf_counts=tuple(counts.tolist()))
+        c = Caterpillar(m=m, leaf_counts=tuple(counts))
         values.append(float(compute_index(c, spec)) / ck**scale_exponent)
 
     tail = values[-3:]

@@ -95,17 +95,19 @@ def gini_functional(weights) -> float:
     total = float(w.sum())
     if total == 0.0:
         raise DomainError("zero total wealth: gini is undefined for all-zero weights")
-    n = len(w)
-    w_sorted = np.sort(w)
-    ranks = 2.0 * np.arange(1, n + 1) - n - 1
-    num = 2.0 * float(ranks @ w_sorted)
-    return num / (2.0 * n * total)
+    num = _abs_diff_double_sum(np.sort(w).tolist())
+    return num / (2.0 * len(w) * total)
 
 
 def degree_gini_exact(c: Caterpillar) -> Fraction:
-    """Within-graph Gini of the degree sequence, as an exact rational."""
-    all_degs = sorted([1] * c.n + spine_degrees(c))
-    num = _abs_diff_double_sum(all_degs)
+    """Within-graph Gini of the degree sequence, as an exact rational.
+
+    Only the m spine degrees need sorting: each of the n leaves has degree
+    1, so a spine node of degree D differs from every leaf by D - 1 and
+    leaf-leaf pairs contribute nothing.
+    """
+    degs = spine_degrees(c)
+    num = _abs_diff_double_sum(sorted(degs)) + 2 * c.n * (sum(degs) - c.m)
     total = 2 * (c.node_count - 1)
     return Fraction(num, 2 * c.node_count * total)
 

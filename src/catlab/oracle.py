@@ -51,7 +51,8 @@ class ExactMoments:
     history_count: int
 
     def __post_init__(self):
-        assert self.variance == self.second_moment - self.mean * self.mean
+        if self.variance != self.second_moment - self.mean * self.mean:
+            raise DomainError("variance must equal second_moment - mean^2")
 
 
 def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -154,8 +155,16 @@ def enumerate_exact(
 
 
 def bfs_distances(g: AdjacencyGraph) -> list[list[int]]:
-    """All-pairs shortest-path distances by BFS from every node."""
+    """All-pairs shortest-path distances by BFS from every node.
+
+    The N x N table must stay within ``ENUMERATION_GUARD`` cells.
+    """
     size = g.node_count
+    if size * size > ENUMERATION_GUARD:
+        raise ResourceLimitError(
+            f"BFS distance table of {size}^2 = {size * size} cells exceeds the"
+            f" guard of {ENUMERATION_GUARD}"
+        )
     dist = [[-1] * size for _ in range(size)]
     for src in range(size):
         row = dist[src]

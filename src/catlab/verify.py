@@ -252,17 +252,10 @@ def criterion_formula_vs_bfs(profile: str) -> CriterionResult:
                     failures.append(f"wiener {m},{counts}")
                 if hyper_wiener(c) != hyper_wiener_bfs(g):
                     failures.append(f"hyper_wiener {m},{counts}")
-    rng = RngSeed(20_000_101).generator()
-    for _ in range(100):
-        m = int(rng.integers(2, 51))
-        n = int(rng.integers(0, 201))
-        counts = [0] * m
-        for i in rng.integers(0, m, size=n):
-            counts[i] += 1
-        c = Caterpillar(m=m, leaf_counts=tuple(counts))
+    for c in _random_states(20_000_101, 100, 50, 200):
         g = to_adjacency(c)
         if wiener(c) != wiener_bfs(g) or hyper_wiener(c) != hyper_wiener_bfs(g):
-            failures.append(f"random state m={m}, n={n}")
+            failures.append(f"random state m={c.m}, n={c.n}")
     return CriterionResult(
         cid="7-formula-vs-bfs",
         quantity="O(m) Wiener/hyper-Wiener vs BFS oracle",
@@ -375,9 +368,8 @@ def criterion_seed_robustness(seed: int, profile: str) -> CriterionResult:
     )
 
 
-def _paper7(seed: int, profile: str, threads: int = 1) -> list[CriterionResult]:
-    big = mc200(seed, threads)
-    small = mc50(seed, threads)
+def _paper_criteria(big, small, profile: str) -> list[CriterionResult]:
+    """Criteria 1-5, shared by the paper7, montecarlo and all suites."""
     return [
         criterion_hoover(big, profile),
         criterion_zagreb_clt(big, profile),
@@ -385,6 +377,10 @@ def _paper7(seed: int, profile: str, threads: int = 1) -> list[CriterionResult]:
         criterion_hyper_wiener(small, profile),
         criterion_randic(big, profile),
     ]
+
+
+def _paper7(seed: int, profile: str, threads: int = 1) -> list[CriterionResult]:
+    return _paper_criteria(mc200(seed, threads), mc50(seed, threads), profile)
 
 
 def _oracle_suite(profile: str) -> list[CriterionResult]:
@@ -396,20 +392,6 @@ def _oracle_suite(profile: str) -> list[CriterionResult]:
     ]
 
 
-def _montecarlo_suite(seed: int, profile: str, threads: int) -> list[CriterionResult]:
-    big = mc200(seed, threads)
-    small = mc50(seed, threads)
-    return [
-        criterion_hoover(big, profile),
-        criterion_zagreb_clt(big, profile),
-        criterion_wiener(small, profile),
-        criterion_hyper_wiener(small, profile),
-        criterion_randic(big, profile),
-        criterion_gini(big, profile),
-        criterion_seed_robustness(seed, profile),
-    ]
-
-
 SUITES = ("oracle", "montecarlo", "paper7", "all")
 
 
@@ -417,7 +399,6 @@ def run_suite(
     suite: str,
     seed: int = DEFAULT_SEED,
     profile: str = "default",
-    threads: int = 1,
 ) -> list[CriterionResult]:
     """Run one named criteria suite and return its verdicts."""
     if suite not in SUITES:
@@ -427,17 +408,13 @@ def run_suite(
     if suite == "oracle":
         return _oracle_suite(profile)
     if suite == "paper7":
-        return _paper7(seed, profile, threads)
+        return _paper7(seed, profile)
+    big = mc200(seed)
+    paper = _paper_criteria(big, mc50(seed), profile)
     if suite == "montecarlo":
-        return _montecarlo_suite(seed, profile, threads)
-    big = mc200(seed, threads)
-    small = mc50(seed, threads)
+        return [*paper, criterion_gini(big, profile), criterion_seed_robustness(seed, profile)]
     return [
-        criterion_hoover(big, profile),
-        criterion_zagreb_clt(big, profile),
-        criterion_wiener(small, profile),
-        criterion_hyper_wiener(small, profile),
-        criterion_randic(big, profile),
+        *paper,
         *_oracle_suite(profile),
         criterion_gini(big, profile),
         criterion_determinism(seed, profile),

@@ -28,10 +28,24 @@ def test_simulate_deterministic_bytes(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
-    # thread count does not change the bytes
-    _, out4, _ = run_cli(capsys, *args, "--threads", "4")
-    _, out_single, _ = run_cli(capsys, *args, "--threads", "1")
-    assert out4 == out_single == out1
+
+
+def test_simulate_keeps_hyper_wiener_exact(tmp_path, capsys):
+    """A cell above 2^53 is the exact integer of the same substream."""
+    from catlab.caterpillar import Caterpillar, RngSeed, simulate_counts
+    from catlab.experiments import DEFAULT_SEED
+    from catlab.indices import hyper_wiener
+
+    out = tmp_path / "hw.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--m", "5000", "--n", "100000",
+        "--indices", "hyper_wiener", "--out", str(out),
+    )
+    assert code == 0
+    rng = RngSeed(DEFAULT_SEED, 0).generator()
+    expected = hyper_wiener(Caterpillar(5000, tuple(simulate_counts(5000, 100000, rng))))
+    assert expected > 2**53 and float(expected) != expected  # a float cast would show
+    assert out.read_text().splitlines() == ["replicate_id,hyper_wiener", f"0,{expected}"]
 
 
 def test_simulate_rejects_short_spine(capsys):
@@ -238,3 +252,13 @@ def test_bad_config_line(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--m", "2", "--n", "1")
     assert code == 2
     assert "key=value" in err
+
+
+@pytest.mark.parametrize("line", ["threads = 4", "replication = 500", "out = x.csv"])
+def test_config_file_rejects_unknown_keys(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"m = 3\nn = 0\n{line}\n")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "unknown config key" in err and line.split()[0] in err

@@ -17,6 +17,7 @@ from catlab.experiments import (
     jarque_bera,
     kde,
     ks_normality,
+    replicate_rows,
     run_mc,
     standardize_zagreb,
     trajectory_check,
@@ -55,6 +56,24 @@ def test_run_mc_deterministic_across_threads():
         assert np.array_equal(one.sample(key), four.sample(key))
         assert one.stats[key].mean == four.stats[key].mean
         assert one.stats[key].variance == four.stats[key].variance
+
+
+def test_replicate_rows_exact_and_in_replicate_order():
+    from catlab.caterpillar import Caterpillar, RngSeed, simulate_counts
+    from catlab.indices import compute_index
+
+    specs = (IndexSpec("hyper_wiener"), IndexSpec("gini_degree"))
+    cfg = ExperimentConfig(m=9, n=400, replications=12, seed=5, indices=specs)
+    rows = replicate_rows(cfg)
+    expected = []
+    for r in range(12):
+        counts = simulate_counts(9, 400, RngSeed(5, r).generator())
+        c = Caterpillar(9, tuple(counts))
+        expected.append([compute_index(c, spec) for spec in specs])
+    assert rows == expected
+    assert all(type(row[0]) is int for row in rows)
+    threaded = ExperimentConfig(m=9, n=400, replications=12, seed=5, indices=specs, threads=3)
+    assert replicate_rows(threaded) == rows
 
 
 def test_run_mc_single_replicate():

@@ -73,6 +73,35 @@ def test_degree_gini_hand_values():
     assert degree_gini_exact(Caterpillar(2, (1, 0))) == Fraction(1, 6)
 
 
+def _brute_degree_gini(c):
+    """sum_ij |d_i - d_j| / (2 N sum_i d_i) over degree_sequence, grouped by value."""
+    from collections import Counter
+
+    from catlab.caterpillar import degree_sequence
+
+    degs = degree_sequence(c)
+    tally = Counter(degs).items()
+    num = sum(ca * cb * abs(a - b) for a, ca in tally for b, cb in tally)
+    return Fraction(num, 2 * len(degs) * sum(degs))
+
+
+def test_degree_gini_matches_brute_force_exhaustively():
+    for m in range(2, 6):
+        for n in range(0, 7):
+            for counts in compositions(n, m):
+                c = Caterpillar(m, counts)
+                assert degree_gini_exact(c) == _brute_degree_gini(c)
+
+
+def test_degree_gini_matches_brute_force_random_states():
+    rng = RngSeed(4242).generator()
+    states = [(400, 20_000), (2, 20_000), (400, 0)]
+    states += [(int(rng.integers(2, 401)), int(rng.integers(0, 20_001))) for _ in range(12)]
+    for k, (m, n) in enumerate(states):
+        c = simulate(m, n, RngSeed(4242, k))
+        assert degree_gini_exact(c) == _brute_degree_gini(c)
+
+
 def test_hoover_hand_values():
     assert hoover(new_spine(2)) == 0.0
     assert hoover_exact(Caterpillar(2, (1, 0))) == Fraction(1, 6)

@@ -1,6 +1,10 @@
 """Enumeration oracle, BFS distances, one-step laws, martingale checks."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from catlab.caterpillar import AdjacencyGraph, Caterpillar, RngSeed, new_spine, 
 from catlab.errors import DomainError, ResourceLimitError
 from catlab.indices import zagreb
 from catlab.oracle import (
+    ExactMoments,
     bfs_distances,
     choose_method,
     compositions,
@@ -73,6 +78,34 @@ def test_bfs_distances_basics():
     d = bfs_distances(g)
     assert d[2][1] == 2  # leaf to far spine node
     assert d == [list(row) for row in zip(*d)]  # symmetric
+
+
+def test_bfs_distance_table_guard():
+    g = to_adjacency(Caterpillar(2, (4000, 0)))
+    with pytest.raises(ResourceLimitError, match="guard"):
+        wiener_bfs(g)
+
+
+def test_exact_moments_invariant_survives_optimize():
+    """The variance invariant is checked even under ``python -O``."""
+    with pytest.raises(DomainError):
+        ExactMoments(Fraction(1), Fraction(2), Fraction(5), 1, 1)
+    code = (
+        "from fractions import Fraction\n"
+        "from catlab.errors import DomainError\n"
+        "from catlab.oracle import ExactMoments\n"
+        "try:\n"
+        "    ExactMoments(Fraction(1), Fraction(2), Fraction(5), 1, 1)\n"
+        "except DomainError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('inconsistent ExactMoments was accepted')\n"
+    )
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_bfs_disconnected_error():
