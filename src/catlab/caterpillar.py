@@ -49,6 +49,14 @@ class RngSeed:
         return np.random.Generator(np.random.PCG64(ss))
 
 
+def _check_mn(m: int, n: int = 0) -> None:
+    """Reject a spine shorter than two nodes or a negative leaf count."""
+    if m < 2:
+        raise DomainError(f"spine too short: m must be >= 2, got {m}")
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
+
+
 def _as_generator(seed) -> np.random.Generator:
     """Accept an RngSeed, a bare integer seed (stream 0), or a Generator."""
     if isinstance(seed, np.random.Generator):
@@ -71,8 +79,7 @@ class Caterpillar:
     leaf_counts: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m < 2:
-            raise DomainError(f"spine too short: m must be >= 2, got {self.m}")
+        _check_mn(self.m)
         if len(self.leaf_counts) != self.m:
             raise DomainError(
                 f"leaf_counts has length {len(self.leaf_counts)}, expected m = {self.m}"
@@ -114,8 +121,7 @@ class AdjacencyGraph:
 
 def new_spine(m: int) -> Caterpillar:
     """Bare spine on ``m`` nodes, no leaves yet."""
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
+    _check_mn(m)
     return Caterpillar(m=m, leaf_counts=(0,) * m)
 
 
@@ -142,10 +148,7 @@ def simulate_counts(m: int, n: int, rng: np.random.Generator) -> list[int]:
 
 def simulate(m: int, n: int, seed) -> Caterpillar:
     """Grow a caterpillar by ``n`` sequential uniform leaf attachments."""
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    _check_mn(m, n)
     rng = _as_generator(seed)
     return Caterpillar(m=m, leaf_counts=tuple(simulate_counts(m, n, rng)))
 
@@ -174,10 +177,7 @@ def sample_direct(m: int, n: int, seed) -> Caterpillar:
     Same distribution as :func:`simulate`, but not path-identical: the two
     samplers consume the random stream differently.
     """
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    _check_mn(m, n)
     rng = _as_generator(seed)
     return Caterpillar(m=m, leaf_counts=tuple(sample_direct_counts(m, n, rng)))
 

@@ -1,7 +1,8 @@
 """Command-line front end: simulate, theory, verify, clt, oracle.
 
 Option precedence is flags > config file (``key=value`` lines, ``--config``)
-> environment (``CATLAB_SEED``) > built-in defaults.  A config key must be
+> environment (``CATLAB_SEED``) > built-in defaults; ``theory`` and
+``oracle`` use no randomness and take no seed.  A config key must be
 one of the command's option names (``tolerance_profile`` for
 ``--tolerance-profile``); output paths and ``--index``/``--exact`` are flags
 only, and any other key is a usage error.  Exit codes: 0 success,
@@ -333,9 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"catlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seeded=True):
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
+        if seeded:
+            p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
 
     p_sim = sub.add_parser("simulate", help="sample caterpillars and print index values")
     common(p_sim)
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_th = sub.add_parser("theory", help="evaluate a closed-form mean/variance/limit")
-    common(p_th)
+    common(p_th, seeded=False)
     p_th.add_argument("--index", required=True, choices=sorted(theory.EVALUATORS))
     p_th.add_argument("--m", type=int, required=True)
     p_th.add_argument("--n", type=int, required=True)
@@ -376,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_clt.set_defaults(func=cmd_clt)
 
     p_or = sub.add_parser("oracle", help="exact enumeration moments of an index")
-    common(p_or)
+    common(p_or, seeded=False)
     p_or.add_argument("--m", type=int, required=True)
     p_or.add_argument("--n", type=int, required=True)
     p_or.add_argument("--index", required=True)

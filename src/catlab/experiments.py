@@ -2,9 +2,9 @@
 
 :func:`replicate_rows` is the one replicate engine: replicate r always draws
 from the substream (seed, r) and its index values come back exact (Python
-ints stay ints) in replicate order.  ``catlab simulate`` formats those rows
-directly; :func:`run_mc` folds them, in replicate order, into Welford
-accumulators.  Neither result depends on ``ExperimentConfig.threads``.
+ints, or Fractions for Gini and Hoover) in replicate order.  ``catlab
+simulate`` formats those rows directly; :func:`run_mc` folds them, in
+replicate order, into Welford accumulators.  Neither result depends on ``ExperimentConfig.threads``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .caterpillar import (
     Caterpillar,
     RngSeed,
     _as_generator,
+    _check_mn,
     sample_direct_counts,
     simulate_counts,
 )
@@ -99,14 +100,10 @@ class ExperimentConfig:
     indices: tuple[IndexSpec, ...] = (IndexSpec("zagreb"),)
     sampler: str = "sequential"
     threads: int = 1
-    retain_samples: bool = True
     memory_cap_bytes: int = 1 << 28
 
     def __post_init__(self):
-        if self.m < 2:
-            raise DomainError(f"spine too short: m must be >= 2, got {self.m}")
-        if self.n < 0:
-            raise DomainError(f"n must be >= 0, got {self.n}")
+        _check_mn(self.m, self.n)
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
         if self.sampler not in ("sequential", "direct"):
@@ -117,14 +114,19 @@ class ExperimentConfig:
 
 @dataclass
 class IndexStats:
-    """Streaming summary of one index over all replicates."""
+    """Streaming summary of one index over all replicates.
+
+    The statistics and the raw ``sample`` are float64 views of the index
+    values, so integers above 2^53 are rounded; :func:`replicate_rows`
+    gives the exact values.
+    """
 
     count: int
     mean: float
     variance: float
     min: float
     max: float
-    sample: np.ndarray | None = field(default=None, repr=False)
+    sample: np.ndarray = field(repr=False)
 
     @property
     def std_error(self) -> float:
@@ -167,10 +169,7 @@ class ExperimentSummary:
 
     def sample(self, index: IndexSpec | str) -> np.ndarray:
         key = str(IndexSpec.parse(index) if isinstance(index, str) else index)
-        s = self.stats[key].sample
-        if s is None:
-            raise DomainError(f"raw sample for {key!r} was not retained")
-        return s
+        return self.stats[key].sample
 
     def compare(self, index: IndexSpec | str, theory_value, scale: float = 1.0) -> ComparisonRow:
         """z-score of the scaled empirical mean against a theory value."""
@@ -209,29 +208,27 @@ def run_mc(cfg: ExperimentConfig) -> ExperimentSummary:
     """Run R independent replicates and fold them into streaming summaries.
 
     Deterministic for a fixed config: the rows come from
-    :func:`replicate_rows` and are reduced in replicate order.
+    :func:`replicate_rows` and are reduced in replicate order.  Stats and
+    samples are float64 views, rounded above 2^53 (see :class:`IndexStats`).
     """
     keys = [str(spec) for spec in cfg.indices]
     if len(set(keys)) != len(keys):
         raise DomainError("duplicate index requested")
-    retain = cfg.retain_samples
-    if retain:
-        needed = 8 * cfg.replications * len(keys)
-        if needed > cfg.memory_cap_bytes:
-            raise ResourceLimitError(
-                f"raw-sample retention needs {needed} bytes,"
-                f" over the cap of {cfg.memory_cap_bytes}"
-            )
+    needed = 8 * cfg.replications * len(keys)
+    if needed > cfg.memory_cap_bytes:
+        raise ResourceLimitError(
+            f"raw-sample retention needs {needed} bytes,"
+            f" over the cap of {cfg.memory_cap_bytes}"
+        )
     started = time.perf_counter()
     rows = replicate_rows(cfg)
 
     accs = [Welford() for _ in keys]
-    samples = [np.empty(cfg.replications) for _ in keys] if retain else None
+    samples = [np.empty(cfg.replications) for _ in keys]
     for r, row in enumerate(rows):
         for k, value in enumerate(map(float, row)):
             accs[k].update(value)
-            if retain:
-                samples[k][r] = value
+            samples[k][r] = value
     stats = {
         key: IndexStats(
             count=acc.count,
@@ -239,7 +236,7 @@ def run_mc(cfg: ExperimentConfig) -> ExperimentSummary:
             variance=acc.variance,
             min=acc.min,
             max=acc.max,
-            sample=samples[k] if retain else None,
+            sample=samples[k],
         )
         for k, (key, acc) in enumerate(zip(keys, accs))
     }
@@ -383,8 +380,7 @@ def trajectory_check(
     diagnostic for the almost-sure limits of the quadratically growing
     indices.
     """
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
+    _check_mn(m)
     if n_max < 16:
         raise DomainError("n_max must be >= 16 to have at least three checkpoints")
     spec = IndexSpec.parse(index) if isinstance(index, str) else index

@@ -30,7 +30,6 @@ __all__ = [
     "wiener",
     "hyper_wiener",
     "compute_index",
-    "compute_index_exact",
 ]
 
 
@@ -161,99 +160,55 @@ def randic(c: Caterpillar, alpha: float = 1.0):
     return spine_part + leaf_part
 
 
-def wiener(c: Caterpillar) -> int:
-    """Wiener index (sum of distances over unordered node pairs), exact.
+def _distance_sums(c: Caterpillar) -> tuple[int, int]:
+    """Sums of d and d^2 over unordered node pairs, from the edge cuts.
 
-    Three-part split evaluated in O(m): the fixed spine-spine total
-    m(m^2-1)/6; leaf-leaf pairs at distance (j-i+2) across spine positions
-    plus distance 2 within one position; and spine-leaf pairs at distance
-    |i-j|+1.
+    A pair's distance is the number of edges its path crosses.  So sum d is
+    the sum over edges of the product of the two side sizes, and sum d^2
+    adds twice, for every two distinct edges e and f, the pairs whose path
+    crosses both: (side of e away from f) * (side of f away from e).  Spine
+    edge i has L_i nodes on its left and N - L_i on its right; each of the
+    n pendant edges cuts off one leaf, so two pendant edges share one pair.
     """
-    m = c.m
     x = [int(v) for v in c.leaf_counts]
     n = sum(x)
+    size = n + c.m
+    cut = n * (size - 1)  # sum d: the pendant edges here, spine edges below
+    shared = n * (n - 1) // 2  # pairs crossing both edges, summed over edge pairs
+    left = 0  # L_i
+    left_leaves = 0  # leaves among the L_i nodes
+    left_total = 0  # sum of L_j over the spine edges j < i
+    for xi in x[:-1]:
+        left += 1 + xi
+        left_leaves += xi
+        right = size - left
+        cut += left * right
+        # earlier spine edges, then pendant edges on either side of edge i
+        shared += left_total * right + left_leaves * right + (n - left_leaves) * left
+        left_total += left
+    return cut, cut + 2 * shared
 
-    total = m * (m * m - 1) // 6
 
-    # cross-position leaf pairs: sum_{i<j} (j-i+2) X_i X_j via prefix sums
-    prefix = 0  # sum of X_i for i < j
-    prefix_ix = 0  # sum of i*X_i for i < j (1-based i)
-    cross_gap = 0  # sum_{i<j} (j-i) X_i X_j
-    for j in range(1, m + 1):
-        xj = x[j - 1]
-        if prefix and xj:
-            cross_gap += xj * (j * prefix - prefix_ix)
-        prefix += xj
-        prefix_ix += j * xj
-    sum_sq = sum(v * v for v in x)
-    cross_pairs = (n * n - sum_sq) // 2  # sum_{i<j} X_i X_j
-    total += cross_gap + 2 * cross_pairs
-
-    # same-position leaf pairs: distance 2, X(X-1)/2 pairs each
-    total += sum(v * (v - 1) for v in x)
-
-    # spine-leaf: for a leaf at position i (1-based), sum_j (|i-j|+1) = m + T_i
-    for i in range(1, m + 1):
-        if x[i - 1]:
-            t_i = (i - 1) * i // 2 + (m - i) * (m - i + 1) // 2
-            total += x[i - 1] * (m + t_i)
-    return total
+def wiener(c: Caterpillar) -> int:
+    """Wiener index (sum of distances over unordered node pairs), exact, O(m)."""
+    return _distance_sums(c)[0]
 
 
 def hyper_wiener(c: Caterpillar) -> int:
-    """Hyper-Wiener index: sum over unordered pairs of (d + d^2), exact.
-
-    Same three-part split as :func:`wiener` with weight d + d^2 per pair;
-    the fixed spine-spine total is m(m^3 + 2m^2 - m - 2)/12.
-    """
-    m = c.m
-    x = [int(v) for v in c.leaf_counts]
-    n = sum(x)
-
-    total = m * (m**3 + 2 * m * m - m - 2) // 12
-
-    # cross-position leaf pairs: gap g = j-i, distance g+2,
-    # weight (g+2) + (g+2)^2 = g^2 + 5g + 6
-    prefix = 0
-    prefix_ix = 0
-    prefix_iix = 0  # sum of i^2 * X_i
-    cross = 0
-    for j in range(1, m + 1):
-        xj = x[j - 1]
-        if prefix and xj:
-            gap1 = j * prefix - prefix_ix  # sum (j-i) X_i
-            gap2 = j * j * prefix - 2 * j * prefix_ix + prefix_iix  # sum (j-i)^2 X_i
-            cross += xj * (gap2 + 5 * gap1)
-        prefix += xj
-        prefix_ix += j * xj
-        prefix_iix += j * j * xj
-    sum_sq = sum(v * v for v in x)
-    cross += 6 * ((n * n - sum_sq) // 2)
-    total += cross
-
-    # same-position leaf pairs: distance 2 -> weight 6 per pair
-    total += 3 * sum(v * (v - 1) for v in x)
-
-    # spine-leaf: d = |i-j|+1, sum_j (d + d^2) = U_i + 3 T_i + 2m with
-    # T_i = sum_j |i-j| and U_i = sum_j (i-j)^2
-    def _sq_sum(k: int) -> int:
-        return k * (k + 1) * (2 * k + 1) // 6
-
-    for i in range(1, m + 1):
-        if x[i - 1]:
-            left, right = i - 1, m - i
-            t_i = left * (left + 1) // 2 + right * (right + 1) // 2
-            u_i = _sq_sum(left) + _sq_sum(right)
-            total += x[i - 1] * (u_i + 3 * t_i + 2 * m)
-    return total
+    """Hyper-Wiener index: sum over unordered pairs of (d + d^2), exact, O(m)."""
+    d1, d2 = _distance_sums(c)
+    return d1 + d2
 
 
 def compute_index(c: Caterpillar, spec: IndexSpec):
-    """Evaluate one index; integers stay exact, ratios come back as floats."""
+    """Evaluate one index exactly: an int, or a Fraction for Gini and Hoover.
+
+    Randic with alpha != 1 is the only float.
+    """
     if spec.kind == "gini_degree":
-        return degree_gini(c)
+        return degree_gini_exact(c)
     if spec.kind == "hoover":
-        return hoover(c)
+        return hoover_exact(c)
     if spec.kind == "zagreb":
         return zagreb(c)
     if spec.kind == "randic":
@@ -263,21 +218,3 @@ def compute_index(c: Caterpillar, spec: IndexSpec):
     if spec.kind == "hyper_wiener":
         return hyper_wiener(c)
     raise DomainError(f"unknown index kind {spec.kind!r}")  # pragma: no cover
-
-
-def compute_index_exact(c: Caterpillar, spec: IndexSpec):
-    """Evaluate one index as an exact int or Fraction (enumeration oracles).
-
-    Randic is only exact for alpha = 1.
-    """
-    if spec.kind == "gini_degree":
-        return degree_gini_exact(c)
-    if spec.kind == "hoover":
-        return hoover_exact(c)
-    if spec.kind == "randic":
-        if spec.alpha != 1:
-            raise DomainError(
-                f"exact Randic evaluation requires alpha = 1, got {spec.alpha}"
-            )
-        return randic(c, 1)
-    return compute_index(c, spec)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .caterpillar import AdjacencyGraph, Caterpillar
+from .caterpillar import AdjacencyGraph, Caterpillar, _check_mn
 from .errors import DomainError, ResourceLimitError
-from .indices import IndexSpec, compute_index_exact, randic, zagreb
+from .indices import IndexSpec, compute_index, randic, zagreb
 from .theory import martingale_compensator, randic_supermartingale_bound
 
 __all__ = [
@@ -118,11 +118,10 @@ def enumerate_exact(
     weights), or ``"auto"`` (compositions once n > 12).  The state count of
     the chosen path must stay within ``guard``.
     """
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    _check_mn(m, n)
     spec = IndexSpec.parse(index) if isinstance(index, str) else index
+    if spec.kind == "randic" and spec.alpha != 1:
+        raise DomainError(f"exact Randic evaluation requires alpha = 1, got {spec.alpha}")
     method = choose_method(m, n, method, guard)
 
     history_count = m**n
@@ -138,7 +137,7 @@ def enumerate_exact(
                 for i in picks:
                     counts[i] += 1
                 c = Caterpillar(m=m, leaf_counts=tuple(counts))
-                yield compute_index_exact(c, spec), 1
+                yield compute_index(c, spec), 1
         return _moments_from_weighted(_histories(), history_count)
 
     state_count = math.comb(n + m - 1, m - 1)
@@ -150,7 +149,7 @@ def enumerate_exact(
     def _compositions():
         for counts in compositions(n, m):
             c = Caterpillar(m=m, leaf_counts=counts)
-            yield compute_index_exact(c, spec), multinomial_coefficient(counts)
+            yield compute_index(c, spec), multinomial_coefficient(counts)
     return _moments_from_weighted(_compositions(), history_count)
 
 

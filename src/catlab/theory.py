@@ -20,6 +20,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .caterpillar import _check_mn
 from .errors import DomainError, ValidityError
 
 __all__ = [
@@ -79,13 +80,6 @@ class TheoryValue:
         return TheoryValue(self.value / Fraction(divisor), self.validity, self.source)
 
 
-def _check_mn(m: int, n: int) -> None:
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-
-
 def gini_mean(m: int, n: int) -> TheoryValue:
     """Mean of the distance-based Gini index of the caterpillar class."""
     _check_mn(m, n)
@@ -101,8 +95,7 @@ def gini_mean(m: int, n: int) -> TheoryValue:
 
 def gini_mean_limit_in_n(m: int) -> TheoryValue:
     """Limit in n of the distance-based Gini mean: (m-1)/(3m); -> 1/3 in m."""
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
+    _check_mn(m)
     return TheoryValue(
         Fraction(m - 1, 3 * m), Validity.ALL_M, "lim_n E[gini] = (m-1)/(3m)"
     )
@@ -169,8 +162,7 @@ class CltParams:
 
 def zagreb_clt_params(m: int) -> CltParams:
     """Gaussian limit of (Z_n - n^2/m)/n: variance 2(m-1)/m^2."""
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
+    _check_mn(m)
     var = TheoryValue(
         Fraction(2 * (m - 1), m * m),
         Validity.ALL_M,
@@ -210,8 +202,7 @@ def randic_mean(m: int, n: int, strict: bool = True) -> TheoryValue:
 
 def randic_mean_limit(m: int) -> TheoryValue:
     """Limit of E[R_n]/n^2: (2m-1)/m^2."""
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
+    _check_mn(m)
     return TheoryValue(
         Fraction(2 * m - 1, m * m), Validity.ALL_M, "lim E[R_n]/n^2 = (2m-1)/m^2"
     )
@@ -219,8 +210,7 @@ def randic_mean_limit(m: int) -> TheoryValue:
 
 def randic_supermartingale_bound(m: int, j: int, r_prev) -> Fraction:
     """Lower bound on E[R_j | state at j-1]: R_{j-1} + (2j + 7m - 10)/m."""
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
+    _check_mn(m)
     if j < 1:
         raise DomainError(f"step index j must be >= 1, got {j}")
     return Fraction(r_prev) + Fraction(2 * j + 7 * m - 10, m)
@@ -243,8 +233,7 @@ def wiener_mean(m: int, n: int) -> TheoryValue:
 
 def wiener_mean_limit(m: int) -> TheoryValue:
     """Limit of E[W_n]/n^2: (m^2 + 6m - 1)/(6m)."""
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
+    _check_mn(m)
     return TheoryValue(
         Fraction(m * m + 6 * m - 1, 6 * m),
         Validity.ALL_M,
@@ -297,8 +286,7 @@ def hyper_wiener_mean_corrected(m: int, n: int) -> TheoryValue:
 
 def hyper_wiener_mean_limit(m: int) -> TheoryValue:
     """Limit of E[Wh_n]/n^2: (m^3 + 10m^2 + 35m - 10)/(12m)."""
-    if m < 2:
-        raise DomainError(f"spine too short: m must be >= 2, got {m}")
+    _check_mn(m)
     return TheoryValue(
         Fraction(m**3 + 10 * m * m + 35 * m - 10, 12 * m),
         Validity.ALL_M,

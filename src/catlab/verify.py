@@ -310,7 +310,8 @@ def criterion_supermartingale(profile: str) -> CriterionResult:
 def criterion_gini(summary, profile: str) -> CriterionResult:
     failures = []
     for m in range(2, 11):
-        if theory.gini_mean_limit_in_n(m).value != Fraction(m - 1, 3 * m):
+        gap = theory.gini_mean(m, 10**9).value - theory.gini_mean_limit_in_n(m).value
+        if abs(gap) >= Fraction(1, 10**8):
             failures.append(f"limit at m={m}")
     lo, hi = GINI_BAND[profile]
     mean = summary.stats["gini_degree"].mean
@@ -318,14 +319,14 @@ def criterion_gini(summary, profile: str) -> CriterionResult:
     passed = not failures and band_ok
     return CriterionResult(
         cid="10-gini",
-        quantity="Gini limits: (m-1)/(3m) rational identity + degree-Gini band",
-        target=f"identity for m in 2..10; empirical mean in [{lo:g}, {hi:g}]",
+        quantity="Gini limits: E[gini](m, 10^9) vs (m-1)/(3m) + degree-Gini band",
+        target=f"limit reached for m in 2..10; empirical mean in [{lo:g}, {hi:g}]",
         actual=(
-            f"identity ok; empirical mean {_f(mean)}"
+            f"limit ok; empirical mean {_f(mean)}"
             if not failures
             else "; ".join(failures)
         ),
-        tolerance="identity exact; band as stated",
+        tolerance="|gap| < 1e-8 (exact rational); band as stated",
         passed=passed,
     )
 

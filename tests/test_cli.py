@@ -202,6 +202,22 @@ def test_oracle_guard_exit_code(capsys):
     assert json.loads(out)["method"] == "compositions"
 
 
+def test_unseeded_commands_reject_seed(tmp_path, capsys):
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text("seed = 3\n")
+    code, out, err = run_cli(
+        capsys, "oracle", "--config", str(cfg), "--m", "2", "--n", "1", "--index", "zagreb"
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown config key" in err and "seed" in err
+    for argv in (("oracle", "--m", "2", "--n", "1", "--index", "zagreb"),
+                 ("theory", "--index", "zagreb_mean", "--m", "2", "--n", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "3"])
+        assert exc.value.code == 2
+
+
 def test_config_file_and_env_precedence(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m = 3\nn = 0  # comment\nseed = 11\n")

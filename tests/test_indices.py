@@ -11,6 +11,7 @@ from catlab.caterpillar import Caterpillar, RngSeed, new_spine, simulate, to_adj
 from catlab.errors import DomainError
 from catlab.indices import (
     IndexSpec,
+    compute_index,
     degree_gini,
     degree_gini_exact,
     gini_functional,
@@ -100,6 +101,16 @@ def test_degree_gini_matches_brute_force_random_states():
     for k, (m, n) in enumerate(states):
         c = simulate(m, n, RngSeed(4242, k))
         assert degree_gini_exact(c) == _brute_degree_gini(c)
+
+
+def test_compute_index_returns_exact_ratios():
+    rng = RngSeed(77).generator()
+    for _ in range(20):
+        c = simulate(int(rng.integers(2, 40)), int(rng.integers(0, 500)), rng)
+        gini = compute_index(c, IndexSpec("gini_degree"))
+        share = compute_index(c, IndexSpec("hoover"))
+        assert type(gini) is Fraction and gini == degree_gini_exact(c)
+        assert type(share) is Fraction and share == hoover_exact(c)
 
 
 def test_hoover_hand_values():

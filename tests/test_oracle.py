@@ -59,8 +59,10 @@ def test_enumerate_guard_and_method_choice():
 
 
 def test_enumerate_rejects_irrational_randic():
-    with pytest.raises(DomainError, match="alpha = 1"):
-        enumerate_exact(2, 2, "randic:-0.5")
+    for m, n, index in ((2, 2, "randic:-0.5"), (50, 50, "randic:0.5")):
+        # rejected before the state count is checked against the guard
+        with pytest.raises(DomainError, match="alpha = 1"):
+            enumerate_exact(m, n, index)
 
 
 def test_multinomial_coefficients_sum_to_histories():
