@@ -5,7 +5,10 @@ Option precedence is flags > config file (``key=value`` lines, ``--config``)
 ``oracle`` use no randomness and take no seed.  A config key must be
 one of the command's option names (``tolerance_profile`` for
 ``--tolerance-profile``); output paths and ``--index``/``--exact`` are flags
-only, and any other key is a usage error.  Exit codes: 0 success,
+only, and any other key is a usage error.  Config values are parsed by the
+same parser as flags (``m = 3`` is ``--m=3``, placed before the command
+line's own flags), so they get the same types, choices and defaults, and a
+bad value is the same usage error.  Exit codes: 0 success,
 1 verification failure, 2 usage or domain error, 3 resource guard exceeded.
 All emitted data files are byte-identical across runs for a fixed
 configuration; the manifest sidecar carries the wall-clock timestamp.
@@ -83,9 +86,14 @@ def _write_manifest(out_path: str, manifest: RunManifest) -> None:
     _write_text(out_path + ".manifest.json", manifest.to_json())
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+# parsed arguments that commands read from the command line only
+_FLAG_ONLY = {"command", "config", "func", "out", "report", "plot", "index", "exact"}
+
+
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The ``--config`` file's ``key=value`` lines as ``--key=value`` flags."""
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(args.config).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -93,43 +101,10 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise DomainError(f"bad config line (expected key=value): {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
-    return values
-
-
-# parsed arguments that commands read from the command line only
-_FLAG_ONLY = {"command", "config", "func", "out", "report", "plot", "index", "exact"}
-
-
-class _Resolver:
-    """Implements the flag > config > env > default precedence."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.config = _read_config_file(args.config) if getattr(args, "config", None) else {}
-        unknown = sorted(set(self.config) - (set(vars(args)) - _FLAG_ONLY))
-        if unknown:
-            raise DomainError(
-                f"unknown config key(s) for {args.command}: {', '.join(unknown)}"
-            )
-        self.args = args
-
-    def get(self, name: str, default, cast):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        if name in self.config:
-            return cast(self.config[name])
-        return default
-
-    def seed(self) -> int:
-        flag = getattr(self.args, "seed", None)
-        if flag is not None:
-            return flag
-        if "seed" in self.config:
-            return int(self.config["seed"])
-        env = os.environ.get("CATLAB_SEED")
-        if env is not None:
-            return int(env)
-        return DEFAULT_SEED
+    unknown = sorted(set(values) - (set(vars(args)) - _FLAG_ONLY))
+    if unknown:
+        raise DomainError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
 
 
 def _parse_indices(text: str) -> tuple[IndexSpec, ...]:
@@ -140,23 +115,14 @@ def _parse_indices(text: str) -> tuple[IndexSpec, ...]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    m = res.get("m", None, int)
-    n = res.get("n", None, int)
-    if m is None or n is None:
-        raise DomainError("simulate requires --m and --n")
-    fmt = res.get("format", "csv", str)
-    if fmt not in ("csv", "json"):
-        raise DomainError(f"unknown format {fmt!r}")
     cfg = ExperimentConfig(
-        m=m, n=n, replications=res.get("replications", 1, int), seed=res.seed(),
-        indices=_parse_indices(res.get("indices", DEFAULT_INDICES, str)),
-        sampler=res.get("sampler", "sequential", str),
+        m=args.m, n=args.n, replications=args.replications, seed=args.seed,
+        indices=_parse_indices(args.indices), sampler=args.sampler,
     )
     columns = ["replicate_id"] + [str(spec) for spec in cfg.indices]
     rows = [[r] + values for r, values in enumerate(replicate_rows(cfg))]
 
-    if fmt == "csv":
+    if args.format == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_fmt_value(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
@@ -168,8 +134,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ) + "\n"
 
     config = {
-        "m": m, "n": n, "seed": cfg.seed, "replications": cfg.replications,
-        "sampler": cfg.sampler, "indices": columns[1:], "format": fmt,
+        "m": cfg.m, "n": cfg.n, "seed": cfg.seed, "replications": cfg.replications,
+        "sampler": cfg.sampler, "indices": columns[1:], "format": args.format,
     }
     if args.out:
         _write_text(args.out, text)
@@ -180,24 +146,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _json_number(v):
-    if isinstance(v, bool):  # pragma: no cover - defensive
-        return v
-    if isinstance(v, int):
-        return v
-    return float(v)
+    return v if isinstance(v, int) else float(v)
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    m = res.get("m", None, int)
-    n = res.get("n", None, int)
-    if m is None or n is None:
-        raise DomainError("theory requires --m and --n")
+    m, n = args.m, args.n
     value = theory.evaluate(args.index, m, n)
-    scaled = res.get("scaled", "none", str)
-    if scaled not in ("none", "n2"):
-        raise DomainError(f"unknown scaling {scaled!r} (use none or n2)")
-    if scaled == "n2":
+    if args.scaled == "n2":
         if n == 0:
             raise DomainError("cannot scale by n^2 at n = 0")
         value = value.scaled(Fraction(n * n))
@@ -205,7 +160,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
         "index": args.index,
         "m": m,
         "n": n,
-        "scaled": scaled,
+        "scaled": args.scaled,
         "value": float(value.value),
         "numerator": str(value.numerator),
         "denominator": str(value.denominator),
@@ -219,10 +174,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    suite = res.get("suite", "all", str)
-    profile = res.get("tolerance_profile", "default", str)
-    seed = res.seed()
+    suite, seed, profile = args.suite, args.seed, args.tolerance_profile
     results = run_suite(suite, seed=seed, profile=profile)
     sys.stdout.write(render_table(results) + "\n")
     passed = sum(r.passed for r in results)
@@ -245,13 +197,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_clt(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    m = res.get("m", 200, int)
-    n = res.get("n", 5000, int)
-    replications = res.get("replications", 500, int)
-    bins = res.get("bins", 20, int)
-    seed = res.seed()
-    out = args.out or "clt_sample.csv"
+    m, n, replications, bins, seed = args.m, args.n, args.replications, args.bins, args.seed
     summary = run_mc(
         ExperimentConfig(
             m=m, n=n, replications=replications, seed=seed,
@@ -264,9 +210,9 @@ def cmd_clt(args: argparse.Namespace) -> int:
 
     lines = ["replicate_id,standardized_zagreb"]
     lines += [f"{r},{format(v, '.17g')}" for r, v in enumerate(z)]
-    _write_text(out, "\n".join(lines) + "\n")
+    _write_text(args.out, "\n".join(lines) + "\n")
     config = {"m": m, "n": n, "seed": seed, "replications": replications, "bins": bins}
-    _write_manifest(out, RunManifest(command="clt", config=config))
+    _write_manifest(args.out, RunManifest(command="clt", config=config))
 
     if args.plot:
         svg = histogram_kde_svg(z, bins=bins)
@@ -279,7 +225,7 @@ def cmd_clt(args: argparse.Namespace) -> int:
         "replications": replications,
         "seed": seed,
         "bins": bins,
-        "sample_csv": out,
+        "sample_csv": args.out,
         "plot_svg": args.plot,
         "sample_mean": float(z.mean()),
         "sample_variance": float(z.var(ddof=1)),
@@ -301,14 +247,9 @@ def cmd_clt(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    m = res.get("m", None, int)
-    n = res.get("n", None, int)
-    if m is None or n is None:
-        raise DomainError("oracle requires --m and --n")
-    method = res.get("method", "auto", str)
-    resolved = choose_method(m, n, method)
-    moments = enumerate_exact(m, n, args.index, method=method)
+    m, n = args.m, args.n
+    resolved = choose_method(m, n, args.method)
+    moments = enumerate_exact(m, n, args.index, method=args.method)
     payload = {
         "m": m,
         "n": n,
@@ -337,61 +278,70 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seeded=True):
         p.add_argument("--config", help="key=value config file")
         if seeded:
-            p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULT_SEED})")
+            p.add_argument("--seed", type=int, default=os.environ.get("CATLAB_SEED", DEFAULT_SEED),
+                           help=f"RNG seed (default $CATLAB_SEED, else {DEFAULT_SEED})")
 
     p_sim = sub.add_parser("simulate", help="sample caterpillars and print index values")
     common(p_sim)
     p_sim.add_argument("--m", type=int, help="spine size (>= 2)")
     p_sim.add_argument("--n", type=int, help="number of leaves to attach")
-    p_sim.add_argument("--replications", type=int, help="independent replicates (default 1)")
-    p_sim.add_argument("--indices", help=f"comma list (default {DEFAULT_INDICES})")
-    p_sim.add_argument("--sampler", choices=["sequential", "direct"])
+    p_sim.add_argument("--replications", type=int, default=1,
+                       help="independent replicates (default %(default)s)")
+    p_sim.add_argument("--indices", default=DEFAULT_INDICES,
+                       help="comma list (default %(default)s)")
+    p_sim.add_argument("--sampler", choices=["sequential", "direct"], default="sequential")
     p_sim.add_argument("--out", help="output file (default stdout)")
-    p_sim.add_argument("--format", choices=["csv", "json"])
+    p_sim.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_th = sub.add_parser("theory", help="evaluate a closed-form mean/variance/limit")
     common(p_th, seeded=False)
     p_th.add_argument("--index", required=True, choices=sorted(theory.EVALUATORS))
-    p_th.add_argument("--m", type=int, required=True)
-    p_th.add_argument("--n", type=int, required=True)
-    p_th.add_argument("--scaled", choices=["none", "n2"])
+    p_th.add_argument("--m", type=int)
+    p_th.add_argument("--n", type=int)
+    p_th.add_argument("--scaled", choices=["none", "n2"], default="none")
     p_th.add_argument("--exact", action="store_true", help="include p/q string")
     p_th.set_defaults(func=cmd_theory)
 
     p_ver = sub.add_parser("verify", help="run an acceptance-criteria suite")
     common(p_ver)
-    p_ver.add_argument("--suite", choices=list(SUITES))
-    p_ver.add_argument("--tolerance-profile", dest="tolerance_profile",
-                       choices=["default", "strict"])
+    p_ver.add_argument("--suite", choices=list(SUITES), default="all")
+    p_ver.add_argument("--tolerance-profile", choices=["default", "strict"], default="default")
     p_ver.add_argument("--report", help="write the JSON report here")
     p_ver.set_defaults(func=cmd_verify)
 
     p_clt = sub.add_parser("clt", help="standardized-Zagreb sample, tests, figure")
     common(p_clt)
-    p_clt.add_argument("--m", type=int)
-    p_clt.add_argument("--n", type=int)
-    p_clt.add_argument("--replications", type=int)
-    p_clt.add_argument("--bins", type=int)
+    p_clt.add_argument("--m", type=int, default=200)
+    p_clt.add_argument("--n", type=int, default=5000)
+    p_clt.add_argument("--replications", type=int, default=500)
+    p_clt.add_argument("--bins", type=int, default=20)
     p_clt.add_argument("--plot", help="write histogram+KDE SVG here")
-    p_clt.add_argument("--out", help="standardized sample CSV (default clt_sample.csv)")
+    p_clt.add_argument("--out", default="clt_sample.csv",
+                       help="standardized sample CSV (default %(default)s)")
     p_clt.set_defaults(func=cmd_clt)
 
     p_or = sub.add_parser("oracle", help="exact enumeration moments of an index")
     common(p_or, seeded=False)
-    p_or.add_argument("--m", type=int, required=True)
-    p_or.add_argument("--n", type=int, required=True)
+    p_or.add_argument("--m", type=int)
+    p_or.add_argument("--n", type=int)
     p_or.add_argument("--index", required=True)
-    p_or.add_argument("--method", choices=["auto", "histories", "compositions"])
+    p_or.add_argument("--method", choices=["auto", "histories", "compositions"], default="auto")
     p_or.set_defaults(func=cmd_oracle)
 
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # config entries come first, so a flag on the command line wins
+            args = parser.parse_args([args.command, *_config_flags(args), *argv[1:]])
+        if "m" in vars(args) and None in (args.m, args.n):
+            raise DomainError(f"{args.command} requires --m and --n")
         return args.func(args)
     except (DomainError, ValidityError, ValueError) as exc:
         print(f"catlab: error: {exc}", file=sys.stderr)

@@ -262,7 +262,7 @@ def normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def ks_normality(sample, alpha: float = 0.01) -> TestResult:
+def ks_normality(sample) -> TestResult:
     """One-sample Kolmogorov-Smirnov test against the standard normal.
 
     Uses the asymptotic critical value 1.63/sqrt(R) at alpha = 0.01.
@@ -271,24 +271,20 @@ def ks_normality(sample, alpha: float = 0.01) -> TestResult:
     r = len(x)
     if r < 20:
         raise DomainError(f"KS test needs at least 20 observations, got {r}")
-    if alpha != 0.01:
-        raise DomainError("only the alpha = 0.01 critical value is tabulated")
     cdf = np.array([normal_cdf(v) for v in x])
     upper = np.arange(1, r + 1) / r
     lower = np.arange(0, r) / r
     statistic = float(np.max(np.maximum(upper - cdf, cdf - lower)))
     critical = KS_CRITICAL_COEFF_001 / math.sqrt(r)
-    return TestResult("ks", statistic, critical, alpha, statistic > critical)
+    return TestResult("ks", statistic, critical, 0.01, statistic > critical)
 
 
-def jarque_bera(sample, alpha: float = 0.01) -> TestResult:
-    """Jarque-Bera moment test: R/6 (skew^2 + (kurtosis - 3)^2 / 4)."""
+def jarque_bera(sample) -> TestResult:
+    """Jarque-Bera moment test: R/6 (skew^2 + (kurtosis - 3)^2 / 4), alpha = 0.01."""
     x = np.asarray(sample, dtype=float)
     r = len(x)
     if r < 20:
         raise DomainError(f"Jarque-Bera needs at least 20 observations, got {r}")
-    if alpha != 0.01:
-        raise DomainError("only the alpha = 0.01 critical value is tabulated")
     centered = x - x.mean()
     m2 = float(np.mean(centered**2))
     if m2 == 0:
@@ -296,7 +292,7 @@ def jarque_bera(sample, alpha: float = 0.01) -> TestResult:
     skew = float(np.mean(centered**3)) / m2**1.5
     kurt = float(np.mean(centered**4)) / (m2 * m2)
     statistic = r / 6.0 * (skew * skew + (kurt - 3.0) ** 2 / 4.0)
-    return TestResult("jarque_bera", statistic, JB_CRITICAL_001, alpha, statistic > JB_CRITICAL_001)
+    return TestResult("jarque_bera", statistic, JB_CRITICAL_001, 0.01, statistic > JB_CRITICAL_001)
 
 
 @dataclass(frozen=True)
@@ -331,10 +327,10 @@ def histogram(sample, bins: int) -> tuple[np.ndarray, np.ndarray]:
     return np.histogram(x, bins=bins, range=(float(x.min()), float(x.max())))
 
 
-def kde(sample, grid_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
+def kde(sample) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-kernel density with Silverman bandwidth 1.06 sd R^(-1/5).
 
-    Evaluated on ``grid_size`` equally spaced points spanning
+    Evaluated on 512 equally spaced points spanning
     [min - 3h, max + 3h]; integrates to 1 up to the truncated tails.
     """
     x = np.asarray(sample, dtype=float)
@@ -345,7 +341,7 @@ def kde(sample, grid_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
     if sd == 0:
         raise DomainError("kde needs a sample with positive spread")
     h = 1.06 * sd * r ** (-0.2)
-    grid = np.linspace(float(x.min()) - 3 * h, float(x.max()) + 3 * h, grid_size)
+    grid = np.linspace(float(x.min()) - 3 * h, float(x.max()) + 3 * h, 512)
     z = (grid[:, None] - x[None, :]) / h
     density = np.exp(-0.5 * z * z).sum(axis=1) / (r * h * math.sqrt(2 * math.pi))
     return grid, density
@@ -365,14 +361,8 @@ class TrajectoryResult:
         return max(self.tail_deltas)
 
 
-def trajectory_check(
-    m: int,
-    n_max: int,
-    seed,
-    index: IndexSpec | str,
-    scale_exponent: int = 2,
-) -> TrajectoryResult:
-    """Follow one growth path and report index/n^k at checkpoints n = 2^j.
+def trajectory_check(m: int, n_max: int, seed, index: IndexSpec | str) -> TrajectoryResult:
+    """Follow one growth path and report index/n^2 at checkpoints n = 2^j.
 
     Checkpoints start at n = 4; below that the n^2-scaled values are all
     start-up constants.  The ``tail_deltas`` are the absolute successive
@@ -399,7 +389,7 @@ def trajectory_check(
         counts = [a + b for a, b in zip(counts, simulate_counts(m, ck - previous, rng))]
         previous = ck
         c = Caterpillar(m=m, leaf_counts=tuple(counts))
-        values.append(float(compute_index(c, spec)) / ck**scale_exponent)
+        values.append(float(compute_index(c, spec)) / ck**2)
 
     tail = values[-3:]
     deltas = tuple(abs(tail[i + 1] - tail[i]) for i in range(len(tail) - 1))

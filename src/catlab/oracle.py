@@ -29,6 +29,7 @@ __all__ = [
     "multinomial_coefficient",
     "enumerate_exact",
     "bfs_distances",
+    "bfs_distance_sums",
     "wiener_bfs",
     "hyper_wiener_bfs",
     "one_step_successors",
@@ -180,22 +181,24 @@ def bfs_distances(g: AdjacencyGraph) -> list[list[int]]:
     return dist
 
 
+def bfs_distance_sums(g: AdjacencyGraph) -> tuple[int, int]:
+    """(sum of d, sum of d^2) over unordered node pairs, from one BFS table."""
+    total = total_sq = 0
+    for u, row in enumerate(bfs_distances(g)):
+        tail = row[u + 1:]
+        total += sum(tail)
+        total_sq += sum(d * d for d in tail)
+    return total, total_sq
+
+
 def wiener_bfs(g: AdjacencyGraph) -> int:
     """Wiener index from explicit BFS distances (unordered pairs)."""
-    dist = bfs_distances(g)
-    return sum(dist[u][v] for u in range(g.node_count) for v in range(u + 1, g.node_count))
+    return bfs_distance_sums(g)[0]
 
 
 def hyper_wiener_bfs(g: AdjacencyGraph) -> int:
-    """Hyper-Wiener index from explicit BFS distances (unordered pairs)."""
-    dist = bfs_distances(g)
-    total = 0
-    for u in range(g.node_count):
-        row = dist[u]
-        for v in range(u + 1, g.node_count):
-            d = row[v]
-            total += d + d * d
-    return total
+    """Hyper-Wiener index from explicit BFS distances: sum of d + d^2."""
+    return sum(bfs_distance_sums(g))
 
 
 def one_step_successors(c: Caterpillar) -> list[Caterpillar]:

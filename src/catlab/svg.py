@@ -40,11 +40,7 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     return ticks
 
 
-def histogram_kde_svg(
-    sample,
-    bins: int = 20,
-    title: str = "standardized Zagreb indices",
-) -> str:
+def histogram_kde_svg(sample, bins: int = 20) -> str:
     """Density-scaled histogram with a KDE polyline, as an SVG string."""
     from .experiments import histogram, kde  # local import to avoid a cycle
 
@@ -74,7 +70,7 @@ def histogram_kde_svg(
         f' viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="22" text-anchor="middle"'
-        f' font-family="sans-serif" font-size="14">{title}</text>',
+        ' font-family="sans-serif" font-size="14">standardized Zagreb indices</text>',
     ]
     for i, d in enumerate(bar_density):
         x0, x1 = sx(float(edges[i])), sx(float(edges[i + 1]))

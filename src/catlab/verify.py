@@ -26,11 +26,10 @@ from .experiments import (
 )
 from .indices import IndexSpec, hyper_wiener, wiener
 from .oracle import (
+    bfs_distance_sums,
     enumerate_exact,
-    hyper_wiener_bfs,
     martingale_residual,
     randic_supermartingale_gap,
-    wiener_bfs,
     compositions,
 )
 from . import theory
@@ -247,14 +246,14 @@ def criterion_formula_vs_bfs(profile: str) -> CriterionResult:
         for n in range(7):
             for counts in compositions(n, m):
                 c = Caterpillar(m=m, leaf_counts=counts)
-                g = to_adjacency(c)
-                if wiener(c) != wiener_bfs(g):
+                total, total_sq = bfs_distance_sums(to_adjacency(c))
+                if wiener(c) != total:
                     failures.append(f"wiener {m},{counts}")
-                if hyper_wiener(c) != hyper_wiener_bfs(g):
+                if hyper_wiener(c) != total + total_sq:
                     failures.append(f"hyper_wiener {m},{counts}")
     for c in _random_states(20_000_101, 100, 50, 200):
-        g = to_adjacency(c)
-        if wiener(c) != wiener_bfs(g) or hyper_wiener(c) != hyper_wiener_bfs(g):
+        total, total_sq = bfs_distance_sums(to_adjacency(c))
+        if wiener(c) != total or hyper_wiener(c) != total + total_sq:
             failures.append(f"random state m={c.m}, n={c.n}")
     return CriterionResult(
         cid="7-formula-vs-bfs",

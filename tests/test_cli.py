@@ -1,10 +1,12 @@
 """CLI surface: subcommands, formats, exit codes, precedence, manifests."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from catlab.cli import main
+from catlab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -278,3 +280,58 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys, line):
     assert code == 2
     assert out == ""
     assert "unknown config key" in err and line.split()[0] in err
+
+
+@pytest.mark.parametrize("line", ["format = xml", "m = abc"])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, line):
+    key, _, value = line.partition(" = ")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"m = 3\nn = 0\n{line}\n")
+    for argv in (["simulate", "--config", str(cfg)],
+                 ["simulate", "--m", "3", "--n", "0", f"--{key}", value]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--{key}" in err and value in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("theory", "--index", "zagreb_mean", "--exact"),
+    ("oracle", "--index", "zagreb"),
+], ids=["theory", "oracle"])
+def test_unseeded_commands_take_m_n_from_config(tmp_path, capsys, argv):
+    cfg = tmp_path / "mn.cfg"
+    cfg.write_text("m = 3\nn = 2\n")
+    code, out_cfg, _ = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0
+    code, out_flag, _ = run_cli(capsys, *argv, "--m", "3", "--n", "2")
+    assert code == 0
+    assert out_cfg == out_flag
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate",),
+    ("theory", "--index", "zagreb_mean"),
+    ("oracle", "--index", "zagreb"),
+], ids=["simulate", "theory", "oracle"])
+def test_m_and_n_required_from_flags_or_config(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert f"{argv[0]} requires --m and --n" in err
+
+
+def test_readme_cli_examples_parse():
+    """Every ``catlab ...`` line of the README's CLI block parses with the CLI's parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("catlab ")]
+    assert {argv[0] for argv in commands} == {"simulate", "theory", "oracle", "clt", "verify"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: catlab {shlex.join(argv)}")

@@ -13,6 +13,7 @@ from catlab.errors import DomainError, ResourceLimitError
 from catlab.indices import zagreb
 from catlab.oracle import (
     ExactMoments,
+    bfs_distance_sums,
     bfs_distances,
     choose_method,
     compositions,
@@ -134,6 +135,7 @@ def test_wiener_bfs_hand_values():
     g = to_adjacency(Caterpillar(2, (1, 0)))
     assert wiener_bfs(g) == 4
     assert hyper_wiener_bfs(g) == 10
+    assert bfs_distance_sums(g) == (4, 6)  # distances 1, 1, 2
 
 
 def test_one_step_successors():
