@@ -14,7 +14,7 @@ distinct ``stream`` values give independent substreams for parallel replicates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,13 +106,11 @@ class AdjacencyGraph:
     """Explicit node/edge form of a caterpillar, used by the BFS oracles.
 
     Spine nodes come first (0 .. m-1, in spine order), then the leaves in
-    spine order.  ``labels[v]`` is ``"spine:i"`` or ``"leaf:i"`` where ``i``
-    is the spine position the node occupies or hangs from.
+    spine order.
     """
 
     node_count: int
     adjacency: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] = field(repr=False)
 
     @property
     def edge_count(self) -> int:
@@ -205,7 +203,6 @@ def to_adjacency(c: Caterpillar) -> AdjacencyGraph:
     """Materialize the explicit tree: spine path plus pendant leaves."""
     m, n = c.m, c.n
     adjacency: list[list[int]] = [[] for _ in range(n + m)]
-    labels = [f"spine:{i}" for i in range(m)]
     for i in range(m - 1):
         adjacency[i].append(i + 1)
         adjacency[i + 1].append(i)
@@ -214,10 +211,8 @@ def to_adjacency(c: Caterpillar) -> AdjacencyGraph:
         for _ in range(count):
             adjacency[i].append(next_node)
             adjacency[next_node].append(i)
-            labels.append(f"leaf:{i}")
             next_node += 1
     return AdjacencyGraph(
         node_count=n + m,
         adjacency=tuple(tuple(nbrs) for nbrs in adjacency),
-        labels=tuple(labels),
     )

@@ -92,8 +92,12 @@ _FLAG_ONLY = {"command", "config", "func", "out", "report", "plot", "index", "ex
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
     """The ``--config`` file's ``key=value`` lines as ``--key=value`` flags."""
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot read config file {args.config}: {exc.strerror or exc}") from None
     values: dict[str, str] = {}
-    for raw in Path(args.config).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

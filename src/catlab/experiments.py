@@ -1,10 +1,11 @@
-"""Seeded Monte Carlo engine with streaming statistics and normality tests.
+"""Seeded Monte Carlo engine with exact moments and normality tests.
 
 :func:`replicate_rows` is the one replicate engine: replicate r always draws
 from the substream (seed, r) and its index values come back exact (Python
 ints, or Fractions for Gini and Hoover) in replicate order.  ``catlab
-simulate`` formats those rows directly; :func:`run_mc` folds them, in
-replicate order, into Welford accumulators.  Neither result depends on ``ExperimentConfig.threads``.
+simulate`` formats those rows directly; :func:`run_mc` keeps them as
+columns with their exact means and variances.  Neither result depends on
+``ExperimentConfig.threads``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,12 +32,10 @@ from .theory import zagreb_mean, zagreb_variance
 
 __all__ = [
     "DEFAULT_SEED",
+    "SAMPLE_MEMORY_CAP",
     "ExperimentConfig",
-    "IndexStats",
     "ExperimentSummary",
     "TestResult",
-    "ComparisonRow",
-    "Welford",
     "replicate_rows",
     "run_mc",
     "standardize_zagreb",
@@ -61,32 +61,9 @@ KS_CRITICAL_COEFF_001 = 1.63  # asymptotic one-sample KS critical value: 1.63/sq
 JB_CRITICAL_001 = 9.21  # chi-square, 2 degrees of freedom, alpha = 0.01
 
 
-class Welford:
-    """Numerically stable one-pass mean/variance accumulator."""
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def update(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance; 0 for fewer than two observations."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
+# Refuse runs whose retained values would need more than this many bytes,
+# counted at 8 bytes per value (one float64 of the sample view).
+SAMPLE_MEMORY_CAP = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -100,7 +77,6 @@ class ExperimentConfig:
     indices: tuple[IndexSpec, ...] = (IndexSpec("zagreb"),)
     sampler: str = "sequential"
     threads: int = 1
-    memory_cap_bytes: int = 1 << 28
 
     def __post_init__(self):
         _check_mn(self.m, self.n)
@@ -110,27 +86,9 @@ class ExperimentConfig:
             raise DomainError(f"unknown sampler {self.sampler!r}")
         if self.threads < 1:
             raise DomainError("threads must be >= 1")
-
-
-@dataclass
-class IndexStats:
-    """Streaming summary of one index over all replicates.
-
-    The statistics and the raw ``sample`` are float64 views of the index
-    values, so integers above 2^53 are rounded; :func:`replicate_rows`
-    gives the exact values.
-    """
-
-    count: int
-    mean: float
-    variance: float
-    min: float
-    max: float
-    sample: np.ndarray = field(repr=False)
-
-    @property
-    def std_error(self) -> float:
-        return math.sqrt(self.variance / self.count)
+        keys = [str(spec) for spec in self.indices]
+        if len(set(keys)) != len(keys):
+            raise DomainError("duplicate index requested")
 
 
 @dataclass(frozen=True)
@@ -148,48 +106,81 @@ class TestResult:
         return "reject" if self.reject else "fail_to_reject"
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    """Empirical mean vs a theory value, in standard-error units."""
+def _exact_moments(column) -> tuple[Fraction, Fraction]:
+    """Exact mean and unbiased variance (0 for one value) of a column.
 
-    quantity: str
-    theory: float
-    empirical: float
-    std_error: float
-    z_score: float
+    The values (ints, Fractions or finite floats) are put over one common
+    denominator D, so the sums of x*D and (x*D)^2 are Python ints and no
+    Fraction arithmetic runs per element.
+    """
+    try:
+        ratios = [x.as_integer_ratio() for x in column]
+    except (OverflowError, ValueError):
+        raise DomainError("index value is not finite; its moments are undefined") from None
+    denominator = math.lcm(*(q for _, q in ratios))
+    scaled = [p * (denominator // q) for p, q in ratios]
+    r = len(scaled)
+    s1 = sum(scaled)
+    s2 = sum(a * a for a in scaled)
+    mean = Fraction(s1, r * denominator)
+    if r < 2:
+        return mean, Fraction(0)
+    return mean, Fraction(r * s2 - s1 * s1, r * (r - 1) * denominator**2)
+
+
+def _key(index: IndexSpec | str) -> str:
+    return str(IndexSpec.parse(index) if isinstance(index, str) else index)
 
 
 @dataclass
 class ExperimentSummary:
-    """Per-index streaming statistics for one Monte Carlo run."""
+    """Exact index columns of one Monte Carlo run, with their exact moments.
+
+    ``columns`` maps each index name to its values in replicate order, as
+    :func:`replicate_rows` gives them (ints or Fractions; only Randic with
+    alpha != 1 is a float).  Means and unbiased variances are exact
+    Fractions; :meth:`sample` is the float64 view for tests and plots.
+    """
 
     config: ExperimentConfig
-    stats: dict[str, IndexStats]
+    columns: dict[str, list] = field(repr=False)
     elapsed_seconds: float
+    moments: dict[str, tuple[Fraction, Fraction]] = field(repr=False)
+
+    def mean(self, index: IndexSpec | str) -> Fraction:
+        return self.moments[_key(index)][0]
+
+    def variance(self, index: IndexSpec | str) -> Fraction:
+        return self.moments[_key(index)][1]
 
     def sample(self, index: IndexSpec | str) -> np.ndarray:
-        key = str(IndexSpec.parse(index) if isinstance(index, str) else index)
-        return self.stats[key].sample
+        """The column as float64, so integers above 2^53 are rounded."""
+        return np.array([float(v) for v in self.columns[_key(index)]])
 
-    def compare(self, index: IndexSpec | str, theory_value, scale: float = 1.0) -> ComparisonRow:
-        """z-score of the scaled empirical mean against a theory value."""
-        key = str(IndexSpec.parse(index) if isinstance(index, str) else index)
-        st = self.stats[key]
-        emp = st.mean / scale
-        se = st.std_error / scale
-        theory = float(theory_value)
-        z = 0.0 if se == 0 else (emp - theory) / se
-        return ComparisonRow(
-            quantity=key, theory=theory, empirical=emp, std_error=se, z_score=z
-        )
+    def z_score(self, index: IndexSpec | str, target, scale=1) -> float:
+        """(mean/scale - target) in standard errors of mean/scale; 0 if the SE is 0.
+
+        The difference is taken exactly and rounded once.
+        """
+        key = _key(index)
+        mean, variance = self.moments[key]
+        se = math.sqrt(variance / len(self.columns[key])) / scale
+        return 0.0 if se == 0 else float(mean / scale - target) / se
 
 
 def replicate_rows(cfg: ExperimentConfig) -> list[list]:
     """Exact index values of every replicate, in replicate order.
 
     Replicate r draws from substream (seed, r) whatever the scheduling, so
-    the rows are identical for every thread count.
+    the rows are identical for every thread count.  Runs whose values would
+    exceed :data:`SAMPLE_MEMORY_CAP` are refused before any draw.
     """
+    needed = 8 * cfg.replications * len(cfg.indices)
+    if needed > SAMPLE_MEMORY_CAP:
+        raise ResourceLimitError(
+            f"raw-sample retention needs {needed} bytes,"
+            f" over the cap of {SAMPLE_MEMORY_CAP}"
+        )
 
     def row(r: int) -> list:
         rng = RngSeed(cfg.seed, r).generator()
@@ -205,43 +196,24 @@ def replicate_rows(cfg: ExperimentConfig) -> list[list]:
 
 
 def run_mc(cfg: ExperimentConfig) -> ExperimentSummary:
-    """Run R independent replicates and fold them into streaming summaries.
+    """Run R independent replicates; keep their exact columns and moments.
 
     Deterministic for a fixed config: the rows come from
-    :func:`replicate_rows` and are reduced in replicate order.  Stats and
-    samples are float64 views, rounded above 2^53 (see :class:`IndexStats`).
+    :func:`replicate_rows`, and each column's exact mean and variance are
+    computed once.  Raises :class:`DomainError` for a non-finite value
+    (Randic with a large alpha).
     """
-    keys = [str(spec) for spec in cfg.indices]
-    if len(set(keys)) != len(keys):
-        raise DomainError("duplicate index requested")
-    needed = 8 * cfg.replications * len(keys)
-    if needed > cfg.memory_cap_bytes:
-        raise ResourceLimitError(
-            f"raw-sample retention needs {needed} bytes,"
-            f" over the cap of {cfg.memory_cap_bytes}"
-        )
     started = time.perf_counter()
     rows = replicate_rows(cfg)
-
-    accs = [Welford() for _ in keys]
-    samples = [np.empty(cfg.replications) for _ in keys]
-    for r, row in enumerate(rows):
-        for k, value in enumerate(map(float, row)):
-            accs[k].update(value)
-            samples[k][r] = value
-    stats = {
-        key: IndexStats(
-            count=acc.count,
-            mean=acc.mean,
-            variance=acc.variance,
-            min=acc.min,
-            max=acc.max,
-            sample=samples[k],
-        )
-        for k, (key, acc) in enumerate(zip(keys, accs))
+    columns = {
+        str(spec): [row[k] for row in rows] for k, spec in enumerate(cfg.indices)
     }
+    moments = {key: _exact_moments(column) for key, column in columns.items()}
     return ExperimentSummary(
-        config=cfg, stats=stats, elapsed_seconds=time.perf_counter() - started
+        config=cfg,
+        columns=columns,
+        elapsed_seconds=time.perf_counter() - started,
+        moments=moments,
     )
 
 

@@ -99,9 +99,9 @@ def mc50(seed: int, threads: int = 1):
 
 def criterion_hoover(summary, profile: str) -> CriterionResult:
     tol = HOOVER_TOL[profile]
-    mean = summary.stats["hoover"].mean
+    mean = summary.mean("hoover")
     runtime_ok = summary.elapsed_seconds < 30.0
-    passed = abs(mean - 0.4807) <= tol and runtime_ok
+    passed = abs(mean - Fraction("0.4807")) <= tol and runtime_ok
     return CriterionResult(
         cid="1-hoover",
         quantity="mean Hoover index (m=200, n=5000, R=500)",
@@ -148,14 +148,14 @@ def criterion_wiener(summary, profile: str) -> CriterionResult:
     cfg = summary.config
     band = SE_BAND[profile]
     exact = theory.wiener_mean(cfg.m, cfg.n).value / cfg.n**2
-    row = summary.compare("wiener", float(exact), scale=float(cfg.n**2))
+    z = summary.z_score("wiener", exact, scale=cfg.n**2)
     four_dp_ok = abs(float(exact) - 9.7720) < 5e-5
-    passed = abs(row.z_score) <= band and four_dp_ok
+    passed = abs(z) <= band and four_dp_ok
     return CriterionResult(
         cid="3-wiener",
         quantity="mean Wiener/n^2 (m=50, n=2000, R=500)",
         target=f"{float(exact):.6f} (published 9.7732 simulated vs 9.7720 theory)",
-        actual=f"{_f(row.empirical)} (z={_f(row.z_score)})",
+        actual=f"{_f(summary.mean('wiener') / cfg.n**2)} (z={_f(z)})",
         tolerance=f"|z| <= {band:g}; closed form = 9.7720 to 4 dp",
         passed=passed,
     )
@@ -166,9 +166,9 @@ def criterion_hyper_wiener(summary, profile: str) -> CriterionResult:
     band = SE_BAND[profile]
     corrected = theory.hyper_wiener_mean_corrected(cfg.m, cfg.n).value / cfg.n**2
     paper_form = theory.hyper_wiener_mean_paper(cfg.m, cfg.n).value / cfg.n**2
-    row = summary.compare("hyper_wiener", float(corrected), scale=float(cfg.n**2))
+    z = summary.z_score("hyper_wiener", corrected, scale=cfg.n**2)
     paper_ok = abs(float(paper_form) - 264.6214) <= 1e-4
-    passed = abs(row.z_score) <= band and paper_ok
+    passed = abs(z) <= band and paper_ok
     return CriterionResult(
         cid="4-hyper-wiener",
         quantity="mean hyper-Wiener/n^2 (m=50, n=2000, R=500)",
@@ -176,7 +176,7 @@ def criterion_hyper_wiener(summary, profile: str) -> CriterionResult:
             f"{float(corrected):.6f} corrected"
             f" (published form {float(paper_form):.6f} vs reported 264.6214)"
         ),
-        actual=f"{_f(row.empirical)} (z={_f(row.z_score)})",
+        actual=f"{_f(summary.mean('hyper_wiener') / cfg.n**2)} (z={_f(z)})",
         tolerance=f"|z| <= {band:g}; published form = 264.6214 ± 0.0001",
         passed=passed,
     )
@@ -187,13 +187,13 @@ def criterion_randic(summary, profile: str) -> CriterionResult:
     band = SE_BAND[profile]
     exact = theory.randic_mean(cfg.m, cfg.n).value / cfg.n**2
     asymptote = theory.randic_mean_limit(cfg.m).value
-    row = summary.compare("randic:1", float(exact), scale=float(cfg.n**2))
-    passed = abs(row.z_score) <= band
+    z = summary.z_score("randic:1", exact, scale=cfg.n**2)
+    passed = abs(z) <= band
     return CriterionResult(
         cid="5-randic",
         quantity="mean Randic/n^2 (m=200, n=5000, R=500)",
         target=f"{float(exact):.6f} exact (asymptote (2m-1)/m^2 = {float(asymptote):.6f})",
-        actual=f"{_f(row.empirical)} (z={_f(row.z_score)})",
+        actual=f"{_f(summary.mean('randic:1') / cfg.n**2)} (z={_f(z)})",
         tolerance=f"|z| <= {band:g}",
         passed=passed,
     )
@@ -313,7 +313,7 @@ def criterion_gini(summary, profile: str) -> CriterionResult:
         if abs(gap) >= Fraction(1, 10**8):
             failures.append(f"limit at m={m}")
     lo, hi = GINI_BAND[profile]
-    mean = summary.stats["gini_degree"].mean
+    mean = summary.mean("gini_degree")
     band_ok = lo <= mean <= hi
     passed = not failures and band_ok
     return CriterionResult(

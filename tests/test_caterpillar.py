@@ -147,7 +147,6 @@ def test_to_adjacency_examples():
     assert g.node_count == 3
     assert g.edge_count == 2
     assert 2 in g.adjacency[0] and 1 in g.adjacency[0]
-    assert g.labels == ("spine:0", "spine:1", "leaf:0")
 
     path = to_adjacency(new_spine(3))
     assert path.adjacency == ((1,), (0, 2), (1,))

@@ -272,6 +272,29 @@ def test_bad_config_line(tmp_path, capsys):
     assert "key=value" in err
 
 
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing.cfg", tmp_path):  # absent, and a directory
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--m", "2", "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("catlab: error: cannot read config file")
+
+
+def test_simulate_rejects_duplicate_index(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--m", "3", "--n", "4", "--indices", "zagreb,zagreb")
+    assert code == 2
+    assert out == ""
+    assert "duplicate index" in err
+
+
+def test_simulate_memory_cap_exit_code(capsys):
+    # refused before any draw: 10^8 replicates of six indices
+    code, out, err = run_cli(capsys, "simulate", "--m", "2", "--n", "0", "--replications", "100000000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("catlab: resource guard: raw-sample retention needs")
+
+
 @pytest.mark.parametrize("line", ["threads = 4", "replication = 500", "out = x.csv"])
 def test_config_file_rejects_unknown_keys(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"

@@ -1,6 +1,7 @@
-"""Monte Carlo engine, streaming moments, normality tests, density tools."""
+"""Monte Carlo engine, exact moments, normality tests, density tools."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from catlab.experiments import (
     DEFAULT_SEED,
     Ecdf,
     ExperimentConfig,
-    Welford,
+    _exact_moments,
     ecdf,
     histogram,
     jarque_bera,
@@ -26,16 +27,60 @@ from catlab.indices import IndexSpec
 from catlab.theory import wiener_mean_limit, zagreb_mean, zagreb_variance
 
 
-def test_welford_matches_numpy():
+def _fraction_moments(column):
+    """Brute-force exact mean and unbiased variance, one Fraction per value."""
+    xs = [Fraction(x) for x in column]
+    mean = sum(xs, Fraction(0)) / len(xs)
+    if len(xs) < 2:
+        return mean, Fraction(0)
+    return mean, sum(((x - mean) ** 2 for x in xs), Fraction(0)) / (len(xs) - 1)
+
+
+def test_exact_moments_match_fraction_arithmetic():
     rng = np.random.default_rng(0)
-    data = rng.normal(3.0, 2.5, size=500)
-    acc = Welford()
-    for x in data:
-        acc.update(float(x))
-    assert acc.count == 500
-    assert acc.mean == pytest.approx(float(data.mean()), rel=1e-12)
-    assert acc.variance == pytest.approx(float(data.var(ddof=1)), rel=1e-12)
-    assert acc.min == float(data.min()) and acc.max == float(data.max())
+    mixed = [int(v) * 10**6 for v in rng.integers(-10**18, 10**18, size=40)]
+    mixed += [Fraction(int(p), int(q)) for p, q in rng.integers(1, 10**6, size=(40, 2))]
+    mixed += [0.1, -2.5, 1e-300]
+    for column in (mixed, mixed[:1], [Fraction(7, 3)], [5, 5, 5], [2**80, 1, Fraction(1, 2**70)]):
+        mean, variance = _exact_moments(column)
+        assert (mean, variance) == _fraction_moments(column)
+        assert type(mean) is Fraction and type(variance) is Fraction
+    with pytest.raises(DomainError, match="not finite"):
+        _exact_moments([1.0, math.inf])
+    with pytest.raises(DomainError, match="not finite"):
+        _exact_moments([math.nan])
+
+
+def test_run_mc_moments_are_exact_above_2p53():
+    specs = (IndexSpec("hyper_wiener"), IndexSpec("gini_degree"))
+    cfg = ExperimentConfig(m=5000, n=100000, replications=3, indices=specs)
+    summary = run_mc(cfg)
+    rows = replicate_rows(cfg)
+    assert max(row[0] for row in rows) > 2**53
+    for k, spec in enumerate(specs):
+        column = [row[k] for row in rows]
+        assert summary.columns[str(spec)] == column
+        mean, variance = _fraction_moments(column)
+        assert summary.mean(spec) == mean
+        assert summary.variance(str(spec)) == variance
+
+
+def test_run_mc_rejects_non_finite_values():
+    # (2 * 2)^1000 overflows to inf on the middle spine edge of a bare 4-spine
+    cfg = ExperimentConfig(m=4, n=0, replications=2, indices=(IndexSpec("randic", 1000.0),))
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="not finite"):
+        run_mc(cfg)
+
+
+def test_z_score_is_exact_difference_over_standard_error():
+    cfg = ExperimentConfig(m=6, n=50, replications=40, seed=3, indices=(IndexSpec("wiener"),))
+    summary = run_mc(cfg)
+    mean, variance = summary.mean("wiener"), summary.variance("wiener")
+    target = mean / 2500 - Fraction(1, 10**9)
+    expected = (1e-9 * 2500) / math.sqrt(variance / 40)
+    assert summary.z_score("wiener", target, scale=2500) == pytest.approx(expected, rel=1e-12)
+    constant = run_mc(ExperimentConfig(m=3, n=0, replications=2))
+    assert constant.z_score("zagreb", 5) == 0.0
 
 
 def test_run_mc_deterministic_across_threads():
@@ -54,8 +99,9 @@ def test_run_mc_deterministic_across_threads():
     for key in ("zagreb", "hoover"):
         assert np.array_equal(one.sample(key), two.sample(key))
         assert np.array_equal(one.sample(key), four.sample(key))
-        assert one.stats[key].mean == four.stats[key].mean
-        assert one.stats[key].variance == four.stats[key].variance
+        assert one.columns[key] == four.columns[key]
+        assert one.mean(key) == four.mean(key)
+        assert one.variance(key) == four.variance(key)
 
 
 def test_replicate_rows_exact_and_in_replicate_order():
@@ -80,19 +126,27 @@ def test_run_mc_single_replicate():
     summary = run_mc(
         ExperimentConfig(m=3, n=0, replications=1, indices=(IndexSpec("zagreb"),))
     )
-    st = summary.stats["zagreb"]
-    assert st.count == 1
-    assert st.mean == 6.0
-    assert st.variance == 0.0
+    assert summary.columns["zagreb"] == [6]
+    assert summary.mean("zagreb") == 6
+    assert summary.variance("zagreb") == 0
 
 
 def test_run_mc_memory_cap():
-    with pytest.raises(ResourceLimitError):
+    # refused before any draw: 10^8 replicates would need 8 * 10^8 bytes
+    with pytest.raises(ResourceLimitError, match="over the cap of 268435456"):
         run_mc(
             ExperimentConfig(
-                m=2, n=0, replications=1000, indices=(IndexSpec("zagreb"),),
-                memory_cap_bytes=100,
+                m=2, n=0, replications=10**8, indices=(IndexSpec("zagreb"),),
             )
+        )
+
+
+def test_duplicate_index_rejected():
+    with pytest.raises(DomainError, match="duplicate index"):
+        ExperimentConfig(m=3, n=4, replications=1, indices=(IndexSpec("zagreb"),) * 2)
+    with pytest.raises(DomainError, match="duplicate index"):
+        ExperimentConfig(
+            m=3, n=4, replications=1, indices=(IndexSpec("randic", 1.0), IndexSpec.parse("randic:1"))
         )
 
 
@@ -105,17 +159,17 @@ def test_run_mc_matches_theory_moments():
             indices=(IndexSpec("zagreb"),),
         )
     )
-    st = summary.stats["zagreb"]
+    mean, variance = float(summary.mean("zagreb")), float(summary.variance("zagreb"))
     mean_t = float(zagreb_mean(m, n).value)
     var_t = float(zagreb_variance(m, n).value)
-    se_mean = math.sqrt(st.variance / reps)
-    assert abs(st.mean - mean_t) <= 4 * se_mean
+    se_mean = math.sqrt(variance / reps)
+    assert abs(mean - mean_t) <= 4 * se_mean
     # SE of the sample variance via fourth-moment plug-in
     sample = summary.sample("zagreb")
     centered = sample - sample.mean()
     m4 = float(np.mean(centered**4))
-    se_var = math.sqrt((m4 - (reps - 3) / (reps - 1) * st.variance**2) / reps)
-    assert abs(st.variance - var_t) <= 4 * se_var
+    se_var = math.sqrt((m4 - (reps - 3) / (reps - 1) * variance**2) / reps)
+    assert abs(variance - var_t) <= 4 * se_var
 
 
 def test_standardize_zagreb():
