@@ -2,19 +2,24 @@
 
 :func:`replicate_rows` is the one replicate engine: replicate r always draws
 from the substream (seed, r) and its index values come back exact (Python
-ints, or Fractions for Gini and Hoover) in replicate order.  ``catlab
-simulate`` formats those rows directly; :func:`run_mc` keeps them as
-columns with their exact means and variances.  Neither result depends on
-``ExperimentConfig.threads``.
+ints, or Fractions for Gini and Hoover) in replicate order.  Where
+:func:`~catlab.indices.fits_int64` holds for (m, n), the replicates are
+drawn in blocks into an int64 leaf-count matrix and evaluated a block at a
+time by :func:`~catlab.indices.compute_index_batch`; above that bound each
+replicate is evaluated on its own by the scalar :func:`compute_index`.
+Both paths give the same values.  ``catlab simulate`` formats the rows
+directly; :func:`run_mc` keeps them as columns with their exact means and
+variances.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from .caterpillar import (
     simulate_counts,
 )
 from .errors import DomainError, ResourceLimitError
-from .indices import IndexSpec, compute_index
+from .indices import IndexSpec, compute_index, compute_index_batch, fits_int64
 from .theory import zagreb_mean, zagreb_variance
 
 __all__ = [
@@ -37,6 +42,7 @@ __all__ = [
     "ExperimentSummary",
     "TestResult",
     "replicate_rows",
+    "reference_rows",
     "run_mc",
     "standardize_zagreb",
     "normal_cdf",
@@ -61,9 +67,13 @@ KS_CRITICAL_COEFF_001 = 1.63  # asymptotic one-sample KS critical value: 1.63/sq
 JB_CRITICAL_001 = 9.21  # chi-square, 2 degrees of freedom, alpha = 0.01
 
 
-# Refuse runs whose retained values would need more than this many bytes,
-# counted at 8 bytes per value (one float64 of the sample view).
+# Refuse runs whose retained rows would need more than this many bytes, as
+# estimated by _retained_bytes.
 SAMPLE_MEMORY_CAP = 1 << 28
+
+# Leaf counts drawn per block on the int64 path: max(1, _BLOCK_CELLS // m)
+# replicates at a time, so the block stays small next to the retained rows.
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,9 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     indices: tuple[IndexSpec, ...] = (IndexSpec("zagreb"),)
     sampler: str = "sequential"
-    threads: int = 1
+    # Not a field: every run is single-threaded.  The benchmark's layer
+    # tracer still reads cfg.threads until its fix-ups land (ROADMAP item 1).
+    threads: ClassVar[int] = 1
 
     def __post_init__(self):
         _check_mn(self.m, self.n)
@@ -84,8 +96,6 @@ class ExperimentConfig:
             raise DomainError("replications must be >= 1")
         if self.sampler not in ("sequential", "direct"):
             raise DomainError(f"unknown sampler {self.sampler!r}")
-        if self.threads < 1:
-            raise DomainError("threads must be >= 1")
         keys = [str(spec) for spec in self.indices]
         if len(set(keys)) != len(keys):
             raise DomainError("duplicate index requested")
@@ -168,31 +178,85 @@ class ExperimentSummary:
         return 0.0 if se == 0 else float(mean / scale - target) / se
 
 
+def _block(nbytes: int) -> int:
+    """An allocation's size rounded up to pymalloc's 16-byte size classes."""
+    return -(-nbytes // 16) * 16
+
+
+def _value_bytes(spec: IndexSpec, m: int, n: int) -> int:
+    """Upper estimate of the bytes one retained value of ``spec`` holds.
+
+    An int is charged at the largest value the index can take, Randic with
+    alpha != 1 as a float, and Gini and Hoover (both in [0, 1)) as a
+    Fraction plus two ints at its denominator 4N(N-1).
+    """
+    size = n + m
+    if spec.kind in ("gini_degree", "hoover"):
+        ints = 2 * _block(sys.getsizeof(4 * size * (size - 1)))
+        return _block(sys.getsizeof(Fraction(0))) + ints
+    if spec.kind == "randic" and spec.alpha != 1:
+        return _block(sys.getsizeof(0.0))
+    if spec.kind in ("wiener", "hyper_wiener"):
+        return _block(sys.getsizeof(4 * size**2 * (m + 1) ** 2))  # the fits_int64 bound
+    return _block(sys.getsizeof(6 * size**2))  # Zagreb, Randic:1: the degrees sum below 2N
+
+
+def _retained_bytes(cfg: ExperimentConfig) -> int:
+    """Estimated bytes of the rows :func:`replicate_rows` returns.
+
+    Every list slot, of the outer list and of each row, is charged 16
+    bytes: its 8 plus room for the list's growth.  Each row adds its list
+    header and its values as :func:`_value_bytes` charges them.
+    """
+    per_row = 16 + _block(sys.getsizeof([])) + 16 * len(cfg.indices)
+    per_row += sum(_value_bytes(spec, cfg.m, cfg.n) for spec in cfg.indices)
+    return cfg.replications * per_row
+
+
+def _draw(cfg: ExperimentConfig, r: int) -> list[int]:
+    """Leaf counts of replicate r, from substream (seed, r)."""
+    draw = simulate_counts if cfg.sampler == "sequential" else sample_direct_counts
+    return draw(cfg.m, cfg.n, RngSeed(cfg.seed, r).generator())
+
+
+def reference_rows(cfg: ExperimentConfig) -> list[list]:
+    """The rows of :func:`replicate_rows` from the scalar :func:`compute_index`,
+    one :class:`Caterpillar` per replicate; exact at every (m, n)."""
+    rows = []
+    for r in range(cfg.replications):
+        c = Caterpillar(m=cfg.m, leaf_counts=tuple(_draw(cfg, r)))
+        rows.append([compute_index(c, spec) for spec in cfg.indices])
+    return rows
+
+
 def replicate_rows(cfg: ExperimentConfig) -> list[list]:
     """Exact index values of every replicate, in replicate order.
 
-    Replicate r draws from substream (seed, r) whatever the scheduling, so
-    the rows are identical for every thread count.  Runs whose values would
-    exceed :data:`SAMPLE_MEMORY_CAP` are refused before any draw.
+    Replicate r draws from substream (seed, r) with the configured sampler.
+    If :func:`~catlab.indices.fits_int64` holds at (m, n), blocks of
+    ``max(1, _BLOCK_CELLS // m)`` replicates go through
+    :func:`~catlab.indices.compute_index_batch`; otherwise this returns
+    :func:`reference_rows`.  The rows are the same on both paths and for
+    every block size.  Runs whose rows would exceed
+    :data:`SAMPLE_MEMORY_CAP` are refused before any draw.
     """
-    needed = 8 * cfg.replications * len(cfg.indices)
+    needed = _retained_bytes(cfg)
     if needed > SAMPLE_MEMORY_CAP:
         raise ResourceLimitError(
             f"raw-sample retention needs {needed} bytes,"
             f" over the cap of {SAMPLE_MEMORY_CAP}"
         )
+    if not fits_int64(cfg.m, cfg.n):
+        return reference_rows(cfg)
 
-    def row(r: int) -> list:
-        rng = RngSeed(cfg.seed, r).generator()
-        draw = simulate_counts if cfg.sampler == "sequential" else sample_direct_counts
-        c = Caterpillar(m=cfg.m, leaf_counts=tuple(draw(cfg.m, cfg.n, rng)))
-        return [compute_index(c, spec) for spec in cfg.indices]
-
-    replicates = range(cfg.replications)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(row, replicates))
-    return [row(r) for r in replicates]
+    block = max(1, _BLOCK_CELLS // cfg.m)
+    rows = []
+    for start in range(0, cfg.replications, block):
+        stream = range(start, min(start + block, cfg.replications))
+        counts = np.array([_draw(cfg, r) for r in stream], dtype=np.int64)
+        columns = [compute_index_batch(counts, spec) for spec in cfg.indices]
+        rows.extend(map(list, zip(*columns)))
+    return rows
 
 
 def run_mc(cfg: ExperimentConfig) -> ExperimentSummary:

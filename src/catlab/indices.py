@@ -6,6 +6,11 @@ hyper-Wiener are evaluated in arbitrary-precision integer arithmetic so the
 O(m) closed forms can be compared bit-for-bit against the BFS oracles even at
 n = 10^6.  Gini and Hoover are ratios of integers and get exact rational
 variants alongside the float views.
+
+:func:`compute_index_batch` evaluates many states at once from an int64
+matrix of leaf counts (one state per row) and returns the same Python ints
+and Fractions as the scalar functions, which stay the reference.  It is
+exact only where :func:`fits_int64` holds.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ __all__ = [
     "wiener",
     "hyper_wiener",
     "compute_index",
+    "fits_int64",
+    "compute_index_batch",
 ]
 
 
@@ -218,3 +225,111 @@ def compute_index(c: Caterpillar, spec: IndexSpec):
     if spec.kind == "hyper_wiener":
         return hyper_wiener(c)
     raise DomainError(f"unknown index kind {spec.kind!r}")  # pragma: no cover
+
+
+def fits_int64(m: int, n: int) -> bool:
+    """Whether the batched forms are exact for m spine nodes and n leaves.
+
+    The bound is 4 N^2 (m+1)^2 < 2^63 with N = n + m.  The largest value is
+    hyper-Wiener, and it and every partial sum behind it stay below
+    N^2 (m+1)^2; the degree indices stay below 6 N^2.  Holds at
+    (5000, 10^5); fails at (10^4, 10^6), where hyper-Wiener reaches 8.5e18.
+    """
+    size = n + m
+    return 4 * size * size * (m + 1) ** 2 < 2**63
+
+
+def _batch_degrees(counts: np.ndarray) -> np.ndarray:
+    """Spine degrees of every row: X + 2, and X + 1 at the two ends."""
+    degs = counts + 2
+    degs[:, 0] -= 1
+    degs[:, -1] -= 1
+    return degs
+
+
+def _fractions(numerators: np.ndarray, denominators: np.ndarray) -> list[Fraction]:
+    return [Fraction(p, q) for p, q in zip(numerators.tolist(), denominators.tolist())]
+
+
+def _degree_gini_batch(counts: np.ndarray) -> list[Fraction]:
+    """:func:`degree_gini_exact` of every row; rank weights on the sorted spine degrees."""
+    m = counts.shape[1]
+    n = counts.sum(axis=1)
+    size = n + m
+    weights = 2 * np.arange(1, m + 1, dtype=np.int64) - m - 1
+    ranked = (np.sort(_batch_degrees(counts), axis=1) * weights).sum(axis=1)
+    # the spine degrees sum to n + 2m - 2, so the leaf term is 2n (n + m - 2)
+    return _fractions(2 * ranked + 2 * n * (size - 2), 4 * size * (size - 1))
+
+
+def _hoover_batch(counts: np.ndarray) -> list[Fraction]:
+    """:func:`hoover_exact` of every row: S / (4 N (N-1))."""
+    n = counts.sum(axis=1)
+    size = n + counts.shape[1]
+    spine = np.abs(size[:, None] * _batch_degrees(counts) - (2 * size - 2)[:, None])
+    s = spine.sum(axis=1) + n * (size - 2)  # each leaf: |N - (2N - 2)| = N - 2
+    return _fractions(s, 4 * size * (size - 1))
+
+
+def _zagreb_batch(counts: np.ndarray) -> list[int]:
+    """:func:`zagreb` of every row."""
+    degs = _batch_degrees(counts)
+    return ((degs * degs).sum(axis=1) + counts.sum(axis=1)).tolist()
+
+
+def _randic_batch(counts: np.ndarray) -> list[int]:
+    """:func:`randic` with alpha = 1 of every row."""
+    degs = _batch_degrees(counts)
+    return ((degs[:, :-1] * degs[:, 1:]).sum(axis=1) + (counts * degs).sum(axis=1)).tolist()
+
+
+def _distance_sums_batch(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_distance_sums` of every row, as cumulative sums over the spine edges."""
+    m = counts.shape[1]
+    n = counts.sum(axis=1)
+    size = n + m
+    left_leaves = np.cumsum(counts[:, :-1], axis=1)
+    left = left_leaves + np.arange(1, m, dtype=np.int64)
+    right = size[:, None] - left
+    left_total = np.cumsum(left, axis=1) - left
+    cut = n * (size - 1) + (left * right).sum(axis=1)
+    shared = n * (n - 1) // 2 + (
+        (left_total + left_leaves) * right + (n[:, None] - left_leaves) * left
+    ).sum(axis=1)
+    return cut, cut + 2 * shared
+
+
+def _wiener_batch(counts: np.ndarray) -> list[int]:
+    """:func:`wiener` of every row."""
+    return _distance_sums_batch(counts)[0].tolist()
+
+
+def _hyper_wiener_batch(counts: np.ndarray) -> list[int]:
+    """:func:`hyper_wiener` of every row."""
+    d1, d2 = _distance_sums_batch(counts)
+    return (d1 + d2).tolist()
+
+
+def compute_index_batch(counts: np.ndarray, spec: IndexSpec) -> list:
+    """:func:`compute_index` of every row of an int64 (states, m) leaf-count matrix.
+
+    Raises :class:`DomainError` where :func:`fits_int64` fails for the
+    largest row.  Randic with alpha != 1 runs the scalar function per row,
+    so its float sums keep their order.
+    """
+    m = counts.shape[1]
+    if counts.dtype != np.int64 or not fits_int64(m, int(counts.sum(axis=1).max())):
+        raise DomainError("batched index evaluation needs int64 counts within fits_int64")
+    if spec.kind == "randic" and spec.alpha != 1:
+        return [randic(Caterpillar(m, tuple(row)), spec.alpha) for row in counts.tolist()]
+    return _BATCH[spec.kind](counts)
+
+
+_BATCH = {
+    "gini_degree": _degree_gini_batch,
+    "hoover": _hoover_batch,
+    "zagreb": _zagreb_batch,
+    "randic": _randic_batch,
+    "wiener": _wiener_batch,
+    "hyper_wiener": _hyper_wiener_batch,
+}

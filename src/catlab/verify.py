@@ -4,8 +4,8 @@ Each numbered criterion is a function producing a :class:`CriterionResult`;
 suites group them.  Exact criteria compare rationals with no tolerance;
 statistical criteria use the documented default seed and 4-standard-error
 bands (3 under the ``strict`` profile).  Reports deliberately contain no
-wall-clock values or thread counts so that a fixed (suite, seed, profile)
-always serializes to identical bytes.
+wall-clock values so that a fixed (suite, seed, profile) always serializes
+to identical bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .experiments import (
     ExperimentConfig,
     jarque_bera,
     ks_normality,
+    reference_rows,
+    replicate_rows,
     run_mc,
     standardize_zagreb,
 )
@@ -77,24 +79,22 @@ def _f(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def mc200(seed: int, threads: int = 1):
+def _mc_configs(seed: int) -> tuple[ExperimentConfig, ExperimentConfig]:
+    """The two shared R=500 runs: (m=200, n=5000) and (m=50, n=2000)."""
+    return (
+        ExperimentConfig(m=200, n=5000, replications=500, seed=seed, indices=MC200_INDICES),
+        ExperimentConfig(m=50, n=2000, replications=500, seed=seed, indices=MC50_INDICES),
+    )
+
+
+def mc200(seed: int):
     """Shared R=500 run at (m=200, n=5000) with the degree-based indices."""
-    return run_mc(
-        ExperimentConfig(
-            m=200, n=5000, replications=500, seed=seed,
-            indices=MC200_INDICES, threads=threads,
-        )
-    )
+    return run_mc(_mc_configs(seed)[0])
 
 
-def mc50(seed: int, threads: int = 1):
+def mc50(seed: int):
     """Shared R=500 run at (m=50, n=2000) with the distance-based indices."""
-    return run_mc(
-        ExperimentConfig(
-            m=50, n=2000, replications=500, seed=seed,
-            indices=MC50_INDICES, threads=threads,
-        )
-    )
+    return run_mc(_mc_configs(seed)[1])
 
 
 def criterion_hoover(summary, profile: str) -> CriterionResult:
@@ -330,16 +330,29 @@ def criterion_gini(summary, profile: str) -> CriterionResult:
     )
 
 
+def _typed(rows: list[list]) -> list[list]:
+    return [[(type(v), v) for v in row] for row in rows]
+
+
 def criterion_determinism(seed: int, profile: str) -> CriterionResult:
-    one = report_json("paper7", seed, profile, _paper7(seed, profile, threads=1))
-    two = report_json("paper7", seed, profile, _paper7(seed, profile, threads=1))
-    four = report_json("paper7", seed, profile, _paper7(seed, profile, threads=4))
-    passed = one == two == four
+    one = report_json("paper7", seed, profile, _paper7(seed, profile))
+    two = report_json("paper7", seed, profile, _paper7(seed, profile))
+    differ = [
+        f"m={cfg.m} rows"
+        for cfg in _mc_configs(seed)
+        if _typed(replicate_rows(cfg)) != _typed(reference_rows(cfg))
+    ]
+    if one != two:
+        differ.insert(0, "reports")
+    passed = not differ
     return CriterionResult(
         cid="11-determinism",
-        quantity="byte-identity of the paper7 report across runs and thread counts",
-        target="identical bytes",
-        actual="identical" if passed else "reports differ",
+        quantity=(
+            "byte-identity of the paper7 report across runs; batched rows vs"
+            " the scalar reference at (200, 5000) and (50, 2000)"
+        ),
+        target="identical bytes; identical values and types",
+        actual="identical" if passed else f"{', '.join(differ)} differ",
         tolerance="none",
         passed=passed,
     )
@@ -379,8 +392,8 @@ def _paper_criteria(big, small, profile: str) -> list[CriterionResult]:
     ]
 
 
-def _paper7(seed: int, profile: str, threads: int = 1) -> list[CriterionResult]:
-    return _paper_criteria(mc200(seed, threads), mc50(seed, threads), profile)
+def _paper7(seed: int, profile: str) -> list[CriterionResult]:
+    return _paper_criteria(mc200(seed), mc50(seed), profile)
 
 
 def _oracle_suite(profile: str) -> list[CriterionResult]:

@@ -70,7 +70,7 @@ def test_criterion_10_gini_theory(summary_m200):
 
 
 def test_criterion_11_determinism():
-    """paper7 report bytes identical across runs and thread counts."""
+    """paper7 report bytes identical across runs; batched rows equal the scalar reference."""
     _report(verify.criterion_determinism(DEFAULT_SEED, "default"))
 
 

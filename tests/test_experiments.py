@@ -1,12 +1,14 @@
 """Monte Carlo engine, exact moments, normality tests, density tools."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import special
 
+from catlab import experiments
 from catlab.errors import DomainError, ResourceLimitError
 from catlab.experiments import (
     DEFAULT_SEED,
@@ -18,12 +20,13 @@ from catlab.experiments import (
     jarque_bera,
     kde,
     ks_normality,
+    reference_rows,
     replicate_rows,
     run_mc,
     standardize_zagreb,
     trajectory_check,
 )
-from catlab.indices import IndexSpec
+from catlab.indices import IndexSpec, fits_int64
 from catlab.theory import wiener_mean_limit, zagreb_mean, zagreb_variance
 
 
@@ -83,28 +86,33 @@ def test_z_score_is_exact_difference_over_standard_error():
     assert constant.z_score("zagreb", 5) == 0.0
 
 
-def test_run_mc_deterministic_across_threads():
+SIX = tuple(
+    IndexSpec.parse(t) for t in ("gini_degree", "hoover", "zagreb", "randic:1", "wiener", "hyper_wiener")
+)
+
+
+def _typed(rows):
+    return [[(type(v), v) for v in row] for row in rows]
+
+
+def test_run_mc_deterministic_across_block_sizes(monkeypatch):
     base = ExperimentConfig(
         m=7, n=300, replications=64, seed=99,
         indices=(IndexSpec("zagreb"), IndexSpec("hoover")),
     )
     one = run_mc(base)
-    two = run_mc(base)
-    four = run_mc(
-        ExperimentConfig(
-            m=7, n=300, replications=64, seed=99,
-            indices=(IndexSpec("zagreb"), IndexSpec("hoover")), threads=4,
-        )
-    )
-    for key in ("zagreb", "hoover"):
-        assert np.array_equal(one.sample(key), two.sample(key))
-        assert np.array_equal(one.sample(key), four.sample(key))
-        assert one.columns[key] == four.columns[key]
-        assert one.mean(key) == four.mean(key)
-        assert one.variance(key) == four.variance(key)
+    assert one.columns == run_mc(base).columns
+    for rows_per_block in (1, 7, 64):
+        monkeypatch.setattr(experiments, "_BLOCK_CELLS", rows_per_block * base.m)
+        other = run_mc(base)
+        for key in ("zagreb", "hoover"):
+            assert np.array_equal(one.sample(key), other.sample(key))
+            assert one.columns[key] == other.columns[key]
+            assert one.mean(key) == other.mean(key)
+            assert one.variance(key) == other.variance(key)
 
 
-def test_replicate_rows_exact_and_in_replicate_order():
+def test_replicate_rows_exact_and_in_replicate_order(monkeypatch):
     from catlab.caterpillar import Caterpillar, RngSeed, simulate_counts
     from catlab.indices import compute_index
 
@@ -118,8 +126,61 @@ def test_replicate_rows_exact_and_in_replicate_order():
         expected.append([compute_index(c, spec) for spec in specs])
     assert rows == expected
     assert all(type(row[0]) is int for row in rows)
-    threaded = ExperimentConfig(m=9, n=400, replications=12, seed=5, indices=specs, threads=3)
-    assert replicate_rows(threaded) == rows
+    for rows_per_block in (1, 7, 12):
+        monkeypatch.setattr(experiments, "_BLOCK_CELLS", rows_per_block * cfg.m)
+        assert _typed(replicate_rows(cfg)) == _typed(rows)
+
+
+@pytest.mark.parametrize("sampler", ["sequential", "direct"])
+def test_replicate_rows_batch_equals_reference(sampler):
+    specs = SIX + (IndexSpec("randic", -0.5),)
+    for m, n in ((2, 0), (2, 5), (3, 1), (7, 40), (50, 2000), (200, 5000)):
+        for seed in (1, 31415, 271828):
+            cfg = ExperimentConfig(
+                m=m, n=n, replications=9, seed=seed, indices=specs, sampler=sampler
+            )
+            assert _typed(replicate_rows(cfg)) == _typed(reference_rows(cfg)), (m, n, seed)
+
+
+def test_replicate_rows_int64_and_scalar_paths(monkeypatch):
+    specs = (IndexSpec("hyper_wiener"), IndexSpec("gini_degree"))
+    below = ExperimentConfig(m=5000, n=100_000, replications=2, indices=specs)
+    want = reference_rows(below)
+
+    def refuse(*args):
+        raise AssertionError("wrong path")
+
+    with monkeypatch.context() as patch:  # int64 path only
+        patch.setattr(experiments, "reference_rows", refuse)
+        assert _typed(replicate_rows(below)) == _typed(want)
+    assert max(row[0] for row in want) > 2**53
+
+    # 4 N^2 (m+1)^2 first reaches 2^63 at m = 5000, n = 298,640
+    assert fits_int64(5000, 298_639) and not fits_int64(5000, 298_640)
+    above = ExperimentConfig(m=5000, n=298_640, replications=1, indices=specs)
+    with monkeypatch.context() as patch:  # scalar path only
+        patch.setattr(experiments, "compute_index_batch", refuse)
+        rows = replicate_rows(above)
+    assert type(rows[0][0]) is int and rows[0][0] > 2**53
+    assert type(rows[0][1]) is Fraction
+
+
+@pytest.mark.parametrize("path", ["batch", "reference"])
+def test_memory_estimate_bounds_retained_bytes(path):
+    engine = replicate_rows if path == "batch" else reference_rows
+    for m, n in ((200, 5000), (50, 2000)):
+        cfg = ExperimentConfig(m=m, n=n, replications=200, indices=SIX)
+        engine(cfg)  # first-call allocations of numpy and fractions are not rows
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = engine(cfg)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 200
+        estimate = experiments._retained_bytes(cfg)
+        assert retained <= estimate <= 3 * retained, (m, n, retained, estimate)
 
 
 def test_run_mc_single_replicate():
@@ -132,7 +193,7 @@ def test_run_mc_single_replicate():
 
 
 def test_run_mc_memory_cap():
-    # refused before any draw: 10^8 replicates would need 8 * 10^8 bytes
+    # refused before any draw: 10^8 rows need about 10^10 bytes
     with pytest.raises(ResourceLimitError, match="over the cap of 268435456"):
         run_mc(
             ExperimentConfig(

@@ -3,17 +3,28 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catlab.caterpillar import Caterpillar, RngSeed, new_spine, simulate, to_adjacency
+from catlab.caterpillar import (
+    Caterpillar,
+    RngSeed,
+    new_spine,
+    sample_direct_counts,
+    simulate,
+    simulate_counts,
+    to_adjacency,
+)
 from catlab.errors import DomainError
 from catlab.indices import (
     IndexSpec,
     compute_index,
+    compute_index_batch,
     degree_gini,
     degree_gini_exact,
+    fits_int64,
     gini_functional,
     hoover,
     hoover_exact,
@@ -239,3 +250,57 @@ def test_exact_arithmetic_at_large_scale():
     assert wiener(c) == w
     assert hyper_wiener(c) == wh
     assert hyper_wiener(c) > 2**53  # genuinely beyond float precision
+
+
+BATCH_SPECS = [
+    IndexSpec.parse(text)
+    for text in ("gini_degree", "hoover", "zagreb", "randic:1", "randic:-0.5", "wiener", "hyper_wiener")
+]
+
+
+def _assert_batch_matches_scalar(m, states):
+    """compute_index_batch equals compute_index state by state, types included."""
+    counts = np.array(states, dtype=np.int64).reshape(len(states), m)
+    for spec in BATCH_SPECS:
+        want = [compute_index(Caterpillar(m, tuple(x)), spec) for x in states]
+        got = compute_index_batch(counts, spec)
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (m, str(spec))
+
+
+def test_batch_matches_scalar_exhaustively():
+    # every state with m <= 5 and n <= 5 (leafless ends included), mixed n per batch
+    for m in range(2, 6):
+        _assert_batch_matches_scalar(m, [x for n in range(6) for x in compositions(n, m)])
+
+
+def test_batch_matches_scalar_random_states():
+    rng = RngSeed(2024).generator()
+    _assert_batch_matches_scalar(2, [[0, 0], [0, 7], [3, 0]])
+    for k in range(12):
+        m = int(rng.integers(2, 300))
+        states = []
+        for j in range(6):
+            n = int(rng.integers(0, 50_001))
+            draw = simulate_counts if j % 2 else sample_direct_counts
+            x = draw(m, n, rng)
+            if j % 3 == 0:  # move the first end node's leaves to its neighbour
+                x[1] += x[0]
+                x[0] = 0
+            states.append(x)
+        _assert_batch_matches_scalar(m, states)
+
+
+def test_batch_exact_up_to_the_int64_bound():
+    m, n = 5000, 298_639  # the largest n at which 4 N^2 (m+1)^2 < 2^63
+    assert fits_int64(m, n) and not fits_int64(m, n + 1)
+    assert fits_int64(5000, 100_000) and not fits_int64(10_000, 10**6)
+    # leaves at the ends maximize the distance sums
+    one_end = [n] + [0] * (m - 1)
+    both_ends = [n // 2] + [0] * (m - 2) + [n - n // 2]
+    _assert_batch_matches_scalar(m, [one_end, both_ends])
+    assert compute_index_batch(np.array([both_ends]), IndexSpec("hyper_wiener"))[0] > 2**53
+    over = np.array([[n + 1] + [0] * (m - 1)], dtype=np.int64)
+    with pytest.raises(DomainError, match="fits_int64"):
+        compute_index_batch(over, IndexSpec("zagreb"))
+    with pytest.raises(DomainError, match="int64"):
+        compute_index_batch(np.array([[1, 2]], dtype=np.int32), IndexSpec("zagreb"))
