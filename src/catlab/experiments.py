@@ -9,12 +9,14 @@ time by :func:`~catlab.indices.compute_index_batch`; above that bound each
 replicate is evaluated on its own by the scalar :func:`compute_index`.
 Both paths give the same values.  ``catlab simulate`` formats the rows
 directly; :func:`run_mc` keeps them as columns with their exact means and
-variances.
+variances, formed from the Python-int sums of :class:`WeightedSums`, which
+the enumeration oracle shares.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field
@@ -41,6 +43,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentSummary",
     "TestResult",
+    "WeightedSums",
     "replicate_rows",
     "reference_rows",
     "run_mc",
@@ -73,6 +76,7 @@ SAMPLE_MEMORY_CAP = 1 << 28
 
 # Leaf counts drawn per block on the int64 path: max(1, _BLOCK_CELLS // m)
 # replicates at a time, so the block stays small next to the retained rows.
+# The enumeration oracle streams its compositions in blocks of the same size.
 _BLOCK_CELLS = 4096
 
 
@@ -116,26 +120,64 @@ class TestResult:
         return "reject" if self.reject else "fail_to_reject"
 
 
-def _exact_moments(column) -> tuple[Fraction, Fraction]:
-    """Exact mean and unbiased variance (0 for one value) of a column.
+@dataclass
+class WeightedSums:
+    """Running sums of weighted exact values, as Python ints over one denominator.
 
-    The values (ints, Fractions or finite floats) are put over one common
-    denominator D, so the sums of x*D and (x*D)^2 are Python ints and no
-    Fraction arithmetic runs per element.
+    For values a with weights w, ``weight`` is the sum of w, ``total`` the sum
+    of w*a*D and ``total_sq`` the sum of w*(a*D)^2, where D = ``denominator``
+    is the lcm of the denominators added so far.  :meth:`add` takes one block
+    of values (ints, Fractions or finite floats) and takes the lcm once for
+    the block, so no Fraction arithmetic runs per value.  ``support``, if a
+    set, collects the distinct values as (p, q) from ``as_integer_ratio()``.
+    Callers form their own moments from the sums.
     """
-    try:
-        ratios = [x.as_integer_ratio() for x in column]
-    except (OverflowError, ValueError):
-        raise DomainError("index value is not finite; its moments are undefined") from None
-    denominator = math.lcm(*(q for _, q in ratios))
-    scaled = [p * (denominator // q) for p, q in ratios]
-    r = len(scaled)
-    s1 = sum(scaled)
-    s2 = sum(a * a for a in scaled)
+
+    weight: int = 0
+    total: int = 0
+    total_sq: int = 0
+    denominator: int = 1
+    support: set | None = None
+
+    def add(self, values, weights=None) -> None:
+        """Add one block of values, each with weight 1 or with its weight.
+
+        ``weights``, if given, is a sequence of ints as long as ``values``.
+        """
+        try:
+            ratios = [x.as_integer_ratio() for x in values]
+        except (OverflowError, ValueError):
+            raise DomainError("index value is not finite; its moments are undefined") from None
+        denominator = math.lcm(self.denominator, *{q for _, q in ratios})
+        if denominator != self.denominator:
+            scale = denominator // self.denominator
+            self.total *= scale
+            self.total_sq *= scale * scale
+            self.denominator = denominator
+        scaled = [p * (denominator // q) for p, q in ratios]
+        squares = map(operator.mul, scaled, scaled)
+        if weights is None:
+            self.weight += len(scaled)
+            self.total += sum(scaled)
+            self.total_sq += sum(squares)
+        else:
+            self.weight += sum(weights)
+            self.total += sum(map(operator.mul, weights, scaled))
+            self.total_sq += sum(map(operator.mul, weights, squares))
+        if self.support is not None:
+            self.support.update(ratios)
+
+
+def _exact_moments(column) -> tuple[Fraction, Fraction]:
+    """Exact mean and unbiased variance (0 for one value) of a column,
+    from its :class:`WeightedSums` at weight 1."""
+    sums = WeightedSums()
+    sums.add(column)
+    r, s1, denominator = sums.weight, sums.total, sums.denominator
     mean = Fraction(s1, r * denominator)
     if r < 2:
         return mean, Fraction(0)
-    return mean, Fraction(r * s2 - s1 * s1, r * (r - 1) * denominator**2)
+    return mean, Fraction(r * sums.total_sq - s1 * s1, r * (r - 1) * denominator**2)
 
 
 def _key(index: IndexSpec | str) -> str:

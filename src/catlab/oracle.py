@@ -1,24 +1,37 @@
 """Ground-truth machinery: exhaustive enumeration, BFS distances, one-step laws.
 
 The enumeration oracle computes exact rational moments of any rational-valued
-index either by iterating all m^n equally likely growth histories or by
-iterating leaf-count compositions weighted by their multinomial coefficients.
-Both paths are kept and cross-checked; the composition path engages
-automatically for larger n since every index depends on leaf counts only.
+index over the uniform growth law, by one of two paths that are kept and
+cross-checked.  The histories path walks all m^n equally likely growth
+histories and tallies them by leaf counts, so each distinct state is
+evaluated once, by the scalar :func:`~catlab.indices.compute_index`, with its
+counted number of histories as weight.  The compositions path streams the
+leaf-count compositions in blocks of ``max(1, 4096 // m)`` states, weighted
+by their multinomial coefficients, and evaluates each block with
+:func:`~catlab.indices.compute_index_batch` where
+:func:`~catlab.indices.fits_int64` holds (the scalar form otherwise); it
+engages automatically for larger n since every index depends on leaf counts
+only.  Both paths reduce to Python-int sums over one common denominator
+(:class:`~catlab.experiments.WeightedSums`), so no Fraction arithmetic runs
+per state.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+import operator
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 from .caterpillar import AdjacencyGraph, Caterpillar, _check_mn
 from .errors import DomainError, ResourceLimitError
-from .indices import IndexSpec, compute_index, randic, zagreb
+from .experiments import _BLOCK_CELLS, WeightedSums
+from .indices import IndexSpec, compute_index, compute_index_batch, fits_int64, randic, zagreb
 from .theory import martingale_compensator, randic_supermartingale_bound
 
 __all__ = [
@@ -76,26 +89,6 @@ def multinomial_coefficient(counts) -> int:
     return coeff
 
 
-def _moments_from_weighted(values_and_weights, history_count: int) -> ExactMoments:
-    total = Fraction(0)
-    total_sq = Fraction(0)
-    support = set()
-    for value, weight in values_and_weights:
-        v = Fraction(value)
-        total += weight * v
-        total_sq += weight * v * v
-        support.add(v)
-    mean = total / history_count
-    second = total_sq / history_count
-    return ExactMoments(
-        mean=mean,
-        second_moment=second,
-        variance=second - mean * mean,
-        support_size=len(support),
-        history_count=history_count,
-    )
-
-
 def choose_method(m: int, n: int, method: str = "auto", guard: int = ENUMERATION_GUARD) -> str:
     """Resolve the enumeration path: raw histories for small n, else compositions."""
     if method not in ("auto", "histories", "compositions"):
@@ -114,10 +107,10 @@ def enumerate_exact(
 ) -> ExactMoments:
     """Exact mean/variance of an index over the uniform growth law at (m, n).
 
-    ``method`` is ``"histories"`` (iterate all m^n attachment sequences),
-    ``"compositions"`` (iterate leaf-count compositions with multinomial
-    weights), or ``"auto"`` (compositions once n > 12).  The state count of
-    the chosen path must stay within ``guard``.
+    ``method`` is ``"histories"`` (tally all m^n attachment sequences by
+    leaf counts), ``"compositions"`` (stream leaf-count compositions in
+    blocks, with multinomial weights), or ``"auto"`` (compositions once
+    n > 12).  The state count of the chosen path must stay within ``guard``.
     """
     _check_mn(m, n)
     spec = IndexSpec.parse(index) if isinstance(index, str) else index
@@ -132,26 +125,41 @@ def enumerate_exact(
                 f"enumeration of {m}^{n} = {history_count} histories exceeds the"
                 f" guard of {guard}; use the composition method"
             )
-        def _histories():
-            for picks in itertools.product(range(m), repeat=n):
-                counts = [0] * m
-                for i in picks:
-                    counts[i] += 1
-                c = Caterpillar(m=m, leaf_counts=tuple(counts))
-                yield compute_index(c, spec), 1
-        return _moments_from_weighted(_histories(), history_count)
-
-    state_count = math.comb(n + m - 1, m - 1)
-    if state_count > guard:
-        raise ResourceLimitError(
-            f"enumeration of C({n + m - 1},{m - 1}) = {state_count} compositions"
-            f" exceeds the guard of {guard}"
+        picks = range(m)
+        tally = Counter(
+            tuple(map(history.count, picks))
+            for history in itertools.product(picks, repeat=n)
         )
-    def _compositions():
-        for counts in compositions(n, m):
-            c = Caterpillar(m=m, leaf_counts=counts)
-            yield compute_index(c, spec), multinomial_coefficient(counts)
-    return _moments_from_weighted(_compositions(), history_count)
+        weighted = iter(tally.items())
+        batch = False
+    else:
+        state_count = math.comb(n + m - 1, m - 1)
+        if state_count > guard:
+            raise ResourceLimitError(
+                f"enumeration of C({n + m - 1},{m - 1}) = {state_count} compositions"
+                f" exceeds the guard of {guard}"
+            )
+        weighted = ((c, multinomial_coefficient(c)) for c in compositions(n, m))
+        batch = fits_int64(m, n)
+
+    sums = WeightedSums(support=set())
+    block = max(1, _BLOCK_CELLS // m)
+    while chunk := list(itertools.islice(weighted, block)):
+        states, weights = zip(*chunk)
+        if batch:
+            values = compute_index_batch(np.array(states, dtype=np.int64), spec)
+        else:
+            values = [compute_index(Caterpillar(m=m, leaf_counts=c), spec) for c in states]
+        sums.add(values, weights)
+    mean = Fraction(sums.total, history_count * sums.denominator)
+    second = Fraction(sums.total_sq, history_count * sums.denominator**2)
+    return ExactMoments(
+        mean=mean,
+        second_moment=second,
+        variance=second - mean * mean,
+        support_size=len(sums.support),
+        history_count=history_count,
+    )
 
 
 def bfs_distances(g: AdjacencyGraph) -> list[list[int]]:
@@ -176,7 +184,7 @@ def bfs_distances(g: AdjacencyGraph) -> list[list[int]]:
                 if row[v] < 0:
                     row[v] = row[u] + 1
                     queue.append(v)
-        if any(d < 0 for d in row):
+        if -1 in row:
             raise DomainError("graph is disconnected: BFS did not reach every node")
     return dist
 
@@ -187,7 +195,7 @@ def bfs_distance_sums(g: AdjacencyGraph) -> tuple[int, int]:
     for u, row in enumerate(bfs_distances(g)):
         tail = row[u + 1:]
         total += sum(tail)
-        total_sq += sum(d * d for d in tail)
+        total_sq += sum(map(operator.mul, tail, tail))
     return total, total_sq
 
 

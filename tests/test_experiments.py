@@ -14,6 +14,7 @@ from catlab.experiments import (
     DEFAULT_SEED,
     Ecdf,
     ExperimentConfig,
+    WeightedSums,
     _exact_moments,
     ecdf,
     histogram,
@@ -52,6 +53,25 @@ def test_exact_moments_match_fraction_arithmetic():
         _exact_moments([1.0, math.inf])
     with pytest.raises(DomainError, match="not finite"):
         _exact_moments([math.nan])
+
+
+def test_weighted_sums_match_fraction_arithmetic():
+    """Blocks of ints and Fractions with weights > 1, against plain Fractions."""
+    blocks = [
+        ([3, Fraction(1, 6), -7], [2, 5, 1]),
+        ([Fraction(5, 4), 2**70, Fraction(-3, 10**9)], [9, 1, 4]),
+        ([0, 1, Fraction(1, 6)], [1, 3, 7]),
+    ]
+    sums = WeightedSums(support=set())
+    for values, weights in blocks:
+        sums.add(values, weights)
+    pairs = [(Fraction(v), w) for values, weights in blocks for v, w in zip(values, weights)]
+    weight = sum(w for _, w in pairs)
+    assert sums.weight == weight
+    assert Fraction(sums.total, sums.denominator) == sum(w * v for v, w in pairs)
+    assert Fraction(sums.total_sq, sums.denominator**2) == sum(w * v * v for v, w in pairs)
+    assert sums.denominator == 3 * 10**9  # lcm of 6, 4 and 10^9
+    assert len(sums.support) == len({v for v, _ in pairs}) == 8
 
 
 def test_run_mc_moments_are_exact_above_2p53():

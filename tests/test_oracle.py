@@ -1,13 +1,16 @@
 """Enumeration oracle, BFS distances, one-step laws, martingale checks."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from catlab import oracle
 from catlab.caterpillar import AdjacencyGraph, Caterpillar, RngSeed, new_spine, simulate, to_adjacency
 from catlab.errors import DomainError, ResourceLimitError
 from catlab.indices import zagreb
@@ -39,12 +42,57 @@ def test_enumerate_exact_frozen_values():
     assert z0.variance == 0 and z0.history_count == 1
 
 
+INDICES = ("gini_degree", "hoover", "zagreb", "randic:1", "wiener", "hyper_wiener")
+
+
 def test_enumeration_paths_agree():
-    for m in (2, 3):
-        for n in range(0, 8):
-            a = enumerate_exact(m, n, "zagreb", method="histories")
-            b = enumerate_exact(m, n, "zagreb", method="compositions")
-            assert a == b
+    """Counted weights and scalar values (histories) equal multinomial
+    weights and batch values (compositions), support sizes included."""
+    for index in INDICES:
+        for m in range(2, 6):
+            for n in range(0, 8):
+                a = enumerate_exact(m, n, index, method="histories")
+                b = enumerate_exact(m, n, index, method="compositions")
+                assert a == b, (index, m, n)
+
+
+def _composition_cases():
+    """(m, n, index, moments at the default block size) for the block tests."""
+    cases = [(5, 20, index) for index in ("gini_degree", "hoover", "hyper_wiener")]
+    cases += [(3, 6, index) for index in INDICES]
+    return [(m, n, index, enumerate_exact(m, n, index, method="compositions"))
+            for m, n, index in cases]
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7, None])
+def test_composition_block_size_does_not_matter(monkeypatch, rows_per_block):
+    """Blocks of 1 and 7 states, and one block of every state, agree."""
+    cases = _composition_cases()
+    assert cases[0][3].mean.denominator > 1  # Gini at (5, 20) is Fraction-valued
+    for m, n, index, want in cases:
+        states = math.comb(n + m - 1, m - 1)
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", (rows_per_block or states) * m)
+        assert enumerate_exact(m, n, index, method="compositions") == want
+
+
+def test_composition_scalar_fallback_agrees(monkeypatch):
+    """Where fits_int64 fails, the scalar forms give the batch moments."""
+    cases = _composition_cases()
+    monkeypatch.setattr(oracle, "fits_int64", lambda m, n: False)
+    monkeypatch.setattr(oracle, "compute_index_batch", None)  # must not be reached
+    for m, n, index, want in cases:
+        assert enumerate_exact(m, n, index, method="compositions") == want
+
+
+def test_composition_path_streams_blocks():
+    """All 10,626 states at (5, 20) are never held at once."""
+    tracemalloc.start()
+    try:
+        enumerate_exact(5, 20, "hyper_wiener")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_enumerate_guard_and_method_choice():
