@@ -40,6 +40,7 @@ from .theory import zagreb_mean, zagreb_variance
 __all__ = [
     "DEFAULT_SEED",
     "SAMPLE_MEMORY_CAP",
+    "BLOCK_CELLS",
     "ExperimentConfig",
     "ExperimentSummary",
     "TestResult",
@@ -74,10 +75,9 @@ JB_CRITICAL_001 = 9.21  # chi-square, 2 degrees of freedom, alpha = 0.01
 # estimated by _retained_bytes.
 SAMPLE_MEMORY_CAP = 1 << 28
 
-# Leaf counts drawn per block on the int64 path: max(1, _BLOCK_CELLS // m)
+# Leaf counts drawn per block on the int64 path: max(1, BLOCK_CELLS // m)
 # replicates at a time, so the block stays small next to the retained rows.
-# The enumeration oracle streams its compositions in blocks of the same size.
-_BLOCK_CELLS = 4096
+BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -276,7 +276,7 @@ def replicate_rows(cfg: ExperimentConfig) -> list[list]:
 
     Replicate r draws from substream (seed, r) with the configured sampler.
     If :func:`~catlab.indices.fits_int64` holds at (m, n), blocks of
-    ``max(1, _BLOCK_CELLS // m)`` replicates go through
+    ``max(1, BLOCK_CELLS // m)`` replicates go through
     :func:`~catlab.indices.compute_index_batch`; otherwise this returns
     :func:`reference_rows`.  The rows are the same on both paths and for
     every block size.  Runs whose rows would exceed
@@ -291,7 +291,7 @@ def replicate_rows(cfg: ExperimentConfig) -> list[list]:
     if not fits_int64(cfg.m, cfg.n):
         return reference_rows(cfg)
 
-    block = max(1, _BLOCK_CELLS // cfg.m)
+    block = max(1, BLOCK_CELLS // cfg.m)
     rows = []
     for start in range(0, cfg.replications, block):
         stream = range(start, min(start + block, cfg.replications))

@@ -6,12 +6,11 @@ cross-checked.  The histories path walks all m^n equally likely growth
 histories and tallies them by leaf counts, so each distinct state is
 evaluated once, by the scalar :func:`~catlab.indices.compute_index`, with its
 counted number of histories as weight.  The compositions path streams the
-leaf-count compositions in blocks of ``max(1, 4096 // m)`` states, weighted
-by their multinomial coefficients, and evaluates each block with
-:func:`~catlab.indices.compute_index_batch` where
-:func:`~catlab.indices.fits_int64` holds (the scalar form otherwise); it
-engages automatically for larger n since every index depends on leaf counts
-only.  Both paths reduce to Python-int sums over one common denominator
+leaf-count compositions in blocks of ``max(1, BLOCK_CELLS // m)`` states,
+weighted by their multinomial coefficients, and evaluates each block with
+:func:`~catlab.indices.compute_index_batch`; it engages automatically for
+larger n since every index depends on leaf counts only.  Both paths reduce
+to Python-int sums over one common denominator
 (:class:`~catlab.experiments.WeightedSums`), so no Fraction arithmetic runs
 per state.
 """
@@ -30,13 +29,14 @@ import numpy as np
 
 from .caterpillar import AdjacencyGraph, Caterpillar, _check_mn
 from .errors import DomainError, ResourceLimitError
-from .experiments import _BLOCK_CELLS, WeightedSums
-from .indices import IndexSpec, compute_index, compute_index_batch, fits_int64, randic, zagreb
+from .experiments import WeightedSums
+from .indices import IndexSpec, compute_index, compute_index_batch, randic, zagreb
 from .theory import martingale_compensator, randic_supermartingale_bound
 
 __all__ = [
     "ExactMoments",
     "ENUMERATION_GUARD",
+    "BLOCK_CELLS",
     "choose_method",
     "compositions",
     "multinomial_coefficient",
@@ -52,6 +52,13 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 10**7
+
+# The compositions path holds max(1, BLOCK_CELLS // m) states at a time.  Each
+# state carries a count tuple, weight, value and ratio as Python objects next
+# to its int64 row, so the block is a quarter of the replicate engine's: at
+# (5, 20), 204 states per block keep the tracemalloc peak at 0.25 MiB, where
+# 819 states reached 0.53 MiB and ran no faster.
+BLOCK_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -125,13 +132,15 @@ def enumerate_exact(
                 f"enumeration of {m}^{n} = {history_count} histories exceeds the"
                 f" guard of {guard}; use the composition method"
             )
+        # Each key is built from a list: tuple() of a lazy iterator allocates
+        # a larger tuple and shrinks it, so the freed m-tuples would pile up
+        # on CPython's tuple free list (about 0.3 MiB at m <= 4) unreused.
         picks = range(m)
         tally = Counter(
-            tuple(map(history.count, picks))
+            tuple([history.count(i) for i in picks])
             for history in itertools.product(picks, repeat=n)
         )
         weighted = iter(tally.items())
-        batch = False
     else:
         state_count = math.comb(n + m - 1, m - 1)
         if state_count > guard:
@@ -140,13 +149,12 @@ def enumerate_exact(
                 f" exceeds the guard of {guard}"
             )
         weighted = ((c, multinomial_coefficient(c)) for c in compositions(n, m))
-        batch = fits_int64(m, n)
 
     sums = WeightedSums(support=set())
-    block = max(1, _BLOCK_CELLS // m)
+    block = max(1, BLOCK_CELLS // m)
     while chunk := list(itertools.islice(weighted, block)):
         states, weights = zip(*chunk)
-        if batch:
+        if method == "compositions":
             values = compute_index_batch(np.array(states, dtype=np.int64), spec)
         else:
             values = [compute_index(Caterpillar(m=m, leaf_counts=c), spec) for c in states]

@@ -123,7 +123,7 @@ def test_run_mc_deterministic_across_block_sizes(monkeypatch):
     one = run_mc(base)
     assert one.columns == run_mc(base).columns
     for rows_per_block in (1, 7, 64):
-        monkeypatch.setattr(experiments, "_BLOCK_CELLS", rows_per_block * base.m)
+        monkeypatch.setattr(experiments, "BLOCK_CELLS", rows_per_block * base.m)
         other = run_mc(base)
         for key in ("zagreb", "hoover"):
             assert np.array_equal(one.sample(key), other.sample(key))
@@ -147,7 +147,7 @@ def test_replicate_rows_exact_and_in_replicate_order(monkeypatch):
     assert rows == expected
     assert all(type(row[0]) is int for row in rows)
     for rows_per_block in (1, 7, 12):
-        monkeypatch.setattr(experiments, "_BLOCK_CELLS", rows_per_block * cfg.m)
+        monkeypatch.setattr(experiments, "BLOCK_CELLS", rows_per_block * cfg.m)
         assert _typed(replicate_rows(cfg)) == _typed(rows)
 
 

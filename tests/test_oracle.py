@@ -56,31 +56,16 @@ def test_enumeration_paths_agree():
                 assert a == b, (index, m, n)
 
 
-def _composition_cases():
-    """(m, n, index, moments at the default block size) for the block tests."""
-    cases = [(5, 20, index) for index in ("gini_degree", "hoover", "hyper_wiener")]
-    cases += [(3, 6, index) for index in INDICES]
-    return [(m, n, index, enumerate_exact(m, n, index, method="compositions"))
-            for m, n, index in cases]
-
-
 @pytest.mark.parametrize("rows_per_block", [1, 7, None])
 def test_composition_block_size_does_not_matter(monkeypatch, rows_per_block):
     """Blocks of 1 and 7 states, and one block of every state, agree."""
-    cases = _composition_cases()
-    assert cases[0][3].mean.denominator > 1  # Gini at (5, 20) is Fraction-valued
-    for m, n, index, want in cases:
+    cases = [(5, 20, index) for index in ("gini_degree", "hoover", "hyper_wiener")]
+    cases += [(3, 6, index) for index in INDICES]
+    wants = [enumerate_exact(m, n, index, method="compositions") for m, n, index in cases]
+    assert wants[0].mean.denominator > 1  # Gini at (5, 20) is Fraction-valued
+    for (m, n, index), want in zip(cases, wants):
         states = math.comb(n + m - 1, m - 1)
-        monkeypatch.setattr(oracle, "_BLOCK_CELLS", (rows_per_block or states) * m)
-        assert enumerate_exact(m, n, index, method="compositions") == want
-
-
-def test_composition_scalar_fallback_agrees(monkeypatch):
-    """Where fits_int64 fails, the scalar forms give the batch moments."""
-    cases = _composition_cases()
-    monkeypatch.setattr(oracle, "fits_int64", lambda m, n: False)
-    monkeypatch.setattr(oracle, "compute_index_batch", None)  # must not be reached
-    for m, n, index, want in cases:
+        monkeypatch.setattr(oracle, "BLOCK_CELLS", (rows_per_block or states) * m)
         assert enumerate_exact(m, n, index, method="compositions") == want
 
 
