@@ -13,17 +13,12 @@ from .caterpillar import (
     degree_sequence,
     grow_step,
     new_spine,
-    sample_direct,
-    simulate,
     to_adjacency,
 )
 from .errors import CatlabError, DomainError, ResourceLimitError, ValidityError
 from .experiments import DEFAULT_SEED, ExperimentConfig, run_mc
 from .indices import (
     IndexSpec,
-    degree_gini,
-    gini_functional,
-    hoover,
     hyper_wiener,
     randic,
     wiener,
@@ -46,18 +41,13 @@ __all__ = [
     "RngSeed",
     "ValidityError",
     "__version__",
-    "degree_gini",
     "degree_sequence",
     "enumerate_exact",
-    "gini_functional",
     "grow_step",
-    "hoover",
     "hyper_wiener",
     "new_spine",
     "randic",
     "run_mc",
-    "sample_direct",
-    "simulate",
     "to_adjacency",
     "wiener",
     "zagreb",

@@ -9,7 +9,7 @@ materialized on demand for the BFS oracles.
 Randomness is fully pinned down: every sample is drawn from a PCG64 bit
 generator seeded through ``numpy.random.SeedSequence(seed, spawn_key=(stream,))``.
 Identical ``(seed, stream)`` pairs give identical results on every platform;
-distinct ``stream`` values give independent substreams for parallel replicates.
+distinct ``stream`` values give independent substreams, one per replicate.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "RngSeed",
     "new_spine",
     "grow_step",
-    "simulate",
-    "sample_direct",
     "simulate_counts",
     "sample_direct_counts",
     "degree_sequence",
@@ -55,15 +53,6 @@ def _check_mn(m: int, n: int = 0) -> None:
         raise DomainError(f"spine too short: m must be >= 2, got {m}")
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-
-
-def _as_generator(seed) -> np.random.Generator:
-    """Accept an RngSeed, a bare integer seed (stream 0), or a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, RngSeed):
-        return seed.generator()
-    return RngSeed(int(seed)).generator()
 
 
 @dataclass(frozen=True)
@@ -144,18 +133,12 @@ def simulate_counts(m: int, n: int, rng: np.random.Generator) -> list[int]:
     return np.bincount(picks, minlength=m).tolist()
 
 
-def simulate(m: int, n: int, seed) -> Caterpillar:
-    """Grow a caterpillar by ``n`` sequential uniform leaf attachments."""
-    _check_mn(m, n)
-    rng = _as_generator(seed)
-    return Caterpillar(m=m, leaf_counts=tuple(simulate_counts(m, n, rng)))
-
-
 def sample_direct_counts(m: int, n: int, rng: np.random.Generator) -> list[int]:
     """One multinomial(n; 1/m, ..., 1/m) draw via conditional binomials.
 
     X_1 ~ Bin(n, 1/m), then X_2 | X_1 ~ Bin(n - X_1, 1/(m-1)), and so on;
-    exact and O(m), no rejection.
+    exact and O(m), no rejection.  Same law as :func:`simulate_counts`, but
+    not path-identical: the two consume the random stream differently.
     """
     counts = [0] * m
     remaining = n
@@ -167,17 +150,6 @@ def sample_direct_counts(m: int, n: int, rng: np.random.Generator) -> list[int]:
         remaining -= x
     counts[m - 1] = remaining
     return counts
-
-
-def sample_direct(m: int, n: int, seed) -> Caterpillar:
-    """Draw leaf counts directly from their multinomial law.
-
-    Same distribution as :func:`simulate`, but not path-identical: the two
-    samplers consume the random stream differently.
-    """
-    _check_mn(m, n)
-    rng = _as_generator(seed)
-    return Caterpillar(m=m, leaf_counts=tuple(sample_direct_counts(m, n, rng)))
 
 
 def spine_degrees(c: Caterpillar) -> list[int]:

@@ -9,7 +9,8 @@ only, and any other key is a usage error.  Config values are parsed by the
 same parser as flags (``m = 3`` is ``--m=3``, placed before the command
 line's own flags), so they get the same types, choices and defaults, and a
 bad value is the same usage error.  Exit codes: 0 success,
-1 verification failure, 2 usage or domain error, 3 resource guard exceeded.
+1 verification failure, 2 usage or domain error (an unwritable output path
+included), 3 resource guard exceeded.
 All emitted data files are byte-identical across runs for a fixed
 configuration; the manifest sidecar carries the wall-clock timestamp.
 """
@@ -214,12 +215,13 @@ def cmd_clt(args: argparse.Namespace) -> int:
 
     lines = ["replicate_id,standardized_zagreb"]
     lines += [f"{r},{format(v, '.17g')}" for r, v in enumerate(z)]
+    # built before any write, so a figure that cannot be drawn leaves no file
+    svg = histogram_kde_svg(z, bins=bins) if args.plot else None
     _write_text(args.out, "\n".join(lines) + "\n")
     config = {"m": m, "n": n, "seed": seed, "replications": replications, "bins": bins}
     _write_manifest(args.out, RunManifest(command="clt", config=config))
 
     if args.plot:
-        svg = histogram_kde_svg(z, bins=bins)
         _write_text(args.plot, svg)
         _write_manifest(args.plot, RunManifest(command="clt", config=config))
 
@@ -347,7 +349,7 @@ def main(argv=None) -> int:
         if "m" in vars(args) and None in (args.m, args.n):
             raise DomainError(f"{args.command} requires --m and --n")
         return args.func(args)
-    except (DomainError, ValidityError, ValueError) as exc:
+    except (DomainError, ValidityError, ValueError, OSError) as exc:
         print(f"catlab: error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -28,7 +28,6 @@ import numpy as np
 from .caterpillar import (
     Caterpillar,
     RngSeed,
-    _as_generator,
     _check_mn,
     sample_direct_counts,
     simulate_counts,
@@ -56,15 +55,15 @@ __all__ = [
     "ecdf",
     "histogram",
     "kde",
-    "TrajectoryResult",
-    "trajectory_check",
 ]
 
 # Documented default seed for every seed-pinned experiment and report.
-# The standardized Zagreb sample keeps a little skewness at n = 5000 (the
-# third moment converges slower than the CLT), so roughly one seed in ten
-# trips the Jarque-Bera threshold; this one passes every pinned decision
-# with margin, including under the strict tolerance profile.
+# Known limitation: at fixed m the standardized Zagreb sample keeps the skew
+# of a chi-square law with m - 1 degrees of freedom, sqrt(8/(m-1)) = 0.2005
+# at m = 200, which does not fade as n grows (pooled skew 0.207 over seeds
+# 1000-1399 at (200, 5000), R = 500).  There KS or Jarque-Bera rejects on
+# 21% of seeds (KS 4.5%, JB 18%), so every pinned normality decision,
+# this seed's included, depends on the seed.
 DEFAULT_SEED = 31415
 
 KS_CRITICAL_COEFF_001 = 1.63  # asymptotic one-sample KS critical value: 1.63/sqrt(R) at alpha = 0.01
@@ -423,57 +422,3 @@ def kde(sample) -> tuple[np.ndarray, np.ndarray]:
     z = (grid[:, None] - x[None, :]) / h
     density = np.exp(-0.5 * z * z).sum(axis=1) / (r * h * math.sqrt(2 * math.pi))
     return grid, density
-
-
-@dataclass(frozen=True)
-class TrajectoryResult:
-    """Scaled index values of one growth path at power-of-two checkpoints."""
-
-    index: str
-    checkpoints: tuple[int, ...]
-    scaled_values: tuple[float, ...]
-    tail_deltas: tuple[float, ...]
-
-    @property
-    def max_tail_delta(self) -> float:
-        return max(self.tail_deltas)
-
-
-def trajectory_check(m: int, n_max: int, seed, index: IndexSpec | str) -> TrajectoryResult:
-    """Follow one growth path and report index/n^2 at checkpoints n = 2^j.
-
-    Checkpoints start at n = 4; below that the n^2-scaled values are all
-    start-up constants.  The ``tail_deltas`` are the absolute successive
-    differences over the last three checkpoints, a Cauchy-style stabilization
-    diagnostic for the almost-sure limits of the quadratically growing
-    indices.
-    """
-    _check_mn(m)
-    if n_max < 16:
-        raise DomainError("n_max must be >= 16 to have at least three checkpoints")
-    spec = IndexSpec.parse(index) if isinstance(index, str) else index
-    rng = _as_generator(seed)
-
-    checkpoints = []
-    k = 4
-    while k <= n_max:
-        checkpoints.append(k)
-        k *= 2
-
-    counts = [0] * m
-    values = []
-    previous = 0
-    for ck in checkpoints:
-        counts = [a + b for a, b in zip(counts, simulate_counts(m, ck - previous, rng))]
-        previous = ck
-        c = Caterpillar(m=m, leaf_counts=tuple(counts))
-        values.append(float(compute_index(c, spec)) / ck**2)
-
-    tail = values[-3:]
-    deltas = tuple(abs(tail[i + 1] - tail[i]) for i in range(len(tail) - 1))
-    return TrajectoryResult(
-        index=str(spec),
-        checkpoints=tuple(checkpoints),
-        scaled_values=tuple(values),
-        tail_deltas=deltas,
-    )

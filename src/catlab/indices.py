@@ -4,8 +4,8 @@ Every function here consumes the compact ``Caterpillar`` state; nothing needs
 the explicit adjacency.  Zagreb, Randic with alpha = 1, Wiener and
 hyper-Wiener are evaluated in arbitrary-precision integer arithmetic so the
 O(m) closed forms can be compared bit-for-bit against the BFS oracles even at
-n = 10^6.  Gini and Hoover are ratios of integers and get exact rational
-variants alongside the float views.
+n = 10^6.  Gini and Hoover are ratios of integers and come back as exact
+Fractions.
 
 :func:`compute_index_batch` evaluates many states at once from an int64
 matrix of leaf counts (one state per row) and returns the same Python ints
@@ -15,6 +15,7 @@ exact only where :func:`fits_int64` holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,10 +26,7 @@ from .errors import DomainError
 
 __all__ = [
     "IndexSpec",
-    "gini_functional",
-    "degree_gini",
     "degree_gini_exact",
-    "hoover",
     "hoover_exact",
     "zagreb",
     "randic",
@@ -55,6 +53,8 @@ class IndexSpec:
         if self.kind == "randic":
             if self.alpha is None:
                 object.__setattr__(self, "alpha", 1.0)
+            elif not math.isfinite(self.alpha):
+                raise DomainError(f"Randic exponent must be finite, got {self.alpha}")
         elif self.alpha is not None:
             raise DomainError(f"index {self.kind!r} takes no alpha parameter")
 
@@ -74,7 +74,7 @@ class IndexSpec:
         return self.kind
 
 
-def _abs_diff_double_sum(sorted_values) -> int | float:
+def _abs_diff_double_sum(sorted_values) -> int:
     """Sum over ordered pairs of |w_i - w_j| for an ascending-sorted sequence.
 
     Uses the identity  sum_ij |w_i - w_j| = 2 * sum_k (2k - n - 1) w_(k)
@@ -85,24 +85,6 @@ def _abs_diff_double_sum(sorted_values) -> int | float:
     for k, w in enumerate(sorted_values, start=1):
         total += (2 * k - n - 1) * w
     return 2 * total
-
-
-def gini_functional(weights) -> float:
-    """Gini coefficient of a weight vector.
-
-    Returns sum_ij |w_i - w_j| / (2 n sum_i w_i).  Scale-invariant; zero for
-    perfectly equal weights.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or len(w) < 2:
-        raise DomainError("gini needs at least two weights")
-    if np.any(w < 0):
-        raise DomainError("gini weights must be non-negative")
-    total = float(w.sum())
-    if total == 0.0:
-        raise DomainError("zero total wealth: gini is undefined for all-zero weights")
-    num = _abs_diff_double_sum(np.sort(w).tolist())
-    return num / (2.0 * len(w) * total)
 
 
 def degree_gini_exact(c: Caterpillar) -> Fraction:
@@ -118,11 +100,6 @@ def degree_gini_exact(c: Caterpillar) -> Fraction:
     return Fraction(num, 2 * c.node_count * total)
 
 
-def degree_gini(c: Caterpillar) -> float:
-    """Within-graph Gini of the degree sequence (float view)."""
-    return float(degree_gini_exact(c))
-
-
 def hoover_exact(c: Caterpillar) -> Fraction:
     """Degree-based Hoover index as an exact rational.
 
@@ -136,11 +113,6 @@ def hoover_exact(c: Caterpillar) -> Fraction:
     s = sum(abs(N * d - target) for d in spine_degrees(c))
     s += c.n * abs(N - target)  # every leaf has degree 1
     return Fraction(s, 4 * N * (N - 1))
-
-
-def hoover(c: Caterpillar) -> float:
-    """Degree-based Hoover index (float view); lies in [0, 1)."""
-    return float(hoover_exact(c))
 
 
 def zagreb(c: Caterpillar) -> int:

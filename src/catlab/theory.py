@@ -26,23 +26,20 @@ from .errors import DomainError, ValidityError
 __all__ = [
     "Validity",
     "TheoryValue",
-    "CltParams",
     "gini_mean",
     "gini_mean_limit_in_n",
     "hoover_mean",
     "zagreb_mean",
     "zagreb_second_moment",
     "zagreb_variance",
-    "zagreb_clt_params",
+    "zagreb_clt_variance",
     "martingale_compensator",
     "randic_mean",
     "randic_mean_limit",
     "randic_supermartingale_bound",
     "wiener_mean",
-    "wiener_mean_limit",
     "hyper_wiener_mean_paper",
     "hyper_wiener_mean_corrected",
-    "hyper_wiener_mean_limit",
     "EVALUATORS",
     "evaluate",
 ]
@@ -152,23 +149,14 @@ def zagreb_variance(m: int, n: int) -> TheoryValue:
     return TheoryValue(value, Validity.ALL_M, "Var[Z_n] = 2n((m-1)n + 3m-7)/m^2")
 
 
-@dataclass(frozen=True)
-class CltParams:
-    """Centering/scaling recipe and limit variance for the Zagreb CLT."""
-
-    center_scale: str
-    variance: TheoryValue
-
-
-def zagreb_clt_params(m: int) -> CltParams:
+def zagreb_clt_variance(m: int) -> TheoryValue:
     """Gaussian limit of (Z_n - n^2/m)/n: variance 2(m-1)/m^2."""
     _check_mn(m)
-    var = TheoryValue(
+    return TheoryValue(
         Fraction(2 * (m - 1), m * m),
         Validity.ALL_M,
         "(Z_n - n^2/m)/n -> N(0, 2(m-1)/m^2)",
     )
-    return CltParams(center_scale="(zagreb - n^2/m) / n", variance=var)
 
 
 def martingale_compensator(m: int, n: int) -> Fraction:
@@ -231,16 +219,6 @@ def wiener_mean(m: int, n: int) -> TheoryValue:
     )
 
 
-def wiener_mean_limit(m: int) -> TheoryValue:
-    """Limit of E[W_n]/n^2: (m^2 + 6m - 1)/(6m)."""
-    _check_mn(m)
-    return TheoryValue(
-        Fraction(m * m + 6 * m - 1, 6 * m),
-        Validity.ALL_M,
-        "lim E[W_n]/n^2 = (m^2+6m-1)/(6m)",
-    )
-
-
 def hyper_wiener_mean_paper(m: int, n: int) -> TheoryValue:
     """Published closed form for the hyper-Wiener mean (known erratum).
 
@@ -284,27 +262,13 @@ def hyper_wiener_mean_corrected(m: int, n: int) -> TheoryValue:
     )
 
 
-def hyper_wiener_mean_limit(m: int) -> TheoryValue:
-    """Limit of E[Wh_n]/n^2: (m^3 + 10m^2 + 35m - 10)/(12m)."""
-    _check_mn(m)
-    return TheoryValue(
-        Fraction(m**3 + 10 * m * m + 35 * m - 10, 12 * m),
-        Validity.ALL_M,
-        "lim E[Wh_n]/n^2 = (m^3+10m^2+35m-10)/(12m)",
-    )
-
-
-def _clt_variance(m: int, n: int) -> TheoryValue:
-    return zagreb_clt_params(m).variance
-
-
 EVALUATORS = {
     "gini_mean": gini_mean,
     "hoover_mean": hoover_mean,
     "zagreb_mean": zagreb_mean,
     "zagreb_second_moment": zagreb_second_moment,
     "zagreb_variance": zagreb_variance,
-    "zagreb_clt_variance": _clt_variance,
+    "zagreb_clt_variance": lambda m, n: zagreb_clt_variance(m),
     "randic_mean": randic_mean,
     "wiener_mean": wiener_mean,
     "hyper_wiener_mean_paper": hyper_wiener_mean_paper,

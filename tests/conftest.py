@@ -1,9 +1,16 @@
-"""Shared fixtures: the two Monte Carlo runs reused across acceptance tests."""
+"""Shared fixtures: the two Monte Carlo runs reused across acceptance tests,
+and a helper that grows one caterpillar from a generator."""
 
 import pytest
 
+from catlab.caterpillar import Caterpillar, simulate_counts
 from catlab.experiments import DEFAULT_SEED
 from catlab.verify import mc200, mc50
+
+
+def sampled(m, n, rng, draw=simulate_counts) -> Caterpillar:
+    """The caterpillar whose n leaf counts ``draw`` takes from the generator ``rng``."""
+    return Caterpillar(m, tuple(draw(m, n, rng)))
 
 
 @pytest.fixture(scope="session")

@@ -13,15 +13,14 @@ from catlab.caterpillar import (
     degree_sequence,
     grow_step,
     new_spine,
-    sample_direct,
     sample_direct_counts,
-    simulate,
     simulate_counts,
     to_adjacency,
 )
 from catlab.errors import DomainError
 from catlab.indices import zagreb
 from catlab.oracle import compositions, multinomial_coefficient
+from conftest import sampled
 
 
 def test_new_spine():
@@ -66,9 +65,9 @@ def test_two_step_law_from_enumeration():
 
 
 def test_simulate_basics():
-    assert simulate(3, 0, RngSeed(1)).leaf_counts == (0, 0, 0)
-    a = simulate(2, 1000, RngSeed(7))
-    b = simulate(2, 1000, RngSeed(7))
+    assert sampled(3, 0, RngSeed(1).generator()).leaf_counts == (0, 0, 0)
+    a = sampled(2, 1000, RngSeed(7).generator())
+    b = sampled(2, 1000, RngSeed(7).generator())
     assert a == b
     assert a.n == 1000
 
@@ -76,7 +75,7 @@ def test_simulate_basics():
 def test_simulate_matches_repeated_grow_steps():
     """Batched draws consume the stream exactly like n grow_step calls."""
     seed = RngSeed(99, 3)
-    batched = simulate(5, 40, seed)
+    batched = sampled(5, 40, seed.generator())
     rng = seed.generator()
     state = new_spine(5)
     for _ in range(40):
@@ -85,16 +84,16 @@ def test_simulate_matches_repeated_grow_steps():
 
 
 def test_sample_direct_basics():
-    assert sample_direct(4, 0, RngSeed(1)).leaf_counts == (0, 0, 0, 0)
-    a = sample_direct(3, 500, RngSeed(11))
+    assert sampled(4, 0, RngSeed(1).generator(), sample_direct_counts).leaf_counts == (0, 0, 0, 0)
+    a = sampled(3, 500, RngSeed(11).generator(), sample_direct_counts)
     assert a.n == 500
-    assert a == sample_direct(3, 500, RngSeed(11))
+    assert a == sampled(3, 500, RngSeed(11).generator(), sample_direct_counts)
 
 
 def test_sample_direct_large_n_counts_near_mean():
     """Each count within 5 sd of n/m; sd = sqrt(n(m-1))/m."""
     m, n = 3, 10**6
-    c = sample_direct(m, n, RngSeed(2))
+    c = sampled(m, n, RngSeed(2).generator(), sample_direct_counts)
     sd = math.sqrt(n * (m - 1)) / m
     for x in c.leaf_counts:
         assert abs(x - n / m) < 5 * sd
@@ -138,7 +137,7 @@ def test_degree_sum_is_twice_edges():
     for _ in range(50):
         m = int(rng.integers(2, 12))
         n = int(rng.integers(0, 60))
-        c = simulate(m, n, RngSeed(int(rng.integers(0, 2**32))))
+        c = sampled(m, n, RngSeed(int(rng.integers(0, 2**32))).generator())
         assert sum(degree_sequence(c)) == 2 * (c.n + c.m - 1)
 
 
@@ -188,7 +187,7 @@ def test_substream_determinism_and_distinctness():
 def test_substream_independence_smoke():
     """Zagreb values on paired substreams are uncorrelated (|rho| < 0.1)."""
     pairs = 1000
-    first = [zagreb(simulate(5, 200, RngSeed(77, r))) for r in range(pairs)]
-    second = [zagreb(simulate(5, 200, RngSeed(77, r + pairs))) for r in range(pairs)]
+    first = [zagreb(sampled(5, 200, RngSeed(77, r).generator())) for r in range(pairs)]
+    second = [zagreb(sampled(5, 200, RngSeed(77, r + pairs).generator())) for r in range(pairs)]
     rho = float(np.corrcoef(first, second)[0, 1])
     assert abs(rho) < 0.1

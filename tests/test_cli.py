@@ -180,6 +180,17 @@ def test_clt_zero_variance_rejected(capsys):
     assert "variance is zero" in err
 
 
+def test_clt_failure_writes_no_file(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "clt", "--m", "3", "--n", "4", "--replications", "30", "--bins", "0",
+        "--out", str(tmp_path / "s.csv"), "--plot", str(tmp_path / "p.svg"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "bins must be >= 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_command(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--m", "2", "--n", "2", "--index", "zagreb")
     assert code == 0
@@ -278,6 +289,26 @@ def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("catlab: error: cannot read config file")
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_simulate_rejects_non_finite_randic_exponent(capsys, alpha):
+    code, out, err = run_cli(capsys, "simulate", "--m", "3", "--n", "4", "--indices", f"randic:{alpha}")
+    assert code == 2
+    assert out == ""
+    assert "Randic exponent must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--m", "3", "--n", "4", "--out"),
+    ("verify", "--suite", "oracle", "--report"),
+], ids=["simulate", "verify"])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing_dir" / "x.out"
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert err.startswith("catlab: error: ") and str(path) in err
+    assert not path.parent.exists()
 
 
 def test_simulate_rejects_duplicate_index(capsys):

@@ -11,7 +11,6 @@ from scipy import special
 from catlab import experiments
 from catlab.errors import DomainError, ResourceLimitError
 from catlab.experiments import (
-    DEFAULT_SEED,
     Ecdf,
     ExperimentConfig,
     WeightedSums,
@@ -25,10 +24,9 @@ from catlab.experiments import (
     replicate_rows,
     run_mc,
     standardize_zagreb,
-    trajectory_check,
 )
 from catlab.indices import IndexSpec, fits_int64
-from catlab.theory import wiener_mean_limit, zagreb_mean, zagreb_variance
+from catlab.theory import zagreb_mean, zagreb_variance
 
 
 def _fraction_moments(column):
@@ -344,28 +342,3 @@ def test_kde_normalization():
     integral = float(np.trapezoid(density, grid))
     assert abs(integral - 1.0) <= 0.01
     assert len(grid) == 512
-
-
-def test_trajectory_zagreb_limit_band():
-    res = trajectory_check(5, 2**16, DEFAULT_SEED, "zagreb")
-    final = res.scaled_values[-1]
-    assert 0.2 * 0.8 <= final <= 0.2 * 1.2  # 1/m with CLT-scale slack
-
-
-def test_trajectory_randic_stabilizes():
-    res = trajectory_check(5, 2**16, DEFAULT_SEED, "randic:1")
-    assert res.tail_deltas[-1] <= res.tail_deltas[0]
-    assert res.max_tail_delta < 0.05
-
-
-def test_trajectory_wiener_bounded():
-    res = trajectory_check(5, 2**14, DEFAULT_SEED, "wiener")
-    bound = 10 * float(wiener_mean_limit(5).value)
-    assert all(0 < v < bound for v in res.scaled_values)
-
-
-def test_trajectory_checkpoints():
-    res = trajectory_check(3, 16, 7, "zagreb")
-    assert res.checkpoints == (4, 8, 16)
-    with pytest.raises(DomainError):
-        trajectory_check(3, 8, 7, "zagreb")

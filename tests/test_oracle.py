@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from catlab import oracle
-from catlab.caterpillar import AdjacencyGraph, Caterpillar, RngSeed, new_spine, simulate, to_adjacency
+from catlab.caterpillar import AdjacencyGraph, Caterpillar, RngSeed, new_spine, to_adjacency
 from catlab.errors import DomainError, ResourceLimitError
 from catlab.indices import zagreb
 from catlab.oracle import (
@@ -29,6 +29,7 @@ from catlab.oracle import (
     wiener_bfs,
 )
 from catlab.caterpillar import spine_degrees
+from conftest import sampled
 
 
 def test_enumerate_exact_frozen_values():
@@ -184,7 +185,7 @@ def test_one_step_successors():
     for _ in range(25):
         m = int(rng.integers(2, 12))
         n = int(rng.integers(0, 40))
-        state = simulate(m, n, RngSeed(int(rng.integers(0, 2**32))))
+        state = sampled(m, n, RngSeed(int(rng.integers(0, 2**32))).generator())
         degs = spine_degrees(state)
         for i, s in enumerate(one_step_successors(state)):
             assert zagreb(s) == zagreb(state) + 2 * degs[i] + 2
@@ -197,7 +198,7 @@ def test_martingale_residual_exact_zero():
     for _ in range(100):
         m = int(rng.integers(2, 21))
         n = int(rng.integers(0, 101))
-        c = simulate(m, n, RngSeed(int(rng.integers(0, 2**32))))
+        c = sampled(m, n, RngSeed(int(rng.integers(0, 2**32))).generator())
         assert martingale_residual(c) == 0
 
 
@@ -206,17 +207,15 @@ def test_supermartingale_gap_nonnegative():
     for _ in range(100):
         m = int(rng.integers(2, 21))
         n = int(rng.integers(0, 101))
-        c = simulate(m, n, RngSeed(int(rng.integers(0, 2**32))))
+        c = sampled(m, n, RngSeed(int(rng.integers(0, 2**32))).generator())
         assert randic_supermartingale_gap(c) >= 0
 
 
 def test_conditional_variance_scaling():
     """Empirical Var[Z_n]/n^2 within 10% of 2(m-1)/m^2 at m=10, n=1e4."""
-    import numpy as np
-
     from catlab.experiments import ExperimentConfig, run_mc
     from catlab.indices import IndexSpec
-    from catlab.theory import zagreb_clt_params
+    from catlab.theory import zagreb_clt_variance
 
     m, n = 10, 10**4
     summary = run_mc(
@@ -226,5 +225,5 @@ def test_conditional_variance_scaling():
         )
     )
     scaled_var = summary.variance("zagreb") / n**2
-    target = float(zagreb_clt_params(m).variance.value)
+    target = float(zagreb_clt_variance(m).value)
     assert abs(scaled_var - target) < 0.1 * target
