@@ -10,10 +10,18 @@ Randomness is fully pinned down: every sample is drawn from a PCG64 bit
 generator seeded through ``numpy.random.SeedSequence(seed, spawn_key=(stream,))``.
 Identical ``(seed, stream)`` pairs give identical results on every platform;
 distinct ``stream`` values give independent substreams, one per replicate.
+:meth:`RngSeed.generator` builds that generator with numpy's own seeding and
+stays the reference.  :func:`substreams` gives the same substreams for a run
+of consecutive streams: it hashes the stream words of many substreams at
+once in uint32 numpy lanes, exactly as ``SeedSequence`` mixes its spawn key
+and generates the seed words, finishes PCG64's seeding in Python ints and
+re-seeds one reused generator in place.  Tests pin every state and draw of
+it to :meth:`RngSeed.generator`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +32,7 @@ __all__ = [
     "Caterpillar",
     "AdjacencyGraph",
     "RngSeed",
+    "substreams",
     "new_spine",
     "grow_step",
     "simulate_counts",
@@ -45,6 +54,81 @@ class RngSeed:
         """Materialize the PCG64 generator for this substream."""
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(ss))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the multiplier of PCG64's 128-bit LCG.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
+# Substreams seeded per vectorised pass of substreams(); bounds its arrays.
+_SEED_CHUNK = 1024
+
+
+def _seed_words(pool: list[int], hash_const: int, streams: np.ndarray) -> np.ndarray:
+    """PCG64's four 64-bit seed words of each substream, one row per stream.
+
+    ``pool`` is the seed's mixed pool and ``hash_const`` the hash constant
+    that SeedSequence reaches after mixing the seed; each stream is a
+    one-word spawn key.  Every step is uint32 arithmetic, so numpy's
+    wrap-around is SeedSequence's own.
+    """
+    mixed = []
+    for word in pool:
+        # mix(pool word, hashmix(stream word))
+        hashed = streams ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        hashed *= np.uint32(hash_const)
+        hashed ^= hashed >> np.uint32(16)
+        lane = np.uint32(_MIX_MULT_L * word & _MASK32) - np.uint32(_MIX_MULT_R) * hashed
+        mixed.append(lane ^ (lane >> np.uint32(16)))
+    # generate_state(4, np.uint64): eight uint32 words, the pool cycled twice
+    hash_const = _INIT_B
+    state = np.empty((len(streams), 8), dtype=np.uint64)
+    for i in range(8):
+        lane = mixed[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        lane *= np.uint32(hash_const)
+        state[:, i] = lane ^ (lane >> np.uint32(16))
+    return state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+
+
+def substreams(seed: int, first: int, count: int) -> Iterator[np.random.Generator]:
+    """The generators of substreams (seed, first), ..., (seed, first + count - 1).
+
+    Each is bit-identical to ``RngSeed(seed, stream).generator()``, but all
+    of them are one :class:`numpy.random.Generator` whose PCG64 is re-seeded
+    in place before it is yielded, so a caller must finish with it before
+    asking for the next.  The seed goes through one
+    ``numpy.random.SeedSequence``, which validates it; streams must lie in
+    [0, 2^32), where a spawn key is one uint32 word.
+    """
+    if first < 0 or count < 0 or first + count > 1 << 32:
+        raise DomainError(f"streams {first}..{first + count - 1} are outside [0, 2^32)")
+    ss = np.random.SeedSequence(seed)
+    pool = ss.pool.tolist()
+    # mixing the seed took 16 hashes, and 4 more per seed word past the pool's 4
+    words = max(1, -(-int(ss.entropy).bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _MASK32
+    bit_generator = np.random.PCG64(ss)
+    generator = np.random.Generator(bit_generator)
+    for start in range(first, first + count, _SEED_CHUNK):
+        streams = np.arange(start, min(start + _SEED_CHUNK, first + count), dtype=np.uint32)
+        for state_hi, state_lo, seq_hi, seq_lo in _seed_words(pool, hash_const, streams).tolist():
+            # pcg64_set_seed: inc = 2 initseq + 1, then two LCG steps from 0
+            inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & _MASK128
+            state = ((inc + ((state_hi << 64) | state_lo)) * _PCG64_MULT + inc) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield generator
 
 
 def _check_mn(m: int, n: int = 0) -> None:
@@ -120,6 +204,13 @@ def grow_step(c: Caterpillar, rng: np.random.Generator) -> Caterpillar:
     return Caterpillar(m=c.m, leaf_counts=tuple(counts))
 
 
+def _leaf_counts(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """:func:`simulate_counts` as an int64 array."""
+    if n == 0:
+        return np.zeros(m, dtype=np.int64)
+    return np.bincount(rng.integers(0, m, size=n), minlength=m)
+
+
 def simulate_counts(m: int, n: int, rng: np.random.Generator) -> list[int]:
     """Leaf counts after ``n`` uniform growth steps, drawn from ``rng``.
 
@@ -127,10 +218,7 @@ def simulate_counts(m: int, n: int, rng: np.random.Generator) -> list[int]:
     repeated single draws, so this consumes exactly the stream a loop of
     ``grow_step`` calls would.
     """
-    if n == 0:
-        return [0] * m
-    picks = rng.integers(0, m, size=n)
-    return np.bincount(picks, minlength=m).tolist()
+    return _leaf_counts(m, n, rng).tolist()
 
 
 def sample_direct_counts(m: int, n: int, rng: np.random.Generator) -> list[int]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import json
 import os
 import sys
@@ -81,6 +82,22 @@ class RunManifest:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """Raise the error that creating ``path`` would raise, without creating it.
+
+    Catches a missing or unwritable directory and a path that is a
+    directory, so a command with several outputs can fail before its first
+    write.
+    """
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _write_manifest(out_path: str, manifest: RunManifest) -> None:
@@ -203,6 +220,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_clt(args: argparse.Namespace) -> int:
     m, n, replications, bins, seed = args.m, args.n, args.replications, args.bins, args.seed
+    for path in filter(None, (args.out, args.plot)):
+        _check_writable(path)
     summary = run_mc(
         ExperimentConfig(
             m=m, n=n, replications=replications, seed=seed,

@@ -4,8 +4,9 @@
 from the substream (seed, r) and its index values come back exact (Python
 ints, or Fractions for Gini and Hoover) in replicate order.  Where
 :func:`~catlab.indices.fits_int64` holds for (m, n), the replicates are
-drawn in blocks into an int64 leaf-count matrix and evaluated a block at a
-time by :func:`~catlab.indices.compute_index_batch`; above that bound each
+drawn from :func:`~catlab.caterpillar.substreams` in blocks into an int64
+leaf-count matrix and evaluated a block at a time by
+:func:`~catlab.indices.compute_index_batch`; above that bound each
 replicate is evaluated on its own by the scalar :func:`compute_index`.
 Both paths give the same values.  ``catlab simulate`` formats the rows
 directly; :func:`run_mc` keeps them as columns with their exact means and
@@ -29,8 +30,10 @@ from .caterpillar import (
     Caterpillar,
     RngSeed,
     _check_mn,
+    _leaf_counts,
     sample_direct_counts,
     simulate_counts,
+    substreams,
 )
 from .errors import DomainError, ResourceLimitError
 from .indices import IndexSpec, compute_index, compute_index_batch, fits_int64
@@ -275,10 +278,11 @@ def replicate_rows(cfg: ExperimentConfig) -> list[list]:
 
     Replicate r draws from substream (seed, r) with the configured sampler.
     If :func:`~catlab.indices.fits_int64` holds at (m, n), blocks of
-    ``max(1, BLOCK_CELLS // m)`` replicates go through
-    :func:`~catlab.indices.compute_index_batch`; otherwise this returns
-    :func:`reference_rows`.  The rows are the same on both paths and for
-    every block size.  Runs whose rows would exceed
+    ``max(1, BLOCK_CELLS // m)`` replicates draw from
+    :func:`~catlab.caterpillar.substreams` straight into an int64 block
+    and go through :func:`~catlab.indices.compute_index_batch`; otherwise
+    this returns :func:`reference_rows`.  The rows are the same on both
+    paths and for every block size.  Runs whose rows would exceed
     :data:`SAMPLE_MEMORY_CAP` are refused before any draw.
     """
     needed = _retained_bytes(cfg)
@@ -291,10 +295,14 @@ def replicate_rows(cfg: ExperimentConfig) -> list[list]:
         return reference_rows(cfg)
 
     block = max(1, BLOCK_CELLS // cfg.m)
+    draw = _leaf_counts if cfg.sampler == "sequential" else sample_direct_counts
+    streams = substreams(cfg.seed, 0, cfg.replications)
     rows = []
     for start in range(0, cfg.replications, block):
-        stream = range(start, min(start + block, cfg.replications))
-        counts = np.array([_draw(cfg, r) for r in stream], dtype=np.int64)
+        counts = np.empty((min(block, cfg.replications - start), cfg.m), dtype=np.int64)
+        # zip takes a row before a generator, so no block draws past its last row
+        for row, rng in zip(counts, streams):
+            row[:] = draw(cfg.m, cfg.n, rng)
         columns = [compute_index_batch(counts, spec) for spec in cfg.indices]
         rows.extend(map(list, zip(*columns)))
     return rows

@@ -126,6 +126,7 @@ def randic(c: Caterpillar, alpha: float = 1.0):
     On a caterpillar this is the sum over the m-1 spine edges of
     (D_{i-1} D_i)^alpha plus, for each spine node, X_i * D_i^alpha for its
     pendant leaves.  alpha = 1 is evaluated in exact integer arithmetic.
+    Raises :class:`DomainError` where the float sum overflows.
     """
     degs = spine_degrees(c)
     x = c.leaf_counts
@@ -134,9 +135,14 @@ def randic(c: Caterpillar, alpha: float = 1.0):
         leaf_part = sum(xi * di for xi, di in zip(x, degs))
         return spine_part + leaf_part
     d = np.asarray(degs, dtype=float)
-    spine_part = float(np.power(d[:-1] * d[1:], alpha).sum())
-    leaf_part = float((np.asarray(x, dtype=float) * np.power(d, alpha)).sum())
-    return spine_part + leaf_part
+    # an overflow becomes inf (and 0 * inf nan), rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        spine_part = float(np.power(d[:-1] * d[1:], alpha).sum())
+        leaf_part = float((np.asarray(x, dtype=float) * np.power(d, alpha)).sum())
+    total = spine_part + leaf_part
+    if not math.isfinite(total):
+        raise DomainError(f"Randic index with alpha = {alpha:g} is not finite (float overflow)")
+    return total
 
 
 def _distance_sums(c: Caterpillar) -> tuple[int, int]:

@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from catlab import caterpillar
 from catlab.caterpillar import (
     Caterpillar,
     RngSeed,
@@ -15,6 +17,7 @@ from catlab.caterpillar import (
     new_spine,
     sample_direct_counts,
     simulate_counts,
+    substreams,
     to_adjacency,
 )
 from catlab.errors import DomainError
@@ -191,3 +194,38 @@ def test_substream_independence_smoke():
     second = [zagreb(sampled(5, 200, RngSeed(77, r + pairs).generator())) for r in range(pairs)]
     rho = float(np.corrcoef(first, second)[0, 1])
     assert abs(rho) < 0.1
+
+
+# one to six uint32 seed words, so the seed's mixing runs past the pool's four
+SEEDS = [0, 1, 31415, 2**32 + 7, 2**64 - 1, 2**128 + 3, 10**40, 2**160 + 5]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("first", [0, 777, 2**32 - 3])
+def test_substreams_match_seed_sequence(seed, first):
+    """Every state and draw equals RngSeed(seed, r).generator()'s."""
+    count = 3
+    for r, rng in zip(range(first, first + count), substreams(seed, first, count), strict=True):
+        want = RngSeed(seed, r).generator()
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(rng.integers(0, 200, size=64), want.integers(0, 200, size=64))
+        assert rng.random() == want.random()
+        assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_substreams_across_vectorised_passes(monkeypatch):
+    monkeypatch.setattr(caterpillar, "_SEED_CHUNK", 4)
+    states = [rng.bit_generator.state for rng in substreams(5, 2, 11)]
+    assert states == [RngSeed(5, r).generator().bit_generator.state for r in range(2, 13)]
+    assert list(substreams(5, 9, 0)) == []
+
+
+def test_substreams_reject_what_seed_sequence_rejects():
+    with pytest.raises(DomainError, match="outside"):
+        next(substreams(1, 2**32 - 1, 2))
+    with pytest.raises(DomainError, match="outside"):
+        next(substreams(1, -1, 1))
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError, match=re.escape(str(numpy_error.value))):
+        next(substreams(-1, 0, 1))

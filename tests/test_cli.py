@@ -4,6 +4,7 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from catlab.cli import build_parser, main
@@ -191,6 +192,17 @@ def test_clt_failure_writes_no_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_clt_unwritable_plot_path_writes_no_file(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "clt", "--m", "3", "--n", "40", "--replications", "30",
+        "--out", str(tmp_path / "s.csv"), "--plot", str(tmp_path / "missing" / "p.svg"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("catlab: error: ") and "p.svg" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_command(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--m", "2", "--n", "2", "--index", "zagreb")
     assert code == 0
@@ -297,6 +309,24 @@ def test_simulate_rejects_non_finite_randic_exponent(capsys, alpha):
     assert code == 2
     assert out == ""
     assert "Randic exponent must be finite" in err
+
+
+def test_simulate_rejects_overflowing_randic_exponent(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--m", "3", "--n", "4", "--replications", "2", "--indices", "randic:1000",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("catlab: error: ") and "not finite" in err
+
+
+def test_simulate_rejects_negative_seed_with_numpy_message(capsys):
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.SeedSequence(-1)
+    code, out, err = run_cli(capsys, "simulate", "--m", "3", "--n", "4", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == f"catlab: error: {numpy_error.value}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ import pytest
 from scipy import special
 
 from catlab import experiments
+from catlab.caterpillar import RngSeed
 from catlab.errors import DomainError, ResourceLimitError
 from catlab.experiments import (
     Ecdf,
@@ -168,8 +169,9 @@ def test_replicate_rows_int64_and_scalar_paths(monkeypatch):
     def refuse(*args):
         raise AssertionError("wrong path")
 
-    with monkeypatch.context() as patch:  # int64 path only
+    with monkeypatch.context() as patch:  # int64 path only, drawing from substreams
         patch.setattr(experiments, "reference_rows", refuse)
+        patch.setattr(RngSeed, "generator", refuse)
         assert _typed(replicate_rows(below)) == _typed(want)
     assert max(row[0] for row in want) > 2**53
 

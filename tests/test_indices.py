@@ -131,6 +131,16 @@ def test_randic_hand_values():
     assert randic(new_spine(3), -0.5) == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
+def test_randic_rejects_float_overflow():
+    # (2 * 2)^1000 overflows on the middle spine edge; at alpha = 1100 so does
+    # 2^1100, and a leafless degree-2 node adds 0 * inf = nan
+    with pytest.raises(DomainError, match="not finite"):
+        randic(new_spine(4), 1000.0)
+    with pytest.raises(DomainError, match="not finite"):
+        randic(new_spine(4), 1100.0)
+    assert 0 < randic(new_spine(4), -1000.0) < 1e-300
+
+
 def test_randic_alpha1_equals_edge_sum():
     for m in range(2, 6):
         for n in range(0, 7):
