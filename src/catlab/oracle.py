@@ -13,6 +13,15 @@ larger n since every index depends on leaf counts only.  Both paths reduce
 to Python-int sums over one common denominator
 (:class:`~catlab.experiments.WeightedSums`), so no Fraction arithmetic runs
 per state.
+
+The BFS oracle is a generic graph algorithm that knows nothing of spines or
+leaves, so it stays independent of the edge-cut formula it checks.  It runs
+one level-synchronous BFS from every node at once: node v's reached set is a
+row of ceil(N/64) uint64 words, and each level ORs together the rows of v's
+closed neighbourhood (``np.bitwise_or.reduceat`` over a CSR neighbour list).
+The bits a level sets are the ordered pairs at that distance.  Bits are
+counted with ``np.unpackbits``, since ``np.bitwise_count`` needs numpy 2.0
+and the floor is 1.24.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -77,13 +86,16 @@ class ExactMoments:
 
 
 def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All m-tuples of non-negative integers summing to n."""
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in compositions(n - first, m - 1):
-            yield (first,) + rest
+    """All m-tuples of non-negative integers summing to n, in lexicographic order.
+
+    Stars and bars: the m - 1 bars stand at cut points 0 <= c_1 <= ... <= n
+    among the n stars, and the parts are the gaps between successive cuts.
+    """
+    top = (n,)
+    for cuts in itertools.combinations_with_replacement(range(n + 1), m - 1):
+        # Through a list, as in enumerate_exact: tuple() of a lazy map would
+        # allocate a larger tuple and shrink it, piling freed tuples up.
+        yield tuple(list(map(operator.sub, cuts + top, (0, *cuts))))
 
 
 def multinomial_coefficient(counts) -> int:
@@ -125,12 +137,14 @@ def enumerate_exact(
         raise DomainError(f"exact Randic evaluation requires alpha = 1, got {spec.alpha}")
     method = choose_method(m, n, method, guard)
 
-    history_count = m**n
     if method == "histories":
-        if history_count > guard:
+        # The sizes are stated as m^n and C(., .): str() refuses ints past
+        # 4300 digits.  As m >= 2, m^n > guard once n reaches guard's bit
+        # length, so a refused m^n is never built.
+        if n >= guard.bit_length() or m**n > guard:
             raise ResourceLimitError(
-                f"enumeration of {m}^{n} = {history_count} histories exceeds the"
-                f" guard of {guard}; use the composition method"
+                f"enumeration of {m}^{n} histories exceeds the guard of {guard};"
+                " use the composition method"
             )
         # Each key is built from a list: tuple() of a lazy iterator allocates
         # a larger tuple and shrinks it, so the freed m-tuples would pile up
@@ -145,10 +159,12 @@ def enumerate_exact(
         state_count = math.comb(n + m - 1, m - 1)
         if state_count > guard:
             raise ResourceLimitError(
-                f"enumeration of C({n + m - 1},{m - 1}) = {state_count} compositions"
-                f" exceeds the guard of {guard}"
+                f"enumeration of C({n + m - 1},{m - 1}) compositions exceeds the"
+                f" guard of {guard}"
             )
         weighted = ((c, multinomial_coefficient(c)) for c in compositions(n, m))
+
+    history_count = m**n
 
     sums = WeightedSums(support=set())
     block = max(1, BLOCK_CELLS // m)
@@ -170,10 +186,12 @@ def enumerate_exact(
     )
 
 
-def bfs_distances(g: AdjacencyGraph) -> list[list[int]]:
-    """All-pairs shortest-path distances by BFS from every node.
+def _bfs_levels(g: AdjacencyGraph, table: bool) -> tuple[list[int], np.ndarray | None]:
+    """Level-synchronous BFS from every node at once.
 
-    The N x N table must stay within ``ENUMERATION_GUARD`` cells.
+    Returns the number of ordered node pairs at distance 1, 2, ... and, if
+    ``table``, the N x N distance table.  Both the table and the gathered
+    neighbour rows must stay within ``ENUMERATION_GUARD`` cells.
     """
     size = g.node_count
     if size * size > ENUMERATION_GUARD:
@@ -181,30 +199,59 @@ def bfs_distances(g: AdjacencyGraph) -> list[list[int]]:
             f"BFS distance table of {size}^2 = {size * size} cells exceeds the"
             f" guard of {ENUMERATION_GUARD}"
         )
-    dist = [[-1] * size for _ in range(size)]
-    for src in range(size):
-        row = dist[src]
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if row[v] < 0:
-                    row[v] = row[u] + 1
-                    queue.append(v)
-        if -1 in row:
+    words = -(-size // 64)
+    # Closed neighbourhoods (v first): reached sets only grow, and no
+    # reduceat segment is empty, not even an isolated node's.
+    closed = [(v, *nbrs) for v, nbrs in enumerate(g.adjacency)]
+    lengths = np.fromiter(map(len, closed), dtype=np.intp, count=size)
+    gathered = int(lengths.sum())
+    if gathered * words > ENUMERATION_GUARD:
+        raise ResourceLimitError(
+            f"BFS neighbour rows of {gathered} x {words} words exceed the"
+            f" guard of {ENUMERATION_GUARD}"
+        )
+    nbr = np.fromiter(itertools.chain.from_iterable(closed), dtype=np.intp, count=gathered)
+    starts = np.cumsum(lengths) - lengths
+    nodes = np.arange(size)
+    # Little-endian words, so bit j of a row is bit j % 8 of byte j // 8.
+    reached = np.zeros((size, words), dtype="<u8")
+    reached.view(np.uint8)[nodes, nodes >> 3] = 1 << (nodes & 7)
+    dist = np.zeros((size, size), dtype=np.int32) if table else None
+    counts: list[int] = []
+    unreached = size * size - size
+    while unreached:
+        step = np.bitwise_or.reduceat(reached.take(nbr, axis=0), starts, axis=0)
+        fresh = np.unpackbits(
+            (step ^ reached).view(np.uint8), axis=1, count=size, bitorder="little"
+        )
+        count = int(np.count_nonzero(fresh))
+        if not count:
             raise DomainError("graph is disconnected: BFS did not reach every node")
-    return dist
+        counts.append(count)
+        if table:
+            np.copyto(dist, len(counts), where=fresh.view(bool))
+        unreached -= count
+        reached = step
+    return counts, dist
+
+
+def bfs_distances(g: AdjacencyGraph) -> list[list[int]]:
+    """All-pairs shortest-path distances: the table of the all-sources BFS.
+
+    The N x N table must stay within ``ENUMERATION_GUARD`` cells.
+    """
+    return _bfs_levels(g, table=True)[1].tolist()
 
 
 def bfs_distance_sums(g: AdjacencyGraph) -> tuple[int, int]:
-    """(sum of d, sum of d^2) over unordered node pairs, from one BFS table."""
-    total = total_sq = 0
-    for u, row in enumerate(bfs_distances(g)):
-        tail = row[u + 1:]
-        total += sum(tail)
-        total_sq += sum(map(operator.mul, tail, tail))
-    return total, total_sq
+    """(sum of d, sum of d^2) over unordered node pairs, from per-level pair counts.
+
+    No distance table is stored; the guard on N x N still applies.
+    """
+    counts = _bfs_levels(g, table=False)[0]
+    total = sum(k * c for k, c in enumerate(counts, 1))
+    total_sq = sum(k * k * c for k, c in enumerate(counts, 1))
+    return total // 2, total_sq // 2
 
 
 def wiener_bfs(g: AdjacencyGraph) -> int:

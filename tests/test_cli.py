@@ -227,6 +227,25 @@ def test_oracle_guard_exit_code(capsys):
     assert json.loads(out)["method"] == "compositions"
 
 
+@pytest.mark.parametrize("argv, size", [
+    (("--m", "10000", "--n", "100000"), "C(109999,9999) compositions"),
+    (("--m", "3", "--n", "2000000", "--method", "histories"), "3^2000000 histories"),
+], ids=["compositions", "histories"])
+def test_oracle_guard_states_huge_sizes(capsys, argv, size):
+    """Counts past 4300 digits cannot be printed by str(); the guard still exits 3."""
+    code, out, err = run_cli(capsys, "oracle", *argv, "--index", "zagreb")
+    assert (code, out) == (3, "")
+    assert err.startswith("catlab: resource guard: ") and size in err
+
+
+def test_oracle_long_spine_compositions(capsys):
+    code, out, _ = run_cli(
+        capsys, "oracle", "--m", "2000", "--n", "1", "--method", "compositions", "--index", "zagreb"
+    )
+    assert code == 0
+    assert json.loads(out)["history_count"] == 2000
+
+
 def test_unseeded_commands_reject_seed(tmp_path, capsys):
     cfg = tmp_path / "oracle.cfg"
     cfg.write_text("seed = 3\n")

@@ -1,5 +1,6 @@
 """Enumeration oracle, BFS distances, one-step laws, martingale checks."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from catlab import oracle
@@ -84,6 +86,12 @@ def test_composition_path_streams_blocks():
 def test_enumerate_guard_and_method_choice():
     with pytest.raises(ResourceLimitError, match="guard"):
         enumerate_exact(2, 40, "zagreb", method="histories")
+    # m^n == guard is allowed, m^n == guard + 1 is not, on both sides of the
+    # bit-length shortcut (8 and 9 have bit lengths 4; 7 has 3)
+    assert enumerate_exact(2, 3, "zagreb", method="histories", guard=8).history_count == 8
+    for m, n, guard in ((2, 3, 7), (2, 4, 9), (3, 2, 8)):
+        with pytest.raises(ResourceLimitError, match=f"{m}\\^{n} histories"):
+            enumerate_exact(m, n, "zagreb", method="histories", guard=guard)
     assert choose_method(2, 40) == "compositions"
     assert choose_method(2, 5) == "histories"
     # composition path succeeds where raw histories cannot
@@ -98,6 +106,29 @@ def test_enumerate_rejects_irrational_randic():
         # rejected before the state count is checked against the guard
         with pytest.raises(DomainError, match="alpha = 1"):
             enumerate_exact(m, n, index)
+
+
+def recursive_compositions(n, m):
+    """The first-part-outermost recursion: lexicographic by construction."""
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in recursive_compositions(n - first, m - 1):
+            yield (first,) + rest
+
+
+def test_compositions_lexicographic():
+    for m in range(1, 7):
+        for n in range(9):
+            assert list(compositions(n, m)) == list(recursive_compositions(n, m)), (m, n)
+
+
+def test_compositions_long_spine():
+    """m = 2000 is within the guard and deeper than the recursion limit."""
+    states = list(compositions(1, 2000))
+    assert len(states) == 2000
+    assert states[0] == (0,) * 1999 + (1,) and states[-1] == (1,) + (0,) * 1999
 
 
 def test_multinomial_coefficients_sum_to_histories():
@@ -118,9 +149,74 @@ def test_bfs_distances_basics():
 
 
 def test_bfs_distance_table_guard():
+    """N^2 > ENUMERATION_GUARD is refused before the bitsets or table exist."""
     g = to_adjacency(Caterpillar(2, (4000, 0)))
-    with pytest.raises(ResourceLimitError, match="guard"):
-        wiener_bfs(g)
+    for bfs in (wiener_bfs, bfs_distances):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="4002\\^2 = 16016004 cells"):
+                bfs(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+
+def test_bfs_neighbour_rows_guard():
+    """A dense graph within the table guard still has its gather bounded."""
+    size = 900  # 810,000 cells, but 810,000 closed-neighbour rows of 15 words
+    everyone = tuple(range(size))
+    g = AdjacencyGraph(size, tuple(everyone[:v] + everyone[v + 1:] for v in everyone))
+    with pytest.raises(ResourceLimitError, match="neighbour rows"):
+        bfs_distance_sums(g)
+
+
+def floyd_warshall(g):
+    """All-pairs distances by brute-force relaxation through every node."""
+    dist = np.full((g.node_count, g.node_count), g.node_count, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    for u, nbrs in enumerate(g.adjacency):
+        dist[u, list(nbrs)] = 1
+    for k in range(g.node_count):
+        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
+    return dist
+
+
+def undirected(size, edges):
+    adjacency = [[] for _ in range(size)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return AdjacencyGraph(size, tuple(map(tuple, adjacency)))
+
+
+def generic_graphs():
+    rng = np.random.default_rng(1414)
+    tree = [(v, int(rng.integers(0, v))) for v in range(1, 130)]
+    chords = [tuple(map(int, rng.choice(130, size=2, replace=False))) for _ in range(40)]
+    return {
+        "cycle C_7": undirected(7, [(v, (v + 1) % 7) for v in range(7)]),
+        "complete K_5": undirected(5, itertools.combinations(range(5), 2)),
+        "4x4 grid": undirected(16, [(v, v + 1) for v in range(16) if v % 4 < 3]
+                               + [(v, v + 4) for v in range(12)]),
+        "one node": AdjacencyGraph(1, ((),)),
+        "130 nodes, 3 words a row": undirected(130, tree + chords),
+    }
+
+
+@pytest.mark.parametrize("name", list(generic_graphs()))
+def test_bfs_matches_floyd_warshall_on_generic_graphs(name):
+    g = generic_graphs()[name]
+    want = floyd_warshall(g)
+    assert bfs_distances(g) == want.tolist()
+    upper = want[np.triu_indices(g.node_count, 1)]
+    assert bfs_distance_sums(g) == (int(upper.sum()), int((upper * upper).sum()))
+
+
+def test_bfs_hand_values_on_generic_graphs():
+    graphs = generic_graphs()
+    assert bfs_distance_sums(graphs["cycle C_7"]) == (7 * (1 + 2 + 3), 7 * (1 + 4 + 9))
+    assert bfs_distance_sums(graphs["complete K_5"]) == (10, 10)
 
 
 def test_exact_moments_invariant_survives_optimize():
@@ -149,6 +245,10 @@ def test_bfs_disconnected_error():
     g = AdjacencyGraph(node_count=3, adjacency=((1,), (0,), ()))
     with pytest.raises(DomainError, match="disconnected"):
         bfs_distances(g)
+    two_paths = undirected(5, [(0, 1), (1, 2), (3, 4)])
+    for bfs in (bfs_distances, bfs_distance_sums):
+        with pytest.raises(DomainError, match="graph is disconnected"):
+            bfs(two_paths)
 
 
 def test_eccentricity_structure():
