@@ -23,7 +23,6 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,31 +53,6 @@ def _fmt_value(v) -> str:
     return format(float(v), ".17g")
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility sidecar: everything needed to regenerate an output."""
-
-    command: str
-    config: dict
-    verdicts: list | None = None
-    tool: str = "catlab"
-    version: str = __version__
-    timestamp: str = field(
-        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
-
-    def to_json(self) -> str:
-        payload = {
-            "tool": self.tool,
-            "version": self.version,
-            "command": self.command,
-            "config": self.config,
-            "timestamp": self.timestamp,
-            "verdicts": self.verdicts,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -100,8 +74,17 @@ def _check_writable(path: str) -> None:
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
-def _write_manifest(out_path: str, manifest: RunManifest) -> None:
-    _write_text(out_path + ".manifest.json", manifest.to_json())
+def _write_manifest(out_path: str, command: str, config: dict, verdicts=None) -> None:
+    """Reproducibility sidecar: everything needed to regenerate an output."""
+    payload = {
+        "tool": "catlab",
+        "version": __version__,
+        "command": command,
+        "config": config,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "verdicts": verdicts,
+    }
+    _write_text(out_path + ".manifest.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # parsed arguments that commands read from the command line only
@@ -161,7 +144,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     if args.out:
         _write_text(args.out, text)
-        _write_manifest(args.out, RunManifest(command="simulate", config=config))
+        _write_manifest(args.out, "simulate", config)
     else:
         sys.stdout.write(text)
     return 0
@@ -205,16 +188,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.report:
         with open(args.report, "wb") as fh:
             fh.write(report)
-        _write_manifest(
-            args.report,
-            RunManifest(
-                command="verify",
-                config={"suite": suite, "seed": seed, "tolerance_profile": profile},
-                verdicts=[
-                    {"criterion": r.cid, "verdict": r.verdict} for r in results
-                ],
-            ),
-        )
+        config = {"suite": suite, "seed": seed, "tolerance_profile": profile}
+        verdicts = [{"criterion": r.cid, "verdict": r.verdict} for r in results]
+        _write_manifest(args.report, "verify", config, verdicts)
     return 0 if passed == len(results) else 1
 
 
@@ -229,8 +205,7 @@ def cmd_clt(args: argparse.Namespace) -> int:
         )
     )
     z = standardize_zagreb(summary.sample("zagreb"), m, n)
-    ks = ks_normality(z)
-    jb = jarque_bera(z)
+    tests = {"ks": ks_normality(z), "jarque_bera": jarque_bera(z)}
 
     lines = ["replicate_id,standardized_zagreb"]
     lines += [f"{r},{format(v, '.17g')}" for r, v in enumerate(z)]
@@ -238,11 +213,11 @@ def cmd_clt(args: argparse.Namespace) -> int:
     svg = histogram_kde_svg(z, bins=bins) if args.plot else None
     _write_text(args.out, "\n".join(lines) + "\n")
     config = {"m": m, "n": n, "seed": seed, "replications": replications, "bins": bins}
-    _write_manifest(args.out, RunManifest(command="clt", config=config))
+    _write_manifest(args.out, "clt", config)
 
     if args.plot:
         _write_text(args.plot, svg)
-        _write_manifest(args.plot, RunManifest(command="clt", config=config))
+        _write_manifest(args.plot, "clt", config)
 
     payload = {
         "m": m,
@@ -254,19 +229,14 @@ def cmd_clt(args: argparse.Namespace) -> int:
         "plot_svg": args.plot,
         "sample_mean": float(z.mean()),
         "sample_variance": float(z.var(ddof=1)),
-        "ks": {
-            "statistic": ks.statistic,
-            "critical": ks.critical,
-            "alpha": ks.alpha,
-            "decision": ks.decision,
-        },
-        "jarque_bera": {
-            "statistic": jb.statistic,
-            "critical": jb.critical,
-            "alpha": jb.alpha,
-            "decision": jb.decision,
-        },
     }
+    for name, test in tests.items():
+        payload[name] = {
+            "statistic": test.statistic,
+            "critical": test.critical,
+            "alpha": test.alpha,
+            "decision": test.decision,
+        }
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -1,27 +1,27 @@
-"""Ground-truth machinery: exhaustive enumeration, BFS distances, one-step laws.
+"""Ground-truth machinery: exhaustive enumeration, BFS distance sums, one-step laws.
 
 The enumeration oracle computes exact rational moments of any rational-valued
 index over the uniform growth law, by one of two paths that are kept and
 cross-checked.  The histories path walks all m^n equally likely growth
-histories and tallies them by leaf counts, so each distinct state is
-evaluated once, by the scalar :func:`~catlab.indices.compute_index`, with its
-counted number of histories as weight.  The compositions path streams the
-leaf-count compositions in blocks of ``max(1, BLOCK_CELLS // m)`` states,
-weighted by their multinomial coefficients, and evaluates each block with
-:func:`~catlab.indices.compute_index_batch`; it engages automatically for
-larger n since every index depends on leaf counts only.  Both paths reduce
-to Python-int sums over one common denominator
-(:class:`~catlab.experiments.WeightedSums`), so no Fraction arithmetic runs
-per state.
+histories and tallies them by leaf counts, with each distinct state's
+counted number of histories as its weight.  The compositions path streams
+the leaf-count compositions, weighted by their multinomial coefficients; it
+engages automatically for larger n since every index depends on leaf counts
+only.  The two paths differ only in where the weights come from: both
+evaluate their states in blocks of ``max(1, BLOCK_CELLS // m)`` with
+:func:`~catlab.indices.compute_index_batch` and reduce to Python-int sums
+over one common denominator (:class:`~catlab.experiments.WeightedSums`), so
+no Fraction arithmetic runs per state.
 
 The BFS oracle is a generic graph algorithm that knows nothing of spines or
 leaves, so it stays independent of the edge-cut formula it checks.  It runs
 one level-synchronous BFS from every node at once: node v's reached set is a
 row of ceil(N/64) uint64 words, and each level ORs together the rows of v's
 closed neighbourhood (``np.bitwise_or.reduceat`` over a CSR neighbour list).
-The bits a level sets are the ordered pairs at that distance.  Bits are
-counted with ``np.unpackbits``, since ``np.bitwise_count`` needs numpy 2.0
-and the floor is 1.24.
+The bits a level sets are the ordered pairs at that distance, and only these
+per-level counts are kept; no distance table is built.  Bits are counted
+with ``np.unpackbits``, since ``np.bitwise_count`` needs numpy 2.0 and the
+floor is 1.24.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .caterpillar import AdjacencyGraph, Caterpillar, _check_mn
 from .errors import DomainError, ResourceLimitError
 from .experiments import WeightedSums
-from .indices import IndexSpec, compute_index, compute_index_batch, randic, zagreb
+from .indices import IndexSpec, compute_index_batch, randic, zagreb
 from .theory import martingale_compensator, randic_supermartingale_bound
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "compositions",
     "multinomial_coefficient",
     "enumerate_exact",
-    "bfs_distances",
     "bfs_distance_sums",
     "wiener_bfs",
     "hyper_wiener_bfs",
@@ -102,7 +101,8 @@ def multinomial_coefficient(counts) -> int:
     """Number of growth histories producing the given leaf counts."""
     total = 0
     coeff = 1
-    for c in counts:
+    # zero parts contribute C(total, 0) = 1, and long spines are mostly zeros
+    for c in filter(None, counts):
         total += c
         coeff *= math.comb(total, c)
     return coeff
@@ -129,7 +129,11 @@ def enumerate_exact(
     ``method`` is ``"histories"`` (tally all m^n attachment sequences by
     leaf counts), ``"compositions"`` (stream leaf-count compositions in
     blocks, with multinomial weights), or ``"auto"`` (compositions once
-    n > 12).  The state count of the chosen path must stay within ``guard``.
+    n > 12).  The state count of the chosen path must stay within ``guard``
+    (else :class:`ResourceLimitError`), and (m, n) within the batched
+    evaluator's exact range :func:`~catlab.indices.fits_int64` (else
+    :class:`DomainError`); within the guard, only n <= 1 with m >= 38,967
+    falls outside that range.
     """
     _check_mn(m, n)
     spec = IndexSpec.parse(index) if isinstance(index, str) else index
@@ -170,11 +174,7 @@ def enumerate_exact(
     block = max(1, BLOCK_CELLS // m)
     while chunk := list(itertools.islice(weighted, block)):
         states, weights = zip(*chunk)
-        if method == "compositions":
-            values = compute_index_batch(np.array(states, dtype=np.int64), spec)
-        else:
-            values = [compute_index(Caterpillar(m=m, leaf_counts=c), spec) for c in states]
-        sums.add(values, weights)
+        sums.add(compute_index_batch(np.array(states, dtype=np.int64), spec), weights)
     mean = Fraction(sums.total, history_count * sums.denominator)
     second = Fraction(sums.total_sq, history_count * sums.denominator**2)
     return ExactMoments(
@@ -186,11 +186,11 @@ def enumerate_exact(
     )
 
 
-def _bfs_levels(g: AdjacencyGraph, table: bool) -> tuple[list[int], np.ndarray | None]:
+def _bfs_levels(g: AdjacencyGraph) -> list[int]:
     """Level-synchronous BFS from every node at once.
 
-    Returns the number of ordered node pairs at distance 1, 2, ... and, if
-    ``table``, the N x N distance table.  Both the table and the gathered
+    Returns the number of ordered node pairs at distance 1, 2, ...  Each
+    level unpacks an N x N array of fresh bits, so N x N and the gathered
     neighbour rows must stay within ``ENUMERATION_GUARD`` cells.
     """
     size = g.node_count
@@ -216,7 +216,6 @@ def _bfs_levels(g: AdjacencyGraph, table: bool) -> tuple[list[int], np.ndarray |
     # Little-endian words, so bit j of a row is bit j % 8 of byte j // 8.
     reached = np.zeros((size, words), dtype="<u8")
     reached.view(np.uint8)[nodes, nodes >> 3] = 1 << (nodes & 7)
-    dist = np.zeros((size, size), dtype=np.int32) if table else None
     counts: list[int] = []
     unreached = size * size - size
     while unreached:
@@ -228,19 +227,9 @@ def _bfs_levels(g: AdjacencyGraph, table: bool) -> tuple[list[int], np.ndarray |
         if not count:
             raise DomainError("graph is disconnected: BFS did not reach every node")
         counts.append(count)
-        if table:
-            np.copyto(dist, len(counts), where=fresh.view(bool))
         unreached -= count
         reached = step
-    return counts, dist
-
-
-def bfs_distances(g: AdjacencyGraph) -> list[list[int]]:
-    """All-pairs shortest-path distances: the table of the all-sources BFS.
-
-    The N x N table must stay within ``ENUMERATION_GUARD`` cells.
-    """
-    return _bfs_levels(g, table=True)[1].tolist()
+    return counts
 
 
 def bfs_distance_sums(g: AdjacencyGraph) -> tuple[int, int]:
@@ -248,7 +237,7 @@ def bfs_distance_sums(g: AdjacencyGraph) -> tuple[int, int]:
 
     No distance table is stored; the guard on N x N still applies.
     """
-    counts = _bfs_levels(g, table=False)[0]
+    counts = _bfs_levels(g)
     total = sum(k * c for k, c in enumerate(counts, 1))
     total_sq = sum(k * k * c for k, c in enumerate(counts, 1))
     return total // 2, total_sq // 2

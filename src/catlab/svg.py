@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .experiments import histogram, kde
 
 __all__ = ["histogram_kde_svg"]
 
@@ -42,8 +43,6 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
 
 def histogram_kde_svg(sample, bins: int = 20) -> str:
     """Density-scaled histogram with a KDE polyline, as an SVG string."""
-    from .experiments import histogram, kde  # local import to avoid a cycle
-
     x = np.asarray(sample, dtype=float)
     if x.size == 0:
         raise DomainError("cannot plot an empty sample")

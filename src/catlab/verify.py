@@ -10,6 +10,7 @@ to identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,58 +145,71 @@ def criterion_zagreb_clt(summary, profile: str) -> CriterionResult:
     )
 
 
+def _scaled_mean(summary, profile, cid, quantity, key, exact, target, published=None):
+    """Criteria 3-5: the mean of index ``key`` over n^2 within ``SE_BAND``
+    standard errors of its closed form ``exact`` (already over n^2).
+    ``published``, if given, is (tolerance text, passed) for the closed form
+    against the published number, and must pass too.
+    """
+    n2 = summary.config.n**2
+    band = SE_BAND[profile]
+    z = summary.z_score(key, exact, scale=n2)
+    text, published_ok = published or ("", True)
+    return CriterionResult(
+        cid=cid,
+        quantity=quantity,
+        target=target,
+        actual=f"{_f(summary.mean(key) / n2)} (z={_f(z)})",
+        tolerance=f"|z| <= {band:g}" + (text and f"; {text}"),
+        passed=abs(z) <= band and published_ok,
+    )
+
+
 def criterion_wiener(summary, profile: str) -> CriterionResult:
     cfg = summary.config
-    band = SE_BAND[profile]
     exact = theory.wiener_mean(cfg.m, cfg.n).value / cfg.n**2
-    z = summary.z_score("wiener", exact, scale=cfg.n**2)
-    four_dp_ok = abs(float(exact) - 9.7720) < 5e-5
-    passed = abs(z) <= band and four_dp_ok
-    return CriterionResult(
-        cid="3-wiener",
-        quantity="mean Wiener/n^2 (m=50, n=2000, R=500)",
-        target=f"{float(exact):.6f} (published 9.7732 simulated vs 9.7720 theory)",
-        actual=f"{_f(summary.mean('wiener') / cfg.n**2)} (z={_f(z)})",
-        tolerance=f"|z| <= {band:g}; closed form = 9.7720 to 4 dp",
-        passed=passed,
+    return _scaled_mean(
+        summary, profile, "3-wiener", "mean Wiener/n^2 (m=50, n=2000, R=500)", "wiener", exact,
+        f"{float(exact):.6f} (published 9.7732 simulated vs 9.7720 theory)",
+        ("closed form = 9.7720 to 4 dp", abs(float(exact) - 9.7720) < 5e-5),
     )
 
 
 def criterion_hyper_wiener(summary, profile: str) -> CriterionResult:
     cfg = summary.config
-    band = SE_BAND[profile]
     corrected = theory.hyper_wiener_mean_corrected(cfg.m, cfg.n).value / cfg.n**2
-    paper_form = theory.hyper_wiener_mean_paper(cfg.m, cfg.n).value / cfg.n**2
-    z = summary.z_score("hyper_wiener", corrected, scale=cfg.n**2)
-    paper_ok = abs(float(paper_form) - 264.6214) <= 1e-4
-    passed = abs(z) <= band and paper_ok
-    return CriterionResult(
-        cid="4-hyper-wiener",
-        quantity="mean hyper-Wiener/n^2 (m=50, n=2000, R=500)",
-        target=(
-            f"{float(corrected):.6f} corrected"
-            f" (published form {float(paper_form):.6f} vs reported 264.6214)"
-        ),
-        actual=f"{_f(summary.mean('hyper_wiener') / cfg.n**2)} (z={_f(z)})",
-        tolerance=f"|z| <= {band:g}; published form = 264.6214 ± 0.0001",
-        passed=passed,
+    paper_form = float(theory.hyper_wiener_mean_paper(cfg.m, cfg.n).value / cfg.n**2)
+    return _scaled_mean(
+        summary, profile, "4-hyper-wiener", "mean hyper-Wiener/n^2 (m=50, n=2000, R=500)",
+        "hyper_wiener", corrected,
+        f"{float(corrected):.6f} corrected (published form {paper_form:.6f} vs reported 264.6214)",
+        ("published form = 264.6214 ± 0.0001", abs(paper_form - 264.6214) <= 1e-4),
     )
 
 
 def criterion_randic(summary, profile: str) -> CriterionResult:
     cfg = summary.config
-    band = SE_BAND[profile]
     exact = theory.randic_mean(cfg.m, cfg.n).value / cfg.n**2
     asymptote = theory.randic_mean_limit(cfg.m).value
-    z = summary.z_score("randic:1", exact, scale=cfg.n**2)
-    passed = abs(z) <= band
-    return CriterionResult(
-        cid="5-randic",
-        quantity="mean Randic/n^2 (m=200, n=5000, R=500)",
-        target=f"{float(exact):.6f} exact (asymptote (2m-1)/m^2 = {float(asymptote):.6f})",
-        actual=f"{_f(summary.mean('randic:1') / cfg.n**2)} (z={_f(z)})",
-        tolerance=f"|z| <= {band:g}",
-        passed=passed,
+    return _scaled_mean(
+        summary, profile, "5-randic", "mean Randic/n^2 (m=200, n=5000, R=500)", "randic:1", exact,
+        f"{float(exact):.6f} exact (asymptote (2m-1)/m^2 = {float(asymptote):.6f})",
+    )
+
+
+def _oracle_rows(m: int, n: int):
+    """Criterion 6's rows at (m, n): (label, oracle index, moment, closed
+    form, documented offset of the closed form from the oracle)."""
+    return (
+        ("zagreb mean", "zagreb", "mean", theory.zagreb_mean(m, n), 0),
+        ("zagreb variance", "zagreb", "variance", theory.zagreb_variance(m, n), 0),
+        ("wiener mean", "wiener", "mean", theory.wiener_mean(m, n), 0),
+        ("randic mean", "randic:1", "mean", theory.randic_mean(m, n, strict=False),
+         -1 if m == 2 else 0),
+        ("hyper_wiener corrected", "hyper_wiener", "mean",
+         theory.hyper_wiener_mean_corrected(m, n), 0),
+        ("hyper_wiener published offset", "hyper_wiener", "mean",
+         theory.hyper_wiener_mean_paper(m, n), n),
     )
 
 
@@ -209,27 +223,11 @@ def criterion_oracle_equivalence(profile: str) -> CriterionResult:
     failures = []
     for m in (2, 3, 4):
         for n in range(7):
-            zag = enumerate_exact(m, n, "zagreb")
-            if zag.mean != theory.zagreb_mean(m, n).value:
-                failures.append(f"zagreb mean ({m},{n})")
-            if zag.variance != theory.zagreb_variance(m, n).value:
-                failures.append(f"zagreb variance ({m},{n})")
-            if enumerate_exact(m, n, "wiener").mean != theory.wiener_mean(m, n).value:
-                failures.append(f"wiener mean ({m},{n})")
-            r_oracle = enumerate_exact(m, n, "randic:1").mean
-            r_formula = theory.randic_mean(m, n, strict=False).value
-            if m == 2:
-                if r_formula - r_oracle != -1:
-                    failures.append(f"randic erratum offset ({m},{n})")
-            elif r_formula != r_oracle:
-                failures.append(f"randic mean ({m},{n})")
-            h_oracle = enumerate_exact(m, n, "hyper_wiener").mean
-            if theory.hyper_wiener_mean_corrected(m, n).value != h_oracle:
-                failures.append(f"hyper_wiener corrected ({m},{n})")
-            if theory.hyper_wiener_mean_paper(m, n).value - h_oracle != n:
-                failures.append(f"hyper_wiener published offset ({m},{n})")
-    if theory.hyper_wiener_mean_paper(3, 1).value - enumerate_exact(3, 1, "hyper_wiener").mean != 1:
-        failures.append("hyper_wiener published form not +1 at (3,1)")
+            # one enumeration per index, shared by that index's rows
+            exact = functools.cache(functools.partial(enumerate_exact, m, n))
+            for label, index, moment, closed_form, offset in _oracle_rows(m, n):
+                if closed_form.value - getattr(exact(index), moment) != offset:
+                    failures.append(f"{label} ({m},{n})")
     return CriterionResult(
         cid="6-oracle-equivalence",
         quantity="enumeration oracle vs closed forms, m in {2,3,4}, n in 0..6",

@@ -1,4 +1,4 @@
-"""Enumeration oracle, BFS distances, one-step laws, martingale checks."""
+"""Enumeration oracle, BFS distance sums, one-step laws, martingale checks."""
 
 import itertools
 import math
@@ -19,7 +19,6 @@ from catlab.indices import zagreb
 from catlab.oracle import (
     ExactMoments,
     bfs_distance_sums,
-    bfs_distances,
     choose_method,
     compositions,
     enumerate_exact,
@@ -49,8 +48,10 @@ INDICES = ("gini_degree", "hoover", "zagreb", "randic:1", "wiener", "hyper_wiene
 
 
 def test_enumeration_paths_agree():
-    """Counted weights and scalar values (histories) equal multinomial
-    weights and batch values (compositions), support sizes included."""
+    """Counted history weights (histories) equal multinomial weights
+    (compositions), support sizes included.  Both paths evaluate with
+    ``compute_index_batch``; its values are checked against the scalar
+    ``compute_index`` in ``test_batch_matches_scalar_exhaustively``."""
     for index in INDICES:
         for m in range(2, 6):
             for n in range(0, 8):
@@ -99,6 +100,10 @@ def test_enumerate_guard_and_method_choice():
     assert em.mean == Fraction(40 * 40, 2) + Fraction(7 * 40, 2) + 2
     with pytest.raises(DomainError):
         enumerate_exact(2, 3, "zagreb", method="sideways")
+    # both paths evaluate with compute_index_batch, so both stop at its exact range
+    for method in ("histories", "compositions"):
+        with pytest.raises(DomainError, match="fits_int64"):
+            enumerate_exact(40_000, 0, "zagreb", method=method)
 
 
 def test_enumerate_rejects_irrational_randic():
@@ -137,21 +142,34 @@ def test_multinomial_coefficients_sum_to_histories():
             assert sum(multinomial_coefficient(c) for c in compositions(n, m)) == m**n
 
 
-def test_bfs_distances_basics():
-    d = bfs_distances(to_adjacency(new_spine(3)))
-    assert d[0][1] == 1 and d[1][2] == 1 and d[0][2] == 2
-    assert all(d[i][i] == 0 for i in range(3))
+def test_multinomial_coefficient_is_n_factorial_over_parts():
+    for m in range(1, 7):
+        for n in range(9):
+            for c in compositions(n, m):
+                want = math.factorial(n) // math.prod(map(math.factorial, c))
+                assert multinomial_coefficient(c) == want, c
 
-    g = to_adjacency(Caterpillar(2, (1, 0)))
-    d = bfs_distances(g)
-    assert d[2][1] == 2  # leaf to far spine node
-    assert d == [list(row) for row in zip(*d)]  # symmetric
+
+def test_multinomial_coefficient_skips_zero_parts(monkeypatch):
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda *a: calls.append(a) or comb(*a))
+    assert multinomial_coefficient((0,) * 1199 + (1,)) == 1
+    assert len(calls) == 1
+
+
+def test_bfs_distances_basics():
+    """Ordered pairs at distance 1, 2, ...: each unordered pair counts twice."""
+    assert oracle._bfs_levels(to_adjacency(new_spine(3))) == [4, 2]
+    assert oracle._bfs_levels(to_adjacency(Caterpillar(2, (1, 0)))) == [4, 2]
+    # leaves x, y on the two ends of a-b-c: x-y is the one pair at distance 4
+    assert oracle._bfs_levels(to_adjacency(Caterpillar(3, (1, 0, 1)))) == [8, 6, 4, 2]
 
 
 def test_bfs_distance_table_guard():
-    """N^2 > ENUMERATION_GUARD is refused before the bitsets or table exist."""
+    """N^2 > ENUMERATION_GUARD is refused before the bitsets exist."""
     g = to_adjacency(Caterpillar(2, (4000, 0)))
-    for bfs in (wiener_bfs, bfs_distances):
+    for bfs in (wiener_bfs, bfs_distance_sums):
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match="4002\\^2 = 16016004 cells"):
@@ -208,7 +226,8 @@ def generic_graphs():
 def test_bfs_matches_floyd_warshall_on_generic_graphs(name):
     g = generic_graphs()[name]
     want = floyd_warshall(g)
-    assert bfs_distances(g) == want.tolist()
+    # the distance histogram, ordered pairs, without the diagonal's zeros
+    assert oracle._bfs_levels(g) == np.bincount(want.ravel())[1:].tolist()
     upper = want[np.triu_indices(g.node_count, 1)]
     assert bfs_distance_sums(g) == (int(upper.sum()), int((upper * upper).sum()))
 
@@ -242,23 +261,22 @@ def test_exact_moments_invariant_survives_optimize():
 
 
 def test_bfs_disconnected_error():
-    g = AdjacencyGraph(node_count=3, adjacency=((1,), (0,), ()))
-    with pytest.raises(DomainError, match="disconnected"):
-        bfs_distances(g)
+    isolated = AdjacencyGraph(node_count=3, adjacency=((1,), (0,), ()))
     two_paths = undirected(5, [(0, 1), (1, 2), (3, 4)])
-    for bfs in (bfs_distances, bfs_distance_sums):
-        with pytest.raises(DomainError, match="graph is disconnected"):
-            bfs(two_paths)
+    for g in (isolated, two_paths):
+        for bfs in (wiener_bfs, bfs_distance_sums):
+            with pytest.raises(DomainError, match="graph is disconnected"):
+                bfs(g)
 
 
 def test_eccentricity_structure():
-    """Max distance = (m-1) + [leaf at end 0] + [leaf at end m-1]."""
+    """Max distance (the number of BFS levels) = (m-1) + [leaf at end 0]
+    + [leaf at end m-1]."""
     for m in (2, 3, 4):
         for n in range(0, 6):
             for counts in compositions(n, m):
                 c = Caterpillar(m, counts)
-                d = bfs_distances(to_adjacency(c))
-                got = max(max(row) for row in d)
+                got = len(oracle._bfs_levels(to_adjacency(c)))
                 want = (m - 1) + (counts[0] > 0) + (counts[-1] > 0)
                 assert got == want
 
