@@ -2,16 +2,17 @@
 
 :func:`replicate_rows` is the one replicate engine: replicate r always draws
 from the substream (seed, r) and its index values come back exact (Python
-ints, or Fractions for Gini and Hoover) in replicate order.  Where
-:func:`~catlab.indices.fits_int64` holds for (m, n), the replicates are
-drawn from :func:`~catlab.caterpillar.substreams` in blocks into an int64
-leaf-count matrix and evaluated a block at a time by
-:func:`~catlab.indices.compute_index_batch`; above that bound each
-replicate is evaluated on its own by the scalar :func:`compute_index`.
-Both paths give the same values.  ``catlab simulate`` formats the rows
-directly; :func:`run_mc` keeps them as columns with their exact means and
-variances, formed from the Python-int sums of :class:`WeightedSums`, which
-the enumeration oracle shares.
+ints, or Fractions for Gini and Hoover) in replicate order.  The replicates
+are drawn from :func:`~catlab.caterpillar.substreams` in blocks into an
+int64 leaf-count matrix and evaluated a block at a time by
+:func:`~catlab.indices.compute_index_batch`, which is exact wherever
+:func:`~catlab.indices.fits_int64` holds; runs outside that bound are
+refused before any draw.  :func:`reference_rows` evaluates each replicate on
+its own with the scalar :func:`compute_index`, as the reference the batch
+rows are checked against.  ``catlab simulate`` formats the rows directly;
+:func:`run_mc` keeps them as columns with their exact means and variances,
+formed from the Python-int sums of :class:`WeightedSums`, which the
+enumeration oracle shares.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .caterpillar import (
     substreams,
 )
 from .errors import DomainError, ResourceLimitError
-from .indices import IndexSpec, compute_index, compute_index_batch, fits_int64
+from .indices import IndexSpec, _check_int64, compute_index, compute_index_batch
 from .theory import zagreb_mean, zagreb_variance
 
 __all__ = [
@@ -77,7 +78,7 @@ JB_CRITICAL_001 = 9.21  # chi-square, 2 degrees of freedom, alpha = 0.01
 # estimated by _retained_bytes.
 SAMPLE_MEMORY_CAP = 1 << 28
 
-# Leaf counts drawn per block on the int64 path: max(1, BLOCK_CELLS // m)
+# Leaf counts drawn per block: max(1, BLOCK_CELLS // m)
 # replicates at a time, so the block stays small next to the retained rows.
 BLOCK_CELLS = 4096
 
@@ -241,7 +242,8 @@ def _value_bytes(spec: IndexSpec, m: int, n: int) -> int:
     if spec.kind == "randic" and spec.alpha != 1:
         return _block(sys.getsizeof(0.0))
     if spec.kind in ("wiener", "hyper_wiener"):
-        return _block(sys.getsizeof(4 * size**2 * (m + 1) ** 2))  # the fits_int64 bound
+        # hyper-Wiener: below N^2 / 2 pairs, each with d + d^2 <= (m + 1)(m + 2)
+        return _block(sys.getsizeof(4 * size**2 * (m + 1) ** 2))
     return _block(sys.getsizeof(6 * size**2))  # Zagreb, Randic:1: the degrees sum below 2N
 
 
@@ -277,22 +279,21 @@ def replicate_rows(cfg: ExperimentConfig) -> list[list]:
     """Exact index values of every replicate, in replicate order.
 
     Replicate r draws from substream (seed, r) with the configured sampler.
-    If :func:`~catlab.indices.fits_int64` holds at (m, n), blocks of
-    ``max(1, BLOCK_CELLS // m)`` replicates draw from
+    Blocks of ``max(1, BLOCK_CELLS // m)`` replicates draw from
     :func:`~catlab.caterpillar.substreams` straight into an int64 block
-    and go through :func:`~catlab.indices.compute_index_batch`; otherwise
-    this returns :func:`reference_rows`.  The rows are the same on both
-    paths and for every block size.  Runs whose rows would exceed
-    :data:`SAMPLE_MEMORY_CAP` are refused before any draw.
+    and go through :func:`~catlab.indices.compute_index_batch`; the rows
+    equal :func:`reference_rows` for every block size.  Before any draw,
+    this refuses (m, n) outside :func:`~catlab.indices.fits_int64` with
+    :class:`DomainError`, and runs whose rows would exceed
+    :data:`SAMPLE_MEMORY_CAP` with :class:`ResourceLimitError`.
     """
+    _check_int64(cfg.m, cfg.n)
     needed = _retained_bytes(cfg)
     if needed > SAMPLE_MEMORY_CAP:
         raise ResourceLimitError(
             f"raw-sample retention needs {needed} bytes,"
             f" over the cap of {SAMPLE_MEMORY_CAP}"
         )
-    if not fits_int64(cfg.m, cfg.n):
-        return reference_rows(cfg)
 
     block = max(1, BLOCK_CELLS // cfg.m)
     draw = _leaf_counts if cfg.sampler == "sequential" else sample_direct_counts

@@ -10,7 +10,9 @@ Fractions.
 :func:`compute_index_batch` evaluates many states at once from an int64
 matrix of leaf counts (one state per row) and returns the same Python ints
 and Fractions as the scalar functions, which stay the reference.  It is
-exact only where :func:`fits_int64` holds.
+exact wherever :func:`fits_int64` holds: every term it adds up fits in
+int64 there, and the row sums that can pass 2^63, Wiener's and
+hyper-Wiener's, are taken in 32-bit limbs and finished in Python ints.
 """
 
 from __future__ import annotations
@@ -208,13 +210,45 @@ def compute_index(c: Caterpillar, spec: IndexSpec):
 def fits_int64(m: int, n: int) -> bool:
     """Whether the batched forms are exact for m spine nodes and n leaves.
 
-    The bound is 4 N^2 (m+1)^2 < 2^63 with N = n + m.  The largest value is
-    hyper-Wiener, and it and every partial sum behind it stay below
-    N^2 (m+1)^2; the degree indices stay below 6 N^2.  Holds at
-    (5000, 10^5); fails at (10^4, 10^6), where hyper-Wiener reaches 8.5e18.
+    The bound is N^2 max(m + 1, 6) < 2^63 with N = n + m, and it covers
+    every int64 intermediate the batch forms compute element-wise:
+
+    - counts and degrees stay at most N, so the degree products, the Gini
+      rank terms and Hoover's N d stay at most N^2;
+    - spine edge i, with L nodes on its left and R = N - L on its right,
+      adds L R <= N^2 / 4 to Wiener.  The earlier spine edges' L sum below
+      (i - 1) L, so hyper-Wiener's two products for it,
+      (L + the earlier L's + the leaves among its L) R < m L R and
+      (leaves on its right) L < L R, stay below (m + 1) N^2 / 4 together,
+      and the prefix sums below m N;
+    - the degrees sum below 2N, so the Zagreb, Randic:1, Hoover and degree
+      Gini row sums and denominators stay below 6 N^2.
+
+    Only the Wiener and hyper-Wiener row sums can pass 2^63; :func:`_row_sums`
+    takes them in 32-bit limbs, exact for fewer than 2^31 terms a row,
+    which the bound implies (m^3 < 2^63).  Holds at (10^4, 10^6), where
+    hyper-Wiener reaches 8.5e18; at n = 0 it first fails at m = 2^21.
     """
     size = n + m
-    return 4 * size * size * (m + 1) ** 2 < 2**63
+    return size * size * max(m + 1, 6) < 2**63
+
+
+def _check_int64(m: int, n: int) -> None:
+    """Refuse (m, n) outside :func:`fits_int64` with :class:`DomainError`."""
+    if not fits_int64(m, n):
+        raise DomainError("batched index evaluation needs int64 counts within fits_int64")
+
+
+def _row_sums(terms: np.ndarray) -> list[int]:
+    """Exact row sums of an int64 matrix as Python ints, from 32-bit limbs.
+
+    The low limbs (t & 0xFFFFFFFF) and the high limbs (t >> 32, an
+    arithmetic shift, so negative terms stay exact) are summed apart in
+    int64, which cannot overflow for fewer than 2^31 terms a row.
+    """
+    low = (terms & 0xFFFFFFFF).sum(axis=1).tolist()
+    high = (terms >> 32).sum(axis=1).tolist()
+    return [(h << 32) + lo for h, lo in zip(high, low)]
 
 
 def _batch_degrees(counts: np.ndarray) -> np.ndarray:
@@ -261,43 +295,53 @@ def _randic_batch(counts: np.ndarray) -> list[int]:
     return ((degs[:, :-1] * degs[:, 1:]).sum(axis=1) + (counts * degs).sum(axis=1)).tolist()
 
 
-def _distance_sums_batch(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_distance_sums` of every row, as cumulative sums over the spine edges."""
+def _spine_edges(counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each row's n, and for each spine edge the L nodes on its left, the
+    R = N - L on its right and the leaves among the L."""
     m = counts.shape[1]
     n = counts.sum(axis=1)
-    size = n + m
     left_leaves = np.cumsum(counts[:, :-1], axis=1)
     left = left_leaves + np.arange(1, m, dtype=np.int64)
-    right = size[:, None] - left
-    left_total = np.cumsum(left, axis=1) - left
-    cut = n * (size - 1) + (left * right).sum(axis=1)
-    shared = n * (n - 1) // 2 + (
-        (left_total + left_leaves) * right + (n[:, None] - left_leaves) * left
-    ).sum(axis=1)
-    return cut, cut + 2 * shared
+    return n, left, (n + m)[:, None] - left, left_leaves
 
 
 def _wiener_batch(counts: np.ndarray) -> list[int]:
-    """:func:`wiener` of every row."""
-    return _distance_sums_batch(counts)[0].tolist()
+    """:func:`wiener` of every row: each spine edge adds L R, each pendant edge N - 1."""
+    m = counts.shape[1]
+    n, left, right, _ = _spine_edges(counts)
+    return [k * (k + m - 1) + s for k, s in zip(n.tolist(), _row_sums(left * right))]
 
 
 def _hyper_wiener_batch(counts: np.ndarray) -> list[int]:
-    """:func:`hyper_wiener` of every row."""
-    d1, d2 = _distance_sums_batch(counts)
-    return (d1 + d2).tolist()
+    """:func:`hyper_wiener` of every row: sum d + d^2 = 2 (sum d + shared pairs).
+
+    As in :func:`_distance_sums`, spine edge i adds L R to sum d, and shares
+    (the earlier spine edges' L + the leaves among its L) R pairs with the
+    edges on its left and (leaves on its right) L with the pendant edges on
+    its right.  Any two pendant edges share one pair.
+    """
+    m = counts.shape[1]
+    n, left, right, left_leaves = _spine_edges(counts)
+    reach = np.cumsum(left, axis=1) + left_leaves  # L + earlier L's + leaves among L
+    terms = reach * right + (n[:, None] - left_leaves) * left
+    return [
+        2 * (k * (k + m - 1) + k * (k - 1) // 2 + s)
+        for k, s in zip(n.tolist(), _row_sums(terms))
+    ]
 
 
 def compute_index_batch(counts: np.ndarray, spec: IndexSpec) -> list:
     """:func:`compute_index` of every row of an int64 (states, m) leaf-count matrix.
 
-    Raises :class:`DomainError` where :func:`fits_int64` fails for the
-    largest row.  Randic with alpha != 1 runs the scalar function per row,
-    so its float sums keep their order.
+    Exact at every row where :func:`fits_int64` holds; raises
+    :class:`DomainError` for other dtypes or where it fails for the largest
+    row.  Randic with alpha != 1 runs the scalar function per row, so its
+    float sums keep their order.
     """
     m = counts.shape[1]
-    if counts.dtype != np.int64 or not fits_int64(m, int(counts.sum(axis=1).max())):
-        raise DomainError("batched index evaluation needs int64 counts within fits_int64")
+    if counts.dtype != np.int64:
+        raise DomainError("batched index evaluation needs int64 counts")
+    _check_int64(m, int(counts.sum(axis=1).max()))
     if spec.kind == "randic" and spec.alpha != 1:
         return [randic(Caterpillar(m, tuple(row)), spec.alpha) for row in counts.tolist()]
     return _BATCH[spec.kind](counts)

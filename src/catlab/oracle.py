@@ -11,7 +11,8 @@ only.  The two paths differ only in where the weights come from: both
 evaluate their states in blocks of ``max(1, BLOCK_CELLS // m)`` with
 :func:`~catlab.indices.compute_index_batch` and reduce to Python-int sums
 over one common denominator (:class:`~catlab.experiments.WeightedSums`), so
-no Fraction arithmetic runs per state.
+no Fraction arithmetic runs per state.  Both build one m-tuple per state, so
+their guard counts cells: states x m.
 
 The BFS oracle is a generic graph algorithm that knows nothing of spines or
 leaves, so it stays independent of the edge-cut formula it checks.  It runs
@@ -39,7 +40,7 @@ import numpy as np
 from .caterpillar import AdjacencyGraph, Caterpillar, _check_mn
 from .errors import DomainError, ResourceLimitError
 from .experiments import WeightedSums
-from .indices import IndexSpec, compute_index_batch, randic, zagreb
+from .indices import IndexSpec, _check_int64, compute_index_batch, randic, zagreb
 from .theory import martingale_compensator, randic_supermartingale_bound
 
 __all__ = [
@@ -109,12 +110,15 @@ def multinomial_coefficient(counts) -> int:
 
 
 def choose_method(m: int, n: int, method: str = "auto", guard: int = ENUMERATION_GUARD) -> str:
-    """Resolve the enumeration path: raw histories for small n, else compositions."""
+    """Resolve the enumeration path: raw histories for small n, else compositions.
+
+    ``auto`` takes histories while n <= 12 and their m^n x m cells fit the guard.
+    """
     if method not in ("auto", "histories", "compositions"):
         raise DomainError(f"unknown enumeration method {method!r}")
     if method != "auto":
         return method
-    return "histories" if n <= 12 and m**n <= guard else "compositions"
+    return "histories" if n <= 12 and m**n * m <= guard else "compositions"
 
 
 def enumerate_exact(
@@ -129,26 +133,27 @@ def enumerate_exact(
     ``method`` is ``"histories"`` (tally all m^n attachment sequences by
     leaf counts), ``"compositions"`` (stream leaf-count compositions in
     blocks, with multinomial weights), or ``"auto"`` (compositions once
-    n > 12).  The state count of the chosen path must stay within ``guard``
-    (else :class:`ResourceLimitError`), and (m, n) within the batched
-    evaluator's exact range :func:`~catlab.indices.fits_int64` (else
-    :class:`DomainError`); within the guard, only n <= 1 with m >= 38,967
-    falls outside that range.
+    n > 12).  The cells of the chosen path, states x m, must stay within
+    ``guard`` (else :class:`ResourceLimitError`), and (m, n) within the
+    batched evaluator's exact range :func:`~catlab.indices.fits_int64` (else
+    :class:`DomainError`); within the default guard, only n = 0 with
+    m >= 2^21 falls outside that range.
     """
     _check_mn(m, n)
     spec = IndexSpec.parse(index) if isinstance(index, str) else index
     if spec.kind == "randic" and spec.alpha != 1:
         raise DomainError(f"exact Randic evaluation requires alpha = 1, got {spec.alpha}")
     method = choose_method(m, n, method, guard)
+    _check_int64(m, n)
 
     if method == "histories":
         # The sizes are stated as m^n and C(., .): str() refuses ints past
-        # 4300 digits.  As m >= 2, m^n > guard once n reaches guard's bit
-        # length, so a refused m^n is never built.
-        if n >= guard.bit_length() or m**n > guard:
+        # 4300 digits.  As m >= 2, m^n x m > guard once n + 1 reaches
+        # guard's bit length, so a refused m^n is never built.
+        if n + 1 >= guard.bit_length() or m**n * m > guard:
             raise ResourceLimitError(
-                f"enumeration of {m}^{n} histories exceeds the guard of {guard};"
-                " use the composition method"
+                f"enumeration of {m}^{n} histories of {m} cells exceeds the guard"
+                f" of {guard} cells; use the composition method"
             )
         # Each key is built from a list: tuple() of a lazy iterator allocates
         # a larger tuple and shrinks it, so the freed m-tuples would pile up
@@ -160,11 +165,10 @@ def enumerate_exact(
         )
         weighted = iter(tally.items())
     else:
-        state_count = math.comb(n + m - 1, m - 1)
-        if state_count > guard:
+        if math.comb(n + m - 1, m - 1) * m > guard:
             raise ResourceLimitError(
-                f"enumeration of C({n + m - 1},{m - 1}) compositions exceeds the"
-                f" guard of {guard}"
+                f"enumeration of C({n + m - 1},{m - 1}) compositions of {m} cells"
+                f" exceeds the guard of {guard} cells"
             )
         weighted = ((c, multinomial_coefficient(c)) for c in compositions(n, m))
 

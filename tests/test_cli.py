@@ -244,6 +244,13 @@ def test_oracle_long_spine_compositions(capsys):
     )
     assert code == 0
     assert json.loads(out)["history_count"] == 2000
+    # the bare spine is one state; one leaf makes 10^5 states of 10^5 cells
+    code, out, _ = run_cli(capsys, "oracle", "--m", "100000", "--n", "0", "--index", "zagreb")
+    assert code == 0
+    assert json.loads(out)["mean"] == f"{4 * 100_000 - 6}/1"
+    code, out, err = run_cli(capsys, "oracle", "--m", "100000", "--n", "1", "--index", "zagreb")
+    assert (code, out) == (3, "")
+    assert "C(100000,99999) compositions of 100000 cells exceeds the guard" in err
 
 
 def test_unseeded_commands_reject_seed(tmp_path, capsys):
@@ -373,6 +380,17 @@ def test_simulate_memory_cap_exit_code(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("catlab: resource guard: raw-sample retention needs")
+
+
+def test_simulate_refuses_past_the_int64_bound(tmp_path, capsys):
+    csv = tmp_path / "s.csv"
+    code, out, err = run_cli(
+        capsys, "simulate", "--m", str(2**21), "--n", "0", "--replications", "1",
+        "--out", str(csv),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("catlab: error: ") and "fits_int64" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("line", ["threads = 4", "replication = 500", "out = x.csv"])

@@ -161,28 +161,33 @@ def test_replicate_rows_batch_equals_reference(sampler):
             assert _typed(replicate_rows(cfg)) == _typed(reference_rows(cfg)), (m, n, seed)
 
 
-def test_replicate_rows_int64_and_scalar_paths(monkeypatch):
-    specs = (IndexSpec("hyper_wiener"), IndexSpec("gini_degree"))
-    below = ExperimentConfig(m=5000, n=100_000, replications=2, indices=specs)
-    want = reference_rows(below)
-
+def test_replicate_rows_one_engine_above_the_old_bound(monkeypatch):
+    """Batch rows equal reference_rows where 4 N^2 (m+1)^2 passes 2^63, which
+    once sent replicate_rows to the scalar functions, up to the stress scale."""
     def refuse(*args):
         raise AssertionError("wrong path")
 
-    with monkeypatch.context() as patch:  # int64 path only, drawing from substreams
-        patch.setattr(experiments, "reference_rows", refuse)
-        patch.setattr(RngSeed, "generator", refuse)
-        assert _typed(replicate_rows(below)) == _typed(want)
-    assert max(row[0] for row in want) > 2**53
+    for m, n in ((5000, 298_640), (10_000, 10**6)):
+        cfg = ExperimentConfig(m=m, n=n, replications=2, indices=SIX)
+        want = reference_rows(cfg)
+        with monkeypatch.context() as patch:  # the batch engine only, drawing from substreams
+            patch.setattr(experiments, "reference_rows", refuse)
+            patch.setattr(RngSeed, "generator", refuse)
+            assert _typed(replicate_rows(cfg)) == _typed(want), (m, n)
+        assert max(row[-1] for row in want) > 2**53
 
-    # 4 N^2 (m+1)^2 first reaches 2^63 at m = 5000, n = 298,640
-    assert fits_int64(5000, 298_639) and not fits_int64(5000, 298_640)
-    above = ExperimentConfig(m=5000, n=298_640, replications=1, indices=specs)
-    with monkeypatch.context() as patch:  # scalar path only
-        patch.setattr(experiments, "compute_index_batch", refuse)
-        rows = replicate_rows(above)
-    assert type(rows[0][0]) is int and rows[0][0] > 2**53
-    assert type(rows[0][1]) is Fraction
+
+def test_replicate_rows_refuses_past_the_bound_before_drawing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew a replicate")
+
+    monkeypatch.setattr(RngSeed, "generator", refuse)
+    monkeypatch.setattr(experiments, "substreams", refuse)
+    for m, n in ((2**21, 0), (2, 1_239_850_261)):
+        assert not fits_int64(m, n)
+        cfg = ExperimentConfig(m=m, n=n, replications=3)
+        with pytest.raises(DomainError, match="within fits_int64"):
+            replicate_rows(cfg)
 
 
 @pytest.mark.parametrize("path", ["batch", "reference"])

@@ -17,6 +17,7 @@ from catlab.caterpillar import (
 from catlab.errors import DomainError
 from catlab.indices import (
     IndexSpec,
+    _row_sums,
     compute_index,
     compute_index_batch,
     degree_gini_exact,
@@ -270,16 +271,28 @@ def test_batch_matches_scalar_random_states():
 
 
 def test_batch_exact_up_to_the_int64_bound():
-    m, n = 5000, 298_639  # the largest n at which 4 N^2 (m+1)^2 < 2^63
-    assert fits_int64(m, n) and not fits_int64(m, n + 1)
-    assert fits_int64(5000, 100_000) and not fits_int64(10_000, 10**6)
-    # leaves at the ends maximize the distance sums
-    one_end = [n] + [0] * (m - 1)
-    both_ends = [n // 2] + [0] * (m - 2) + [n - n // 2]
-    _assert_batch_matches_scalar(m, [one_end, both_ends])
-    assert compute_index_batch(np.array([both_ends]), IndexSpec("hyper_wiener"))[0] > 2**53
+    """At the largest n that fits_int64 admits, where the distance sums pass 2^63."""
+    # N = n + m is the largest with N^2 max(m + 1, 6) < 2^63
+    for m, n in ((2, 1_239_850_260), (5, 1_239_850_257), (5000, 42_940_378)):
+        assert fits_int64(m, n) and not fits_int64(m, n + 1)
+        # leaves at the ends maximize the distance sums; at m = 5000 the
+        # degree Gini's rank terms run from -4999 to 4999 (n + 1) > 2^32
+        one_end = [n] + [0] * (m - 1)
+        both_ends = [n // 2] + [0] * (m - 2) + [n - n // 2]
+        _assert_batch_matches_scalar(m, [one_end, both_ends])
+    assert compute_index_batch(np.array([both_ends]), IndexSpec("hyper_wiener"))[0] > 2**63
+    assert fits_int64(10_000, 10**6)
+    assert fits_int64(2**21 - 1, 0) and not fits_int64(2**21, 0)
     over = np.array([[n + 1] + [0] * (m - 1)], dtype=np.int64)
     with pytest.raises(DomainError, match="fits_int64"):
         compute_index_batch(over, IndexSpec("zagreb"))
     with pytest.raises(DomainError, match="int64"):
         compute_index_batch(np.array([[1, 2]], dtype=np.int32), IndexSpec("zagreb"))
+
+
+def test_limb_row_sums_are_exact_for_negative_terms():
+    rng = np.random.default_rng(7)
+    terms = rng.integers(-(2**62), 2**62, size=(4, 1000), dtype=np.int64)
+    terms[0] = -(2**63)  # every limb at its extreme
+    terms[1] = 2**63 - 1
+    assert _row_sums(terms) == [sum(row) for row in terms.tolist()]

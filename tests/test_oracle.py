@@ -30,6 +30,7 @@ from catlab.oracle import (
     wiener_bfs,
 )
 from catlab.caterpillar import spine_degrees
+from catlab.theory import zagreb_mean
 from conftest import sampled
 
 
@@ -87,23 +88,34 @@ def test_composition_path_streams_blocks():
 def test_enumerate_guard_and_method_choice():
     with pytest.raises(ResourceLimitError, match="guard"):
         enumerate_exact(2, 40, "zagreb", method="histories")
-    # m^n == guard is allowed, m^n == guard + 1 is not, on both sides of the
-    # bit-length shortcut (8 and 9 have bit lengths 4; 7 has 3)
-    assert enumerate_exact(2, 3, "zagreb", method="histories", guard=8).history_count == 8
-    for m, n, guard in ((2, 3, 7), (2, 4, 9), (3, 2, 8)):
+    # The guard counts cells, states x m.  m^n x m == guard is allowed and
+    # guard - 1 is not, on both sides of the bit-length shortcut (16 and 27
+    # have bit length 5: n + 1 < 5 is checked in full; 15 has 4)
+    assert enumerate_exact(2, 3, "zagreb", method="histories", guard=16).history_count == 8
+    assert enumerate_exact(3, 2, "zagreb", method="histories", guard=27).history_count == 9
+    for m, n, guard in ((2, 3, 15), (3, 2, 26)):
         with pytest.raises(ResourceLimitError, match=f"{m}\\^{n} histories"):
             enumerate_exact(m, n, "zagreb", method="histories", guard=guard)
+    # C(4,2) = 6 compositions of 3 cells each
+    assert enumerate_exact(3, 2, "zagreb", method="compositions", guard=18).history_count == 9
+    with pytest.raises(ResourceLimitError, match="C\\(4,2\\) compositions"):
+        enumerate_exact(3, 2, "zagreb", method="compositions", guard=17)
     assert choose_method(2, 40) == "compositions"
     assert choose_method(2, 5) == "histories"
+    # 3162^2 cells fit the default guard of 10^7, 3163^2 do not
+    assert choose_method(3162, 1) == "histories"
+    assert choose_method(3163, 1) == "compositions"
     # composition path succeeds where raw histories cannot
     em = enumerate_exact(2, 40, "zagreb")
     assert em.mean == Fraction(40 * 40, 2) + Fraction(7 * 40, 2) + 2
     with pytest.raises(DomainError):
         enumerate_exact(2, 3, "zagreb", method="sideways")
-    # both paths evaluate with compute_index_batch, so both stop at its exact range
+    # the bare spine is one state of m cells, exact up to m = 2^21
     for method in ("histories", "compositions"):
+        em = enumerate_exact(40_000, 0, "zagreb", method=method)
+        assert (em.mean, em.variance) == (zagreb_mean(40_000, 0).value, 0)
         with pytest.raises(DomainError, match="fits_int64"):
-            enumerate_exact(40_000, 0, "zagreb", method=method)
+            enumerate_exact(2**21, 0, "zagreb", method=method)
 
 
 def test_enumerate_rejects_irrational_randic():

@@ -2,8 +2,8 @@
 
 ``bench/digests.json`` pins the SHA-256 of every benchmark op's output at
 the seeds 31415 and 271828.  This runs the ``paper_mc`` ops (the paper7
-report and the m=200, n=5000 simulate CSV, both on the int64 batch path)
-and the ``stress_instance`` op (m=10^4, n=10^6, on the exact scalar path)
+report and the m=200, n=5000 simulate CSV) and the ``stress_instance`` op
+(m=10^4, n=10^6, where hyper-Wiener reaches 8.5e18)
 through ``catlab.cli.main`` and compares their digests with the recorded
 ones, so an output byte that drifts fails here rather than only in the
 benchmark.  The benchmark files are only read.
