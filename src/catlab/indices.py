@@ -334,13 +334,20 @@ def compute_index_batch(counts: np.ndarray, spec: IndexSpec) -> list:
     """:func:`compute_index` of every row of an int64 (states, m) leaf-count matrix.
 
     Exact at every row where :func:`fits_int64` holds; raises
-    :class:`DomainError` for other dtypes or where it fails for the largest
-    row.  Randic with alpha != 1 runs the scalar function per row, so its
-    float sums keep their order.
+    :class:`DomainError` for other dtypes, for a count that is negative or
+    at least 2^32, or where it fails for the largest row.  Counts below 2^32
+    cannot wrap the int64 row sums, and larger ones fail it anyway.  Randic
+    with alpha != 1 runs the scalar function per row, so its float sums keep
+    their order.
     """
     m = counts.shape[1]
     if counts.dtype != np.int64:
         raise DomainError("batched index evaluation needs int64 counts")
+    if not len(counts):
+        return []
+    # one reduction: as uint64, a negative count reads at least 2^63
+    if counts.view(np.uint64).max() >= 2**32:
+        raise DomainError("batched index evaluation needs counts in [0, 2^32)")
     _check_int64(m, int(counts.sum(axis=1).max()))
     if spec.kind == "randic" and spec.alpha != 1:
         return [randic(Caterpillar(m, tuple(row)), spec.alpha) for row in counts.tolist()]

@@ -2,17 +2,17 @@
 
 The enumeration oracle computes exact rational moments of any rational-valued
 index over the uniform growth law, by one of two paths that are kept and
-cross-checked.  The histories path walks all m^n equally likely growth
-histories and tallies them by leaf counts, with each distinct state's
-counted number of histories as its weight.  The compositions path streams
+cross-checked.  The histories path steps the law n times from the bare
+spine with :func:`one_step_successors`, so each distinct state's weight is
+its counted number of growth histories.  The compositions path streams
 the leaf-count compositions, weighted by their multinomial coefficients; it
 engages automatically for larger n since every index depends on leaf counts
 only.  The two paths differ only in where the weights come from: both
 evaluate their states in blocks of ``max(1, BLOCK_CELLS // m)`` with
 :func:`~catlab.indices.compute_index_batch` and reduce to Python-int sums
 over one common denominator (:class:`~catlab.experiments.WeightedSums`), so
-no Fraction arithmetic runs per state.  Both build one m-tuple per state, so
-their guard counts cells: states x m.
+no Fraction arithmetic runs per state.  The guard counts cells, states x m,
+where the histories path counts its m^n histories as states.
 
 The BFS oracle is a generic graph algorithm that knows nothing of spines or
 leaves, so it stays independent of the edge-cut formula it checks.  It runs
@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .caterpillar import AdjacencyGraph, Caterpillar, _check_mn
+from .caterpillar import AdjacencyGraph, Caterpillar, _check_mn, new_spine
 from .errors import DomainError, ResourceLimitError
 from .experiments import WeightedSums
 from .indices import IndexSpec, _check_int64, compute_index_batch, randic, zagreb
@@ -93,8 +93,8 @@ def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """
     top = (n,)
     for cuts in itertools.combinations_with_replacement(range(n + 1), m - 1):
-        # Through a list, as in enumerate_exact: tuple() of a lazy map would
-        # allocate a larger tuple and shrink it, piling freed tuples up.
+        # Through a list: tuple() of a lazy map would allocate a larger
+        # tuple and shrink it, piling freed tuples up.
         yield tuple(list(map(operator.sub, cuts + top, (0, *cuts))))
 
 
@@ -130,12 +130,13 @@ def enumerate_exact(
 ) -> ExactMoments:
     """Exact mean/variance of an index over the uniform growth law at (m, n).
 
-    ``method`` is ``"histories"`` (tally all m^n attachment sequences by
-    leaf counts), ``"compositions"`` (stream leaf-count compositions in
-    blocks, with multinomial weights), or ``"auto"`` (compositions once
-    n > 12).  The cells of the chosen path, states x m, must stay within
-    ``guard`` (else :class:`ResourceLimitError`), and (m, n) within the
-    batched evaluator's exact range :func:`~catlab.indices.fits_int64` (else
+    ``method`` is ``"histories"`` (n steps of :func:`one_step_successors`
+    from the bare spine), ``"compositions"`` (stream leaf-count compositions
+    in blocks, with multinomial weights), or ``"auto"`` (compositions once
+    n > 12).  The cells of the chosen path, states x m (m^n histories on the
+    histories path), must stay within ``guard`` (else
+    :class:`ResourceLimitError`), and (m, n) within the batched evaluator's
+    exact range :func:`~catlab.indices.fits_int64` (else
     :class:`DomainError`); within the default guard, only n = 0 with
     m >= 2^21 falls outside that range.
     """
@@ -155,15 +156,13 @@ def enumerate_exact(
                 f"enumeration of {m}^{n} histories of {m} cells exceeds the guard"
                 f" of {guard} cells; use the composition method"
             )
-        # Each key is built from a list: tuple() of a lazy iterator allocates
-        # a larger tuple and shrinks it, so the freed m-tuples would pile up
-        # on CPython's tuple free list (about 0.3 MiB at m <= 4) unreused.
-        picks = range(m)
-        tally = Counter(
-            tuple([history.count(i) for i in picks])
-            for history in itertools.product(picks, repeat=n)
-        )
-        weighted = iter(tally.items())
+        histories = Counter([new_spine(m)])
+        for _ in range(n):
+            grown = Counter()
+            for c, count in histories.items():
+                grown.update(dict.fromkeys(one_step_successors(c), count))
+            histories = grown
+        weighted = ((c.leaf_counts, count) for c, count in histories.items())
     else:
         if math.comb(n + m - 1, m - 1) * m > guard:
             raise ResourceLimitError(

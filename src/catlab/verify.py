@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .caterpillar import Caterpillar, RngSeed, to_adjacency
+from .caterpillar import Caterpillar, RngSeed, simulate_counts, to_adjacency
 from .errors import DomainError
 from .experiments import (
     DEFAULT_SEED,
@@ -268,10 +268,7 @@ def _random_states(seed: int, count: int, m_max: int, n_max: int):
     for _ in range(count):
         m = int(rng.integers(2, m_max + 1))
         n = int(rng.integers(0, n_max + 1))
-        counts = [0] * m
-        for i in rng.integers(0, m, size=n):
-            counts[i] += 1
-        yield Caterpillar(m=m, leaf_counts=tuple(counts))
+        yield Caterpillar(m=m, leaf_counts=tuple(simulate_counts(m, n, rng)))
 
 
 def criterion_martingale(profile: str) -> CriterionResult:

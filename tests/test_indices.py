@@ -290,6 +290,21 @@ def test_batch_exact_up_to_the_int64_bound():
         compute_index_batch(np.array([[1, 2]], dtype=np.int32), IndexSpec("zagreb"))
 
 
+def test_batch_refuses_counts_that_could_wrap_or_are_negative():
+    # four counts of 2^62 sum to 2^64, which wraps to 0 in int64
+    with pytest.raises(DomainError, match="2\\^32"):
+        compute_index_batch(np.array([[2**62] * 4]), IndexSpec("zagreb"))
+    with pytest.raises(DomainError, match="2\\^32"):
+        compute_index_batch(np.array([[-3, 1]]), IndexSpec("wiener"))
+    # 2^32 alone is refused by the count check, 2^32 - 1 by fits_int64
+    with pytest.raises(DomainError, match="2\\^32"):
+        compute_index_batch(np.array([[2**32, 0]]), IndexSpec("zagreb"))
+    with pytest.raises(DomainError, match="fits_int64"):
+        compute_index_batch(np.array([[2**32 - 1, 0]]), IndexSpec("zagreb"))
+    for spec in BATCH_SPECS:
+        assert compute_index_batch(np.zeros((0, 5), dtype=np.int64), spec) == []
+
+
 def test_limb_row_sums_are_exact_for_negative_terms():
     rng = np.random.default_rng(7)
     terms = rng.integers(-(2**62), 2**62, size=(4, 1000), dtype=np.int64)

@@ -61,6 +61,26 @@ def test_enumeration_paths_agree():
                 assert a == b, (index, m, n)
 
 
+@pytest.mark.parametrize("m,n", [(10, 6), (3, 9), (4, 0)])
+def test_histories_path_steps_each_state_once(monkeypatch, m, n):
+    """The histories path steps the C(n+m-1, m) states of levels 0..n-1,
+    each once, and never walks the m^n histories themselves."""
+    calls = []
+    real = oracle.one_step_successors
+    monkeypatch.setattr(oracle, "one_step_successors", lambda c: calls.append(c) or real(c))
+    em = enumerate_exact(m, n, "zagreb", method="histories")
+    assert len(calls) == len(set(calls)) == math.comb(n + m - 1, m)
+    assert em.history_count == m**n
+
+
+@pytest.mark.parametrize("m,n", [(10, 6), (2, 22)])
+def test_enumeration_paths_agree_near_the_histories_guard(m, n):
+    assert m**n * m <= oracle.ENUMERATION_GUARD < m ** (n + 1) * m
+    for index in ("zagreb", "hyper_wiener"):
+        a = enumerate_exact(m, n, index, method="histories")
+        assert a == enumerate_exact(m, n, index, method="compositions"), index
+
+
 @pytest.mark.parametrize("rows_per_block", [1, 7, None])
 def test_composition_block_size_does_not_matter(monkeypatch, rows_per_block):
     """Blocks of 1 and 7 states, and one block of every state, agree."""

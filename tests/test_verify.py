@@ -1,16 +1,22 @@
-"""The verify engine itself: exact criteria can fail, and suites assemble in order.
+"""The verify engine itself: criteria can fail, and suites assemble in order.
 
-The acceptance tests only see passing verdicts.  These tests break one
-closed form or one formula value and check that criteria 6 and 7 report it,
-and run every suite over stub criteria to pin which criteria it runs, in
-what order and on which Monte Carlo run.
+The acceptance tests only see passing verdicts.  These tests inject the
+smallest natural fault into a closed form, a bound, a formula value or a
+reference row and check that criteria 3-9 and 11 report it, and run every
+suite over stub criteria to pin which criteria it runs, in what order and
+on which Monte Carlo run.
 """
 
 import dataclasses
+import math
+import re
+from fractions import Fraction
 
 import pytest
 
-from catlab import theory, verify
+from catlab import oracle, theory, verify
+from catlab.caterpillar import Caterpillar, RngSeed, simulate_counts, to_adjacency
+from catlab.experiments import DEFAULT_SEED
 
 
 def test_criterion_6_fails_on_a_wrong_closed_form(monkeypatch):
@@ -45,6 +51,108 @@ def test_criterion_7_fails_on_one_wrong_wiener_value(monkeypatch):
     result = verify.criterion_formula_vs_bfs("default")
     assert result.verdict == "FAIL"
     assert result.actual == "wiener 3,(1, 0, 2)"
+
+
+@pytest.mark.parametrize(
+    "criterion,closed_form,key,run",
+    [
+        ("criterion_wiener", "wiener_mean", "wiener", "summary_m50"),
+        ("criterion_hyper_wiener", "hyper_wiener_mean_corrected", "hyper_wiener", "summary_m50"),
+        ("criterion_randic", "randic_mean", "randic:1", "summary_m200"),
+    ],
+)
+def test_criteria_3_to_5_fail_on_a_closed_form_biased_by_5_se(
+    monkeypatch, request, criterion, closed_form, key, run
+):
+    summary = request.getfixturevalue(run)
+    cfg = summary.config
+    check = getattr(verify, criterion)
+    assert check(summary, "default").verdict == "PASS"
+    real = getattr(theory, closed_form)
+    z = summary.z_score(key, real(cfg.m, cfg.n).value)
+    # 5 SE in the direction that moves z away from 0
+    shift = Fraction(5 * math.sqrt(summary.variance(key) / cfg.replications))
+    shift = shift if z >= 0 else -shift
+
+    def biased(m, n):
+        value = real(m, n)
+        return dataclasses.replace(value, value=value.value - shift)
+
+    monkeypatch.setattr(theory, closed_form, biased)
+    result = check(summary, "default")
+    assert result.verdict == "FAIL"
+    biased_z = float(re.search(r"\(z=(.*)\)$", result.actual).group(1))
+    assert abs(biased_z) > verify.SE_BAND["default"]
+    assert biased_z == pytest.approx(z + math.copysign(5, z), abs=1e-3)
+
+
+def test_criterion_8_fails_on_a_compensator_off_by_n_over_m(monkeypatch):
+    real = oracle.martingale_compensator
+    # a constant offset cancels in the residual; one growing with n does not
+    monkeypatch.setattr(oracle, "martingale_compensator", lambda m, n: real(m, n) + Fraction(n, m))
+    result = verify.criterion_martingale("default")
+    assert result.verdict == "FAIL"
+    assert result.actual == "100 nonzero residuals"
+
+
+def test_criterion_9_fails_on_a_bound_raised_by_1(monkeypatch):
+    real = oracle.randic_supermartingale_bound
+    monkeypatch.setattr(oracle, "randic_supermartingale_bound", lambda m, j, r: real(m, j, r) + 1)
+    result = verify.criterion_supermartingale("default")
+    assert result.verdict == "FAIL"
+    assert result.actual == "12 violations"  # the states whose gap is below 1
+
+
+def test_criterion_11_fails_on_one_wrong_reference_cell(monkeypatch):
+    real = verify.reference_rows
+
+    def one_cell_off(cfg):
+        rows = real(cfg)
+        if cfg.m == 50:
+            rows[123][1] += 1  # one hyper-Wiener value
+        return rows
+
+    monkeypatch.setattr(verify, "reference_rows", one_cell_off)
+    result = verify.criterion_determinism(DEFAULT_SEED, "default")
+    assert result.verdict == "FAIL"
+    assert result.actual == "m=50 rows differ"
+
+
+def test_bfs_matches_the_published_scale_rows(summary_m50):
+    """The generic BFS oracle gives the batch Wiener and hyper-Wiener values
+    of the first three (50, 2000) replicates (N = 2,050) that criteria 3-4 average."""
+    cfg = summary_m50.config
+    for r in range(3):
+        counts = simulate_counts(cfg.m, cfg.n, RngSeed(cfg.seed, r).generator())
+        total, total_sq = oracle.bfs_distance_sums(to_adjacency(Caterpillar(cfg.m, tuple(counts))))
+        assert summary_m50.columns["wiener"][r] == total
+        assert summary_m50.columns["hyper_wiener"][r] == total + total_sq
+
+
+def _hand_loop_states(seed, count, m_max, n_max):
+    """The leaf draw of criteria 7-9 written out as a loop over single picks."""
+    rng = RngSeed(seed).generator()
+    for _ in range(count):
+        m = int(rng.integers(2, m_max + 1))
+        n = int(rng.integers(0, n_max + 1))
+        counts = [0] * m
+        for i in rng.integers(0, m, size=n):
+            counts[i] += 1
+        yield Caterpillar(m=m, leaf_counts=tuple(counts))
+
+
+@pytest.mark.parametrize(
+    "args,bare",
+    [((20_000_101, 100, 50, 200), 0), ((20_000_102, 100, 20, 100), 1),
+     ((20_000_103, 100, 20, 100), 3)],
+)
+def test_random_states_are_the_hand_loop_states(args, bare):
+    """Criteria 7-9's states, the n = 0 ones included: a draw of size 0
+    leaves the stream where it was on both sides."""
+    states = list(verify._random_states(*args))
+    assert states == list(_hand_loop_states(*args))
+    assert all(type(x) is int for c in states for x in c.leaf_counts)
+    assert sum(c.n == 0 for c in states) == bare
 
 
 # criterion function -> (cid, the arguments a suite run at seed 7, strict, passes)
