@@ -157,7 +157,7 @@ class Caterpillar:
             raise DomainError(
                 f"leaf_counts has length {len(self.leaf_counts)}, expected m = {self.m}"
             )
-        if any(x < 0 for x in self.leaf_counts):
+        if min(self.leaf_counts) < 0:
             raise DomainError("leaf counts must be non-negative")
 
     @property

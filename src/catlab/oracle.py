@@ -11,29 +11,34 @@ only.  The two paths differ only in where the weights come from: both
 evaluate their states in blocks of ``max(1, BLOCK_CELLS // m)`` with
 :func:`~catlab.indices.compute_index_batch` and reduce to Python-int sums
 over one common denominator (:class:`~catlab.experiments.WeightedSums`), so
-no Fraction arithmetic runs per state.  The guard counts cells, states x m,
-where the histories path counts its m^n histories as states.
+no Fraction arithmetic runs per state.  The guard counts the cells each
+path builds: states x m on the compositions path, and on the histories path
+the m successors of m cells of each of the C(n+m-1, m) states it steps.
 
 The BFS oracle is a generic graph algorithm that knows nothing of spines or
 leaves, so it stays independent of the edge-cut formula it checks.  It runs
-one level-synchronous BFS from every node at once: node v's reached set is a
-row of ceil(N/64) uint64 words, and each level ORs together the rows of v's
-closed neighbourhood (``np.bitwise_or.reduceat`` over a CSR neighbour list).
-The bits a level sets are the ordered pairs at that distance, and only these
-per-level counts are kept; no distance table is built.  Bits are counted
-with ``np.unpackbits``, since ``np.bitwise_count`` needs numpy 2.0 and the
-floor is 1.24.
+one level-synchronous BFS from every node at once, over a stack of G graphs
+that share one node count N: node v of graph g is row g*N + v, its reached
+set is a row of ceil(N/64) uint64 words, and each level ORs together the
+rows of its closed neighbourhood (``np.bitwise_or.reduceat`` over a CSR
+neighbour list shifted by g*N).  The bits a level sets are the ordered pairs
+at that distance.  Each graph's rows are one contiguous block, so its count
+is a 16-bit popcount table summed over its block (``np.bitwise_count`` needs
+numpy 2.0, and the floor is 1.24).  Only these per-level counts are kept; no
+distance table is built.  A stack pays numpy's per-call cost once for all its
+graphs: criterion 7 runs each point of its exhaustive grid as one stack.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +57,7 @@ __all__ = [
     "multinomial_coefficient",
     "enumerate_exact",
     "bfs_distance_sums",
+    "bfs_distance_sums_many",
     "wiener_bfs",
     "hyper_wiener_bfs",
     "one_step_successors",
@@ -112,13 +118,23 @@ def multinomial_coefficient(counts) -> int:
 def choose_method(m: int, n: int, method: str = "auto", guard: int = ENUMERATION_GUARD) -> str:
     """Resolve the enumeration path: raw histories for small n, else compositions.
 
-    ``auto`` takes histories while n <= 12 and their m^n x m cells fit the guard.
+    ``auto`` takes histories while n <= 12 and their m^n x m cells fit the
+    guard, and so do the cells the histories path builds, so it never picks
+    a path the guard refuses.  The second condition binds only under guards
+    below the default: at 10^7, every (m, n) within the first fits the second.
     """
     if method not in ("auto", "histories", "compositions"):
         raise DomainError(f"unknown enumeration method {method!r}")
     if method != "auto":
         return method
-    return "histories" if n <= 12 and m**n * m <= guard else "compositions"
+    fits = n <= 12 and m**n * m <= guard and _chain_cells(m, n) <= guard
+    return "histories" if fits else "compositions"
+
+
+def _chain_cells(m: int, n: int) -> int:
+    """Cells the histories path builds: m successors of m cells for each of
+    the C(n+m-1, m) states of levels 0..n-1 that it steps."""
+    return math.comb(n + m - 1, m) * m * m
 
 
 def enumerate_exact(
@@ -133,10 +149,10 @@ def enumerate_exact(
     ``method`` is ``"histories"`` (n steps of :func:`one_step_successors`
     from the bare spine), ``"compositions"`` (stream leaf-count compositions
     in blocks, with multinomial weights), or ``"auto"`` (compositions once
-    n > 12).  The cells of the chosen path, states x m (m^n histories on the
-    histories path), must stay within ``guard`` (else
-    :class:`ResourceLimitError`), and (m, n) within the batched evaluator's
-    exact range :func:`~catlab.indices.fits_int64` (else
+    n > 12).  The cells the chosen path builds, states x m (on the histories
+    path, C(n+m-1, m) stepped states x m successors x m), must stay within
+    ``guard`` (else :class:`ResourceLimitError`), and (m, n) within the
+    batched evaluator's exact range :func:`~catlab.indices.fits_int64` (else
     :class:`DomainError`); within the default guard, only n = 0 with
     m >= 2^21 falls outside that range.
     """
@@ -147,14 +163,12 @@ def enumerate_exact(
     method = choose_method(m, n, method, guard)
     _check_int64(m, n)
 
+    # The sizes are stated as C(., .): str() refuses ints past 4300 digits.
     if method == "histories":
-        # The sizes are stated as m^n and C(., .): str() refuses ints past
-        # 4300 digits.  As m >= 2, m^n x m > guard once n + 1 reaches
-        # guard's bit length, so a refused m^n is never built.
-        if n + 1 >= guard.bit_length() or m**n * m > guard:
+        if _chain_cells(m, n) > guard:
             raise ResourceLimitError(
-                f"enumeration of {m}^{n} histories of {m} cells exceeds the guard"
-                f" of {guard} cells; use the composition method"
+                f"stepping C({n + m - 1},{m}) states, each to {m} successors of {m}"
+                f" cells, exceeds the guard of {guard} cells; use the composition method"
             )
         histories = Counter([new_spine(m)])
         for _ in range(n):
@@ -189,50 +203,93 @@ def enumerate_exact(
     )
 
 
-def _bfs_levels(g: AdjacencyGraph) -> list[int]:
-    """Level-synchronous BFS from every node at once.
+@functools.cache
+def _popcount16() -> np.ndarray:
+    """The number of set bits of every 16-bit value, as read-only uint8.
 
-    Returns the number of ordered node pairs at distance 1, 2, ...  Each
-    level unpacks an N x N array of fresh bits, so N x N and the gathered
-    neighbour rows must stay within ``ENUMERATION_GUARD`` cells.
+    Built on the first BFS, so runs that never reach the oracle do not
+    carry its 64 KiB.
     """
-    size = g.node_count
-    if size * size > ENUMERATION_GUARD:
+    byte = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+    table = (byte[:, None] + byte).ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
+    """Level-synchronous BFS from every node of every graph at once.
+
+    ``graphs`` is a stack of G graphs with one node count N.  Returns, per
+    graph, the number of ordered node pairs at distance 1, 2, ...  The G x N
+    x N pairs and the gathered neighbour rows must stay within
+    ``ENUMERATION_GUARD`` cells.
+    """
+    stack = len(graphs)
+    if not stack:
+        return []
+    size = graphs[0].node_count
+    if any(g.node_count != size for g in graphs):
+        sizes = sorted({g.node_count for g in graphs})
+        raise DomainError(f"a BFS stack needs one node count, got {sizes}")
+    cells = stack * size * size
+    if cells > ENUMERATION_GUARD:
+        tables = f"{size}^2" if stack == 1 else f"{stack} x {size}^2"
         raise ResourceLimitError(
-            f"BFS distance table of {size}^2 = {size * size} cells exceeds the"
+            f"BFS distance table of {tables} = {cells} cells exceeds the"
             f" guard of {ENUMERATION_GUARD}"
         )
     words = -(-size // 64)
     # Closed neighbourhoods (v first): reached sets only grow, and no
     # reduceat segment is empty, not even an isolated node's.
-    closed = [(v, *nbrs) for v, nbrs in enumerate(g.adjacency)]
-    lengths = np.fromiter(map(len, closed), dtype=np.intp, count=size)
+    closed = [(v, *nbrs) for g in graphs for v, nbrs in enumerate(g.adjacency)]
+    lengths = np.fromiter(map(len, closed), dtype=np.intp, count=stack * size)
     gathered = int(lengths.sum())
     if gathered * words > ENUMERATION_GUARD:
         raise ResourceLimitError(
             f"BFS neighbour rows of {gathered} x {words} words exceed the"
             f" guard of {ENUMERATION_GUARD}"
         )
+    # Graph g's nodes are rows g*N .. g*N + N - 1 of the stacked sets.
     nbr = np.fromiter(itertools.chain.from_iterable(closed), dtype=np.intp, count=gathered)
+    nbr += np.repeat(np.arange(stack) * size, lengths.reshape(stack, size).sum(axis=1))
     starts = np.cumsum(lengths) - lengths
-    nodes = np.arange(size)
+    rows = np.arange(stack * size)
+    nodes = np.tile(np.arange(size), stack)
     # Little-endian words, so bit j of a row is bit j % 8 of byte j // 8.
-    reached = np.zeros((size, words), dtype="<u8")
-    reached.view(np.uint8)[nodes, nodes >> 3] = 1 << (nodes & 7)
-    counts: list[int] = []
-    unreached = size * size - size
+    reached = np.zeros((stack * size, words), dtype="<u8")
+    reached.view(np.uint8)[rows, nodes >> 3] = 1 << (nodes & 7)
+    popcount = _popcount16()
+    levels = []
+    unreached = stack * (size * size - size)
     while unreached:
         step = np.bitwise_or.reduceat(reached.take(nbr, axis=0), starts, axis=0)
-        fresh = np.unpackbits(
-            (step ^ reached).view(np.uint8), axis=1, count=size, bitorder="little"
-        )
-        count = int(np.count_nonzero(fresh))
+        # Each graph's rows are one contiguous block of bytes.
+        fresh = popcount.take((step ^ reached).view(np.uint16)).reshape(stack, -1).sum(axis=1)
+        count = int(fresh.sum())
+        # A graph that gains no pair never gains one again, so a stalled
+        # member shows once the others are done.
         if not count:
             raise DomainError("graph is disconnected: BFS did not reach every node")
-        counts.append(count)
+        levels.append(fresh)
         unreached -= count
         reached = step
-    return counts
+    # A connected graph has pairs at every distance up to its diameter and
+    # none beyond, so its zeros are the levels after it was done.
+    per_graph = np.array(levels, dtype=np.int64).reshape(len(levels), stack).T
+    return [[c for c in counts if c] for counts in per_graph.tolist()]
+
+
+def bfs_distance_sums_many(graphs: Sequence[AdjacencyGraph]) -> list[tuple[int, int]]:
+    """:func:`bfs_distance_sums` of each graph of a stack with one node count.
+
+    The stack runs as one BFS; the guard applies to G x N x N.
+    """
+    sums = []
+    for counts in _bfs_levels(graphs):
+        total = sum(k * c for k, c in enumerate(counts, 1))
+        total_sq = sum(k * k * c for k, c in enumerate(counts, 1))
+        sums.append((total // 2, total_sq // 2))
+    return sums
 
 
 def bfs_distance_sums(g: AdjacencyGraph) -> tuple[int, int]:
@@ -240,10 +297,7 @@ def bfs_distance_sums(g: AdjacencyGraph) -> tuple[int, int]:
 
     No distance table is stored; the guard on N x N still applies.
     """
-    counts = _bfs_levels(g)
-    total = sum(k * c for k, c in enumerate(counts, 1))
-    total_sq = sum(k * k * c for k, c in enumerate(counts, 1))
-    return total // 2, total_sq // 2
+    return bfs_distance_sums_many([g])[0]
 
 
 def wiener_bfs(g: AdjacencyGraph) -> int:

@@ -30,6 +30,7 @@ from .experiments import (
 from .indices import IndexSpec, hyper_wiener, wiener
 from .oracle import (
     bfs_distance_sums,
+    bfs_distance_sums_many,
     enumerate_exact,
     martingale_residual,
     randic_supermartingale_gap,
@@ -242,13 +243,14 @@ def criterion_formula_vs_bfs(profile: str) -> CriterionResult:
     failures = []
     for m in range(2, 6):
         for n in range(7):
-            for counts in compositions(n, m):
-                c = Caterpillar(m=m, leaf_counts=counts)
-                total, total_sq = bfs_distance_sums(to_adjacency(c))
+            # every state of a grid point has N = m + n: one stacked BFS
+            states = [Caterpillar(m=m, leaf_counts=counts) for counts in compositions(n, m)]
+            sums = bfs_distance_sums_many([to_adjacency(c) for c in states])
+            for c, (total, total_sq) in zip(states, sums):
                 if wiener(c) != total:
-                    failures.append(f"wiener {m},{counts}")
+                    failures.append(f"wiener {m},{c.leaf_counts}")
                 if hyper_wiener(c) != total + total_sq:
-                    failures.append(f"hyper_wiener {m},{counts}")
+                    failures.append(f"hyper_wiener {m},{c.leaf_counts}")
     for c in _random_states(20_000_101, 100, 50, 200):
         total, total_sq = bfs_distance_sums(to_adjacency(c))
         if wiener(c) != total or hyper_wiener(c) != total + total_sq:

@@ -40,8 +40,9 @@ def test_caterpillar_invariants():
     assert c.edge_count == 7
     with pytest.raises(DomainError):
         Caterpillar(3, (1, 2))
-    with pytest.raises(DomainError):
-        Caterpillar(3, (1, -1, 0))
+    for counts in ((1, -1, 0), (-1, 2, 3), (0, 0, -5)):
+        with pytest.raises(DomainError, match="^leaf counts must be non-negative$"):
+            Caterpillar(3, counts)
 
 
 def test_grow_step_adds_one_leaf():

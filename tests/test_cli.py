@@ -215,21 +215,22 @@ def test_oracle_command(capsys):
 
 
 def test_oracle_guard_exit_code(capsys):
+    # the chain would step C(3001,2) states into 2 successors of 2 cells
     code, _, err = run_cli(
-        capsys, "oracle", "--m", "2", "--n", "40", "--index", "zagreb",
+        capsys, "oracle", "--m", "2", "--n", "3000", "--index", "zagreb",
         "--method", "histories",
     )
     assert code == 3
     assert "guard" in err
     # auto engages the composition path and succeeds
-    code, out, _ = run_cli(capsys, "oracle", "--m", "2", "--n", "40", "--index", "zagreb")
+    code, out, _ = run_cli(capsys, "oracle", "--m", "2", "--n", "3000", "--index", "zagreb")
     assert code == 0
     assert json.loads(out)["method"] == "compositions"
 
 
 @pytest.mark.parametrize("argv, size", [
     (("--m", "10000", "--n", "100000"), "C(109999,9999) compositions"),
-    (("--m", "3", "--n", "2000000", "--method", "histories"), "3^2000000 histories"),
+    (("--m", "3", "--n", "2000000", "--method", "histories"), "C(2000002,3) states"),
 ], ids=["compositions", "histories"])
 def test_oracle_guard_states_huge_sizes(capsys, argv, size):
     """Counts past 4300 digits cannot be printed by str(); the guard still exits 3."""
@@ -251,6 +252,12 @@ def test_oracle_long_spine_compositions(capsys):
     code, out, err = run_cli(capsys, "oracle", "--m", "100000", "--n", "1", "--index", "zagreb")
     assert (code, out) == (3, "")
     assert "C(100000,99999) compositions of 100000 cells exceeds the guard" in err
+    # the histories chain steps the one bare spine into 10^5 successors
+    code, out, err = run_cli(
+        capsys, "oracle", "--m", "100000", "--n", "1", "--method", "histories", "--index", "zagreb"
+    )
+    assert (code, out) == (3, "")
+    assert "C(100000,100000) states, each to 100000 successors of 100000 cells" in err
 
 
 def test_unseeded_commands_reject_seed(tmp_path, capsys):

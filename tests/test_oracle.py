@@ -19,6 +19,7 @@ from catlab.indices import zagreb
 from catlab.oracle import (
     ExactMoments,
     bfs_distance_sums,
+    bfs_distance_sums_many,
     choose_method,
     compositions,
     enumerate_exact,
@@ -81,6 +82,20 @@ def test_enumeration_paths_agree_near_the_histories_guard(m, n):
         assert a == enumerate_exact(m, n, index, method="compositions"), index
 
 
+def test_histories_guard_follows_the_chain(monkeypatch):
+    """(10, 7) has 10^7 histories of 10 cells, past the guard, but the chain
+    steps C(16,10) = 8,008 states into 10 successors of 10 cells each."""
+    assert math.comb(16, 10) * 10 * 10 <= oracle.ENUMERATION_GUARD < 10**7 * 10
+    histories = enumerate_exact(10, 7, "zagreb", method="histories")
+    assert histories == enumerate_exact(10, 7, "zagreb", method="compositions")
+    # Refusals come before the first step, however large the chain: one
+    # state of 10^5 successors of 10^5 cells, and C(2000002,3) states.
+    monkeypatch.setattr(oracle, "one_step_successors", None)
+    for m, n in ((100_000, 1), (3, 2_000_000)):
+        with pytest.raises(ResourceLimitError, match="use the composition method"):
+            enumerate_exact(m, n, "zagreb", method="histories")
+
+
 @pytest.mark.parametrize("rows_per_block", [1, 7, None])
 def test_composition_block_size_does_not_matter(monkeypatch, rows_per_block):
     """Blocks of 1 and 7 states, and one block of every state, agree."""
@@ -107,14 +122,14 @@ def test_composition_path_streams_blocks():
 
 def test_enumerate_guard_and_method_choice():
     with pytest.raises(ResourceLimitError, match="guard"):
-        enumerate_exact(2, 40, "zagreb", method="histories")
-    # The guard counts cells, states x m.  m^n x m == guard is allowed and
-    # guard - 1 is not, on both sides of the bit-length shortcut (16 and 27
-    # have bit length 5: n + 1 < 5 is checked in full; 15 has 4)
-    assert enumerate_exact(2, 3, "zagreb", method="histories", guard=16).history_count == 8
-    assert enumerate_exact(3, 2, "zagreb", method="histories", guard=27).history_count == 9
-    for m, n, guard in ((2, 3, 15), (3, 2, 26)):
-        with pytest.raises(ResourceLimitError, match=f"{m}\\^{n} histories"):
+        enumerate_exact(2, 3000, "zagreb", method="histories")
+    # The histories guard counts the cells the chain builds: m successors of
+    # m cells for each of the C(n+m-1, m) states it steps.  Exactly the
+    # guard is allowed and guard - 1 is not: 2^2 x C(4,2) = 24, 3^2 x C(4,3) = 36
+    assert enumerate_exact(2, 3, "zagreb", method="histories", guard=24).history_count == 8
+    assert enumerate_exact(3, 2, "zagreb", method="histories", guard=36).history_count == 9
+    for m, n, guard, size in ((2, 3, 23, "C\\(4,2\\)"), (3, 2, 35, "C\\(4,3\\)")):
+        with pytest.raises(ResourceLimitError, match=f"stepping {size} states, each to {m} "):
             enumerate_exact(m, n, "zagreb", method="histories", guard=guard)
     # C(4,2) = 6 compositions of 3 cells each
     assert enumerate_exact(3, 2, "zagreb", method="compositions", guard=18).history_count == 9
@@ -125,9 +140,20 @@ def test_enumerate_guard_and_method_choice():
     # 3162^2 cells fit the default guard of 10^7, 3163^2 do not
     assert choose_method(3162, 1) == "histories"
     assert choose_method(3163, 1) == "compositions"
-    # composition path succeeds where raw histories cannot
+    # At the default guard auto takes histories wherever m^n x m fits
+    for n in range(1, 13):
+        m = 2
+        while m**n * m <= oracle.ENUMERATION_GUARD:
+            assert choose_method(m, n) == "histories", (m, n)
+            m += 1
+    # Under a smaller guard it never picks a refused path: 2^2 x 2 = 8
+    # histories cells fit a guard of 8, but the chain builds 2^2 x C(3,2) = 12
+    assert choose_method(2, 2, guard=8) == "compositions"
+    assert enumerate_exact(2, 2, "zagreb", guard=8).mean == 11
+    # 2^40 histories, but the chain steps C(41,2) = 820 states
     em = enumerate_exact(2, 40, "zagreb")
     assert em.mean == Fraction(40 * 40, 2) + Fraction(7 * 40, 2) + 2
+    assert enumerate_exact(2, 40, "zagreb", method="histories") == em
     with pytest.raises(DomainError):
         enumerate_exact(2, 3, "zagreb", method="sideways")
     # the bare spine is one state of m cells, exact up to m = 2^21
@@ -192,24 +218,41 @@ def test_multinomial_coefficient_skips_zero_parts(monkeypatch):
 
 def test_bfs_distances_basics():
     """Ordered pairs at distance 1, 2, ...: each unordered pair counts twice."""
-    assert oracle._bfs_levels(to_adjacency(new_spine(3))) == [4, 2]
-    assert oracle._bfs_levels(to_adjacency(Caterpillar(2, (1, 0)))) == [4, 2]
+    assert oracle._bfs_levels([to_adjacency(new_spine(3))]) == [[4, 2]]
+    assert oracle._bfs_levels([to_adjacency(Caterpillar(2, (1, 0)))]) == [[4, 2]]
     # leaves x, y on the two ends of a-b-c: x-y is the one pair at distance 4
-    assert oracle._bfs_levels(to_adjacency(Caterpillar(3, (1, 0, 1)))) == [8, 6, 4, 2]
+    assert oracle._bfs_levels([to_adjacency(Caterpillar(3, (1, 0, 1)))]) == [[8, 6, 4, 2]]
+    assert oracle._bfs_levels([]) == [] and bfs_distance_sums_many([]) == []
+
+
+def refused_peak(bfs, graphs, message):
+    """The tracemalloc peak of a call refused with exactly ``message``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as refused:
+            bfs(graphs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == message
+    return peak
 
 
 def test_bfs_distance_table_guard():
     """N^2 > ENUMERATION_GUARD is refused before the bitsets exist."""
     g = to_adjacency(Caterpillar(2, (4000, 0)))
+    message = "BFS distance table of 4002^2 = 16016004 cells exceeds the guard of 10000000"
     for bfs in (wiener_bfs, bfs_distance_sums):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError, match="4002\\^2 = 16016004 cells"):
-                bfs(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**10
+        assert refused_peak(bfs, g, message) < 64 * 2**10
+
+
+def test_bfs_stack_guard():
+    """G x N^2 > ENUMERATION_GUARD is refused before the bitsets exist,
+    though each graph of the stack fits on its own."""
+    g = to_adjacency(Caterpillar(2, (1998, 0)))
+    assert bfs_distance_sums_many([g, g]) == [bfs_distance_sums(g)] * 2
+    message = "BFS distance table of 3 x 2000^2 = 12000000 cells exceeds the guard of 10000000"
+    assert refused_peak(bfs_distance_sums_many, [g] * 3, message) < 64 * 2**10
 
 
 def test_bfs_neighbour_rows_guard():
@@ -217,8 +260,11 @@ def test_bfs_neighbour_rows_guard():
     size = 900  # 810,000 cells, but 810,000 closed-neighbour rows of 15 words
     everyone = tuple(range(size))
     g = AdjacencyGraph(size, tuple(everyone[:v] + everyone[v + 1:] for v in everyone))
-    with pytest.raises(ResourceLimitError, match="neighbour rows"):
+    with pytest.raises(ResourceLimitError) as refused:
         bfs_distance_sums(g)
+    assert str(refused.value) == (
+        "BFS neighbour rows of 810000 x 15 words exceed the guard of 10000000"
+    )
 
 
 def floyd_warshall(g):
@@ -258,10 +304,48 @@ def generic_graphs():
 def test_bfs_matches_floyd_warshall_on_generic_graphs(name):
     g = generic_graphs()[name]
     want = floyd_warshall(g)
-    # the distance histogram, ordered pairs, without the diagonal's zeros
-    assert oracle._bfs_levels(g) == np.bincount(want.ravel())[1:].tolist()
-    upper = want[np.triu_indices(g.node_count, 1)]
-    assert bfs_distance_sums(g) == (int(upper.sum()), int((upper * upper).sum()))
+    assert oracle._bfs_levels([g]) == [floyd_warshall_levels(want)]
+    assert bfs_distance_sums(g) == floyd_warshall_sums(want)
+
+
+def floyd_warshall_levels(dist):
+    """The distance histogram, ordered pairs, without the diagonal's zeros."""
+    return np.bincount(dist.ravel())[1:].tolist()
+
+
+def floyd_warshall_sums(dist):
+    upper = dist[np.triu_indices(len(dist), 1)]
+    return int(upper.sum()), int((upper * upper).sum())
+
+
+@pytest.mark.parametrize("first, second", [
+    ("cycle C_7", undirected(7, [(v, v + 1) for v in range(6)])),  # the 7-node path
+    ("complete K_5", undirected(5, [(0, v) for v in range(1, 5)])),  # the 5-node star
+], ids=["C_7 and P_7", "K_5 and star"])
+def test_bfs_stack_matches_floyd_warshall(first, second):
+    """Graphs of one node count but different diameters share one BFS."""
+    graphs = [generic_graphs()[first], second, second, generic_graphs()[first]]
+    dists = [floyd_warshall(g) for g in graphs]
+    assert oracle._bfs_levels(graphs) == [floyd_warshall_levels(d) for d in dists]
+    assert bfs_distance_sums_many(graphs) == [floyd_warshall_sums(d) for d in dists]
+
+
+def test_bfs_stack_equals_each_graph_on_the_grid():
+    """Every grid point of criterion 7 (m <= 5, n <= 6) as one stack, in order."""
+    for m in range(2, 6):
+        for n in range(7):
+            graphs = [to_adjacency(Caterpillar(m, counts)) for counts in compositions(n, m)]
+            assert bfs_distance_sums_many(graphs) == list(map(bfs_distance_sums, graphs)), (m, n)
+
+
+def test_bfs_stack_rejects_a_disconnected_member_and_mixed_sizes():
+    path = to_adjacency(Caterpillar(2, (1, 2)))
+    two_paths = undirected(5, [(0, 1), (1, 2), (3, 4)])
+    for graphs in ([path, two_paths], [two_paths, path, path], [path, path, two_paths]):
+        with pytest.raises(DomainError, match="graph is disconnected"):
+            bfs_distance_sums_many(graphs)
+    with pytest.raises(DomainError, match="one node count, got \\[5, 7\\]"):
+        bfs_distance_sums_many([path, to_adjacency(Caterpillar(2, (5, 0)))])
 
 
 def test_bfs_hand_values_on_generic_graphs():
@@ -306,11 +390,10 @@ def test_eccentricity_structure():
     + [leaf at end m-1]."""
     for m in (2, 3, 4):
         for n in range(0, 6):
-            for counts in compositions(n, m):
-                c = Caterpillar(m, counts)
-                got = len(oracle._bfs_levels(to_adjacency(c)))
-                want = (m - 1) + (counts[0] > 0) + (counts[-1] > 0)
-                assert got == want
+            states = list(compositions(n, m))
+            levels = oracle._bfs_levels([to_adjacency(Caterpillar(m, c)) for c in states])
+            for counts, got in zip(states, levels, strict=True):
+                assert len(got) == (m - 1) + (counts[0] > 0) + (counts[-1] > 0)
 
 
 def test_wiener_bfs_hand_values():

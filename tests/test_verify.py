@@ -1,10 +1,10 @@
 """The verify engine itself: criteria can fail, and suites assemble in order.
 
 The acceptance tests only see passing verdicts.  These tests inject the
-smallest natural fault into a closed form, a bound, a formula value or a
-reference row and check that criteria 3-9 and 11 report it, and run every
-suite over stub criteria to pin which criteria it runs, in what order and
-on which Monte Carlo run.
+smallest natural fault into a closed form, a bound, a formula value, a
+reference row, a sample or a test decision and check that criteria 2-9, 11
+and R report it, and run every suite over stub criteria to pin which
+criteria it runs, in what order and on which Monte Carlo run.
 """
 
 import dataclasses
@@ -12,11 +12,16 @@ import math
 import re
 from fractions import Fraction
 
+from statistics import NormalDist
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from catlab import oracle, theory, verify
 from catlab.caterpillar import Caterpillar, RngSeed, simulate_counts, to_adjacency
-from catlab.experiments import DEFAULT_SEED
+from catlab.experiments import DEFAULT_SEED, ExperimentConfig
+from catlab.indices import IndexSpec
 
 
 def test_criterion_6_fails_on_a_wrong_closed_form(monkeypatch):
@@ -116,6 +121,77 @@ def test_criterion_11_fails_on_one_wrong_reference_cell(monkeypatch):
     result = verify.criterion_determinism(DEFAULT_SEED, "default")
     assert result.verdict == "FAIL"
     assert result.actual == "m=50 rows differ"
+
+
+def test_criterion_7_runs_one_bfs_per_grid_point_and_per_random_state(monkeypatch):
+    """The 784 grid states run as 28 stacked BFS calls, one per (m, n); the
+    100 random states, of mixed sizes, run one call each."""
+    stacks = []
+    real = oracle._bfs_levels
+    monkeypatch.setattr(
+        oracle, "_bfs_levels", lambda graphs: stacks.append(len(graphs)) or real(graphs)
+    )
+    assert verify.criterion_formula_vs_bfs("default").verdict == "PASS"
+    assert len(stacks) == 128
+    grid = [math.comb(n + m - 1, m - 1) for m in range(2, 6) for n in range(7)]
+    assert stacks[:28] == grid and sum(grid) == 784
+    assert stacks[28:] == [1] * 100
+
+
+def zagreb_summary(z, m=200, n=5000, seed=DEFAULT_SEED):
+    """A stand-in for a ``run_mc`` summary whose standardized Zagreb sample is ``z``."""
+    mean = float(theory.zagreb_mean(m, n).value)
+    sd = math.sqrt(float(theory.zagreb_variance(m, n).value))
+    raw = mean + sd * np.asarray(z)
+    config = ExperimentConfig(m=m, n=n, replications=len(raw), seed=seed,
+                              indices=(IndexSpec("zagreb"),))
+    return SimpleNamespace(config=config, sample=lambda key: raw)
+
+
+# 500 evenly spaced quantiles: standard normal, and unit exponential moved to
+# mean 0 (skew 2, excess kurtosis 6), both with mean ~0 and variance ~1.
+PROBS = (np.arange(500) + 0.5) / 500
+NORMAL = np.array([NormalDist().inv_cdf(p) for p in PROBS])
+SKEWED = -np.log1p(-PROBS) - 1
+
+
+@pytest.mark.parametrize("profile", ["default", "strict"])
+def test_criterion_2_fails_on_a_skewed_sample(profile):
+    assert verify.criterion_zagreb_clt(zagreb_summary(NORMAL), profile).verdict == "PASS"
+    result = verify.criterion_zagreb_clt(zagreb_summary(SKEWED), profile)
+    assert result.verdict == "FAIL"
+    # mean and variance are in their bands: the shape alone fails it
+    shown = r"KS=(\S+) \(crit (\S+)\), JB=(\S+) \(crit (\S+)\), mean=(\S+), var=(\S+)"
+    ks, ks_crit, jb, jb_crit, mean, var = map(float, re.fullmatch(shown, result.actual).groups())
+    assert ks > ks_crit and jb > jb_crit
+    assert abs(mean) < 0.01 and abs(var - 1) < 0.01
+
+
+@pytest.mark.parametrize("test", ["ks_normality", "jarque_bera"])
+def test_criterion_R_fails_when_3_of_20_seeds_reject(monkeypatch, test):
+    ran = []
+
+    def fake_run_mc(cfg):
+        ran.append(cfg.seed)
+        return zagreb_summary(NORMAL, cfg.m, cfg.n, cfg.seed)
+
+    real = getattr(verify, test)
+    rejecting = set()
+
+    def stubbed(z):
+        result = real(z)
+        return dataclasses.replace(result, reject=ran[-1] in rejecting)
+
+    monkeypatch.setattr(verify, "run_mc", fake_run_mc)
+    monkeypatch.setattr(verify, test, stubbed)
+    seed = DEFAULT_SEED
+    for rejected, want in (({seed + 2, seed + 9}, ("18/20", "PASS")),
+                           ({seed + 2, seed + 9, seed + 19}, ("17/20", "FAIL"))):
+        ran.clear()
+        rejecting = rejected
+        result = verify.criterion_seed_robustness(seed, "default")
+        assert (result.actual, result.verdict) == want
+        assert ran == list(range(seed, seed + 20))
 
 
 def test_bfs_matches_the_published_scale_rows(summary_m50):
