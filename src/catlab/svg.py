@@ -47,7 +47,8 @@ def histogram_kde_svg(sample, bins: int = 20) -> str:
     if x.size == 0:
         raise DomainError("cannot plot an empty sample")
     counts, edges = histogram(x, bins)
-    grid, density = kde(x) if x.std(ddof=1) > 0 else (edges, np.zeros_like(edges))
+    spread = x.size > 1 and x.std(ddof=1) > 0
+    grid, density = kde(x) if spread else (edges, np.zeros_like(edges))
     width = edges[1] - edges[0] if len(edges) > 1 else 1.0
     bar_density = counts / (len(x) * width) if width > 0 else counts.astype(float)
 
@@ -79,8 +80,9 @@ def histogram_kde_svg(sample, bins: int = 20) -> str:
             f' height="{_fmt(sy(0.0) - y0)}" fill="#cfd8e6" stroke="#7a8aa0"'
             f' stroke-width="0.5"/>'
         )
+    # sx and sy apply elementwise, with the same float operations as per point
     points = " ".join(
-        f"{_fmt(sx(float(gx)))},{_fmt(sy(float(gy)))}" for gx, gy in zip(grid, density)
+        f"{gx:.2f},{gy:.2f}" for gx, gy in zip(sx(grid).tolist(), sy(density).tolist())
     )
     parts.append(
         f'<polyline points="{points}" fill="none" stroke="#1f4e9c" stroke-width="2.5"/>'

@@ -349,3 +349,41 @@ def test_kde_normalization():
     integral = float(np.trapezoid(density, grid))
     assert abs(integral - 1.0) <= 0.01
     assert len(grid) == 512
+
+
+def _kde_one_shot(sample):
+    """The one-shot (512, R) evaluation that ``kde`` replaced, as its reference."""
+    x = np.asarray(sample, dtype=float)
+    r = len(x)
+    h = 1.06 * float(x.std(ddof=1)) * r ** (-0.2)
+    grid = np.linspace(float(x.min()) - 3 * h, float(x.max()) + 3 * h, 512)
+    z = (grid[:, None] - x[None, :]) / h
+    density = np.exp(-0.5 * z * z).sum(axis=1) / (r * h * math.sqrt(2 * math.pi))
+    return grid, density
+
+
+@pytest.mark.parametrize("cells", ["default", "1", "3R"])
+@pytest.mark.parametrize("r", [20, 127, 500, 513, 2000])
+def test_kde_is_bit_identical_to_the_one_shot_form(monkeypatch, r, cells):
+    """Blocks of one row, of three rows with a partial last block, and the
+    default budget all give the one-shot grid and density bit for bit."""
+    if cells != "default":
+        monkeypatch.setattr(experiments, "_KDE_CELLS", 1 if cells == "1" else 3 * r)
+    for seed in range(5):
+        x = np.random.default_rng(seed).normal(seed, 1 + seed, size=r)
+        grid, density = kde(x)
+        want_grid, want_density = _kde_one_shot(x)
+        assert np.array_equal(grid, want_grid)
+        assert np.array_equal(density, want_density)
+
+
+def test_kde_memory_is_bounded():
+    """The one-shot form peaked at 234 MiB here; the blocks keep it under 4 MiB."""
+    x = np.random.default_rng(7).normal(size=20_000)
+    tracemalloc.start()
+    try:
+        kde(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak

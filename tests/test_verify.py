@@ -2,9 +2,10 @@
 
 The acceptance tests only see passing verdicts.  These tests inject the
 smallest natural fault into a closed form, a bound, a formula value, a
-reference row, a sample or a test decision and check that criteria 2-9, 11
-and R report it, and run every suite over stub criteria to pin which
-criteria it runs, in what order and on which Monte Carlo run.
+reference row, a sample, a test decision or a stub summary's mean or run
+time and check that every criterion reports it, and run every suite over
+stub criteria to pin which criteria it runs, in what order and on which
+Monte Carlo run.
 """
 
 import dataclasses
@@ -136,6 +137,58 @@ def test_criterion_7_runs_one_bfs_per_grid_point_and_per_random_state(monkeypatc
     grid = [math.comb(n + m - 1, m - 1) for m in range(2, 6) for n in range(7)]
     assert stacks[:28] == grid and sum(grid) == 784
     assert stacks[28:] == [1] * 100
+
+
+HOOVER = Fraction("0.4807")
+
+
+def mc200_summary(hoover=HOOVER, gini=Fraction("0.4827"), elapsed=1.0):
+    """A stand-in for the ``mc200`` summary that criteria 1 and 10 read."""
+    means = {"hoover": hoover, "gini_degree": gini}
+    return SimpleNamespace(mean=means.__getitem__, elapsed_seconds=elapsed)
+
+
+@pytest.mark.parametrize("profile", ["default", "strict"])
+def test_criterion_1_fails_on_a_hoover_mean_2e_3_off_or_a_30_s_run(profile):
+    tol = Fraction(verify.HOOVER_TOL[profile])
+    for hoover in (HOOVER, HOOVER - tol, HOOVER + tol * Fraction(99, 100)):
+        assert verify.criterion_hoover(mc200_summary(hoover), profile).verdict == "PASS"
+    for hoover in (HOOVER + Fraction(2, 1000), HOOVER - Fraction(2, 1000),
+                   HOOVER + tol * Fraction(101, 100)):
+        result = verify.criterion_hoover(mc200_summary(hoover), profile)
+        assert (result.verdict, result.actual) == ("FAIL", format(float(hoover), ".6g"))
+    assert verify.criterion_hoover(mc200_summary(elapsed=29.9), profile).verdict == "PASS"
+    assert verify.criterion_hoover(mc200_summary(elapsed=30.0), profile).verdict == "FAIL"
+
+
+@pytest.mark.parametrize("profile", ["default", "strict"])
+def test_criterion_10_fails_on_a_gini_mean_outside_the_band(profile):
+    lo, hi = verify.GINI_BAND[profile]
+    for gini in (lo, hi, Fraction("0.4827")):
+        assert verify.criterion_gini(mc200_summary(gini=gini), profile).verdict == "PASS"
+    for gini in (lo - 1e-3, hi + 1e-3):
+        result = verify.criterion_gini(mc200_summary(gini=gini), profile)
+        assert result.verdict == "FAIL"
+        assert result.actual == f"limit ok; empirical mean {format(gini, '.6g')}"
+
+
+@pytest.mark.parametrize(
+    "shift,failing",
+    [(Fraction(1, 10**8), [2]), (Fraction(-1, 10**8), list(range(3, 11)))],
+)
+def test_criterion_10_fails_on_a_gini_mean_shifted_by_1e_8(monkeypatch, shift, failing):
+    """The true gaps are below 1e-8 (-3.3e-9 at m = 10, +2.2e-10 at m = 2), so
+    a 1e-8 shift fails exactly the m whose gap it moves away from zero."""
+    real = theory.gini_mean
+
+    def shifted(m, n):
+        value = real(m, n)
+        return dataclasses.replace(value, value=value.value + shift)
+
+    monkeypatch.setattr(theory, "gini_mean", shifted)
+    result = verify.criterion_gini(mc200_summary(), "default")
+    assert result.verdict == "FAIL"
+    assert result.actual == "; ".join(f"limit at m={m}" for m in failing)
 
 
 def zagreb_summary(z, m=200, n=5000, seed=DEFAULT_SEED):
