@@ -68,6 +68,9 @@ _MASK128 = (1 << 128) - 1
 # Substreams seeded per vectorised pass of substreams(); bounds its arrays.
 _SEED_CHUNK = 1024
 
+# Leaves drawn per integers() call in _leaf_counts(); bounds the draw's memory.
+_DRAW_CHUNK = 1 << 16
+
 
 def _seed_words(pool: list[int], hash_const: int, streams: np.ndarray) -> np.ndarray:
     """PCG64's four 64-bit seed words of each substream, one row per stream.
@@ -205,18 +208,26 @@ def grow_step(c: Caterpillar, rng: np.random.Generator) -> Caterpillar:
 
 
 def _leaf_counts(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """:func:`simulate_counts` as an int64 array."""
-    if n == 0:
-        return np.zeros(m, dtype=np.int64)
-    return np.bincount(rng.integers(0, m, size=n), minlength=m)
+    """:func:`simulate_counts` as an int64 array.
+
+    Draws at most ``_DRAW_CHUNK`` leaves per ``integers`` call, so memory is
+    O(m + _DRAW_CHUNK) for any n; ``n <= _DRAW_CHUNK`` is one call.
+    """
+    if n <= _DRAW_CHUNK:
+        return np.bincount(rng.integers(0, m, size=n), minlength=m)
+    counts = np.zeros(m, dtype=np.int64)
+    for start in range(0, n, _DRAW_CHUNK):
+        counts += np.bincount(rng.integers(0, m, size=min(_DRAW_CHUNK, n - start)), minlength=m)
+    return counts
 
 
 def simulate_counts(m: int, n: int, rng: np.random.Generator) -> list[int]:
     """Leaf counts after ``n`` uniform growth steps, drawn from ``rng``.
 
     Batch bounded-integer draws from a PCG64 generator are bit-identical to
-    repeated single draws, so this consumes exactly the stream a loop of
-    ``grow_step`` calls would.
+    repeated single draws in any chunking, so this consumes exactly the
+    stream a loop of ``grow_step`` calls would, and leaves the generator in
+    the same state.
     """
     return _leaf_counts(m, n, rng).tolist()
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,48 @@ def test_simulate_matches_repeated_grow_steps():
     for _ in range(40):
         state = grow_step(state, rng)
     assert state == batched
+
+
+def _one_shot_counts(m, n, rng):
+    """The unchunked draw: all n leaves in one integers() call."""
+    return np.bincount(rng.integers(0, m, size=n), minlength=m)
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_chunked_draw_equals_one_shot_draw(monkeypatch, chunk):
+    """Same counts and same generator state at every chunk edge, one draw
+    after another from a single generator as verify's random states do."""
+    monkeypatch.setattr(caterpillar, "_DRAW_CHUNK", chunk)
+    for m in (2, 3, 200):
+        rng, want = RngSeed(11, m).generator(), RngSeed(11, m).generator()
+        # n = 0 after an odd n: a buffered half of a 64-bit word stays put
+        for n in (1, 0, chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+            counts = caterpillar._leaf_counts(m, n, rng)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, _one_shot_counts(m, n, want)), (m, n)
+            assert rng.bit_generator.state == want.bit_generator.state, (m, n)
+
+
+def test_chunked_draw_equals_one_shot_draw_at_the_stress_scale():
+    """2^32 mod 10^4 = 7296, so Lemire rejections fall inside the chunks."""
+    m, n = 10_000, 10**6
+    assert n > caterpillar._DRAW_CHUNK
+    rng, want = RngSeed(31415, 2).generator(), RngSeed(31415, 2).generator()
+    assert np.array_equal(caterpillar._leaf_counts(m, n, rng), _one_shot_counts(m, n, want))
+    assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_leaf_draw_memory_is_bounded():
+    """The one-shot draw peaked at 76 MiB here; the chunks keep it under 1 MiB."""
+    rng = RngSeed(3).generator()
+    tracemalloc.start()
+    try:
+        counts = caterpillar._leaf_counts(100, 10**7, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 10**7
+    assert peak < 2**20, peak
 
 
 def test_sample_direct_basics():

@@ -190,6 +190,19 @@ def test_replicate_rows_refuses_past_the_bound_before_drawing(monkeypatch):
             replicate_rows(cfg)
 
 
+def test_replicate_rows_memory_at_the_stress_scale():
+    """The one-shot draw's 7.6 MiB array made most of this run's 7.8 MiB peak."""
+    cfg = ExperimentConfig(m=10_000, n=10**6, replications=8, seed=31415, indices=SIX)
+    tracemalloc.start()
+    try:
+        rows = replicate_rows(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 8
+    assert peak < 2 * 2**20, peak
+
+
 @pytest.mark.parametrize("path", ["batch", "reference"])
 def test_memory_estimate_bounds_retained_bytes(path):
     engine = replicate_rows if path == "batch" else reference_rows
