@@ -172,10 +172,6 @@ class Caterpillar:
     def node_count(self) -> int:
         return self.n + self.m
 
-    @property
-    def edge_count(self) -> int:
-        return self.n + self.m - 1
-
 
 @dataclass(frozen=True)
 class AdjacencyGraph:
@@ -187,10 +183,6 @@ class AdjacencyGraph:
 
     node_count: int
     adjacency: tuple[tuple[int, ...], ...]
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
 
 def new_spine(m: int) -> Caterpillar:

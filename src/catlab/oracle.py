@@ -116,12 +116,14 @@ def multinomial_coefficient(counts) -> int:
 
 
 def choose_method(m: int, n: int, method: str = "auto", guard: int = ENUMERATION_GUARD) -> str:
-    """Resolve the enumeration path: raw histories for small n, else compositions.
+    """Resolve the enumeration path: histories for small n, else compositions.
 
-    ``auto`` takes histories while n <= 12 and their m^n x m cells fit the
-    guard, and so do the cells the histories path builds, so it never picks
-    a path the guard refuses.  The second condition binds only under guards
-    below the default: at 10^7, every (m, n) within the first fits the second.
+    ``auto`` takes histories when n <= 12, m^n * m <= guard and the cells the
+    histories path builds (:func:`_chain_cells`) <= guard, else compositions,
+    so it never picks a path the guard refuses.  The m^n * m bound sizes
+    nothing the histories path builds; it only fixes where ``auto`` switches.
+    The chain bound binds only under guards below the default: at 10^7,
+    every (m, n) within the first two bounds fits it.
     """
     if method not in ("auto", "histories", "compositions"):
         raise DomainError(f"unknown enumeration method {method!r}")
@@ -148,11 +150,13 @@ def enumerate_exact(
 
     ``method`` is ``"histories"`` (n steps of :func:`one_step_successors`
     from the bare spine), ``"compositions"`` (stream leaf-count compositions
-    in blocks, with multinomial weights), or ``"auto"`` (compositions once
-    n > 12).  The cells the chosen path builds, states x m (on the histories
-    path, C(n+m-1, m) stepped states x m successors x m), must stay within
-    ``guard`` (else :class:`ResourceLimitError`), and (m, n) within the
-    batched evaluator's exact range :func:`~catlab.indices.fits_int64` (else
+    in blocks, with multinomial weights), or ``"auto"`` (histories when
+    n <= 12, m^n * m <= guard and the chain cells <= guard, else
+    compositions; see :func:`choose_method`).  The cells the chosen path
+    builds, states x m (on the histories path, C(n+m-1, m) stepped states x
+    m successors x m), must stay within ``guard`` (else
+    :class:`ResourceLimitError`), and (m, n) within the batched evaluator's
+    exact range :func:`~catlab.indices.fits_int64` (else
     :class:`DomainError`); within the default guard, only n = 0 with
     m >= 2^21 falls outside that range.
     """

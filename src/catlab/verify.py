@@ -10,7 +10,9 @@ to identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +25,6 @@ from .experiments import (
     jarque_bera,
     ks_normality,
     reference_rows,
-    replicate_rows,
     run_mc,
     standardize_zagreb,
 )
@@ -81,22 +82,14 @@ def _f(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _mc_configs(seed: int) -> tuple[ExperimentConfig, ExperimentConfig]:
-    """The two shared R=500 runs: (m=200, n=5000) and (m=50, n=2000)."""
-    return (
-        ExperimentConfig(m=200, n=5000, replications=500, seed=seed, indices=MC200_INDICES),
-        ExperimentConfig(m=50, n=2000, replications=500, seed=seed, indices=MC50_INDICES),
-    )
-
-
 def mc200(seed: int):
     """Shared R=500 run at (m=200, n=5000) with the degree-based indices."""
-    return run_mc(_mc_configs(seed)[0])
+    return run_mc(ExperimentConfig(200, 5000, 500, seed, MC200_INDICES))
 
 
 def mc50(seed: int):
     """Shared R=500 run at (m=50, n=2000) with the distance-based indices."""
-    return run_mc(_mc_configs(seed)[1])
+    return run_mc(ExperimentConfig(50, 2000, 500, seed, MC50_INDICES))
 
 
 def criterion_hoover(summary, profile: str) -> CriterionResult:
@@ -327,19 +320,22 @@ def criterion_gini(summary, profile: str) -> CriterionResult:
     )
 
 
-def _typed(rows: list[list]) -> list[list]:
+def _typed(rows) -> list[list]:
     return [[(type(v), v) for v in row] for row in rows]
 
 
-def criterion_determinism(seed: int, profile: str) -> CriterionResult:
-    one = report_json("paper7", seed, profile, _paper7(seed, profile))
-    two = report_json("paper7", seed, profile, _paper7(seed, profile))
+def criterion_determinism(big, small, profile: str) -> CriterionResult:
+    """The paper7 report of the suite's runs ``big`` and ``small`` against
+    one fresh paper7 run, and their columns against the scalar reference."""
+    seed = big.config.seed
+    one = report_json("paper7", seed, profile, _paper_criteria(big, small, profile))
+    fresh = _paper_criteria(mc200(seed), mc50(seed), profile)
     differ = [
-        f"m={cfg.m} rows"
-        for cfg in _mc_configs(seed)
-        if _typed(replicate_rows(cfg)) != _typed(reference_rows(cfg))
+        f"m={run.config.m} rows"
+        for run in (big, small)
+        if _typed(zip(*run.columns.values())) != _typed(reference_rows(run.config))
     ]
-    if one != two:
+    if one != report_json("paper7", seed, profile, fresh):
         differ.insert(0, "reports")
     passed = not differ
     return CriterionResult(
@@ -355,17 +351,22 @@ def criterion_determinism(seed: int, profile: str) -> CriterionResult:
     )
 
 
-def criterion_seed_robustness(seed: int, profile: str) -> CriterionResult:
-    """Pass rate of the KS+JB normality decision over 20 consecutive seeds."""
+def criterion_seed_robustness(big, profile: str) -> CriterionResult:
+    """Pass rate of the KS+JB normality decision over 20 consecutive seeds.
+
+    ``big`` is the first seed's run: its Zagreb column comes from
+    substreams (seed, r) whatever other indices it holds, so only the other
+    19 seeds are drawn, Zagreb alone.
+    """
+    cfg = big.config
+    seed = cfg.seed
+    others = (
+        run_mc(dataclasses.replace(cfg, seed=s, indices=(IndexSpec("zagreb"),)))
+        for s in range(seed + 1, seed + 20)
+    )
     passes = 0
-    for s in range(seed, seed + 20):
-        summary = run_mc(
-            ExperimentConfig(
-                m=200, n=5000, replications=500, seed=s,
-                indices=(IndexSpec("zagreb"),),
-            )
-        )
-        z = standardize_zagreb(summary.sample("zagreb"), 200, 5000)
+    for run in itertools.chain([big], others):
+        z = standardize_zagreb(run.sample("zagreb"), cfg.m, cfg.n)
         if not ks_normality(z).reject and not jarque_bera(z).reject:
             passes += 1
     return CriterionResult(
@@ -387,10 +388,6 @@ def _paper_criteria(big, small, profile: str) -> list[CriterionResult]:
         criterion_hyper_wiener(small, profile),
         criterion_randic(big, profile),
     ]
-
-
-def _paper7(seed: int, profile: str) -> list[CriterionResult]:
-    return _paper_criteria(mc200(seed), mc50(seed), profile)
 
 
 def _oracle_suite(profile: str) -> list[CriterionResult]:
@@ -417,18 +414,18 @@ def run_suite(
         raise DomainError(f"unknown tolerance profile {profile!r}")
     if suite == "oracle":
         return _oracle_suite(profile)
+    big, small = mc200(seed), mc50(seed)
+    paper = _paper_criteria(big, small, profile)
     if suite == "paper7":
-        return _paper7(seed, profile)
-    big = mc200(seed)
-    paper = _paper_criteria(big, mc50(seed), profile)
+        return paper
     if suite == "montecarlo":
-        return [*paper, criterion_gini(big, profile), criterion_seed_robustness(seed, profile)]
+        return [*paper, criterion_gini(big, profile), criterion_seed_robustness(big, profile)]
     return [
         *paper,
         *_oracle_suite(profile),
         criterion_gini(big, profile),
-        criterion_determinism(seed, profile),
-        criterion_seed_robustness(seed, profile),
+        criterion_determinism(big, small, profile),
+        criterion_seed_robustness(big, profile),
     ]
 
 

@@ -7,7 +7,6 @@ documented default seed.
 
 import time
 
-from catlab.experiments import DEFAULT_SEED
 from catlab import verify
 
 
@@ -69,11 +68,11 @@ def test_criterion_10_gini_theory(summary_m200):
     _report(verify.criterion_gini(summary_m200, "default"))
 
 
-def test_criterion_11_determinism():
+def test_criterion_11_determinism(summary_m200, summary_m50):
     """paper7 report bytes identical across runs; batched rows equal the scalar reference."""
-    _report(verify.criterion_determinism(DEFAULT_SEED, "default"))
+    _report(verify.criterion_determinism(summary_m200, summary_m50, "default"))
 
 
-def test_seed_robustness_report():
+def test_seed_robustness_report(summary_m200):
     """KS+JB non-rejection holds for at least 18 of 20 consecutive seeds."""
-    _report(verify.criterion_seed_robustness(DEFAULT_SEED, "default"))
+    _report(verify.criterion_seed_robustness(summary_m200, "default"))

@@ -11,6 +11,7 @@ Monte Carlo run.
 import dataclasses
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 from statistics import NormalDist
@@ -19,9 +20,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from catlab import oracle, theory, verify
+from catlab import experiments, oracle, theory, verify
 from catlab.caterpillar import Caterpillar, RngSeed, simulate_counts, to_adjacency
-from catlab.experiments import DEFAULT_SEED, ExperimentConfig
+from catlab.experiments import DEFAULT_SEED, ExperimentConfig, run_mc
 from catlab.indices import IndexSpec
 
 
@@ -109,7 +110,7 @@ def test_criterion_9_fails_on_a_bound_raised_by_1(monkeypatch):
     assert result.actual == "12 violations"  # the states whose gap is below 1
 
 
-def test_criterion_11_fails_on_one_wrong_reference_cell(monkeypatch):
+def test_criterion_11_fails_on_one_wrong_reference_cell(monkeypatch, summary_m200, summary_m50):
     real = verify.reference_rows
 
     def one_cell_off(cfg):
@@ -119,9 +120,56 @@ def test_criterion_11_fails_on_one_wrong_reference_cell(monkeypatch):
         return rows
 
     monkeypatch.setattr(verify, "reference_rows", one_cell_off)
-    result = verify.criterion_determinism(DEFAULT_SEED, "default")
+    result = verify.criterion_determinism(summary_m200, summary_m50, "default")
     assert result.verdict == "FAIL"
     assert result.actual == "m=50 rows differ"
+
+
+def test_criterion_11_fails_when_the_fresh_run_differs_in_one_value(
+    monkeypatch, summary_m200, summary_m50
+):
+    zagreb = list(summary_m200.columns["zagreb"])
+    zagreb[0] += 2
+    perturbed = dataclasses.replace(
+        summary_m200,
+        columns={**summary_m200.columns, "zagreb": zagreb},
+        moments={**summary_m200.moments, "zagreb": experiments._exact_moments(zagreb)},
+    )
+    monkeypatch.setattr(verify, "mc200", lambda seed: perturbed)
+    result = verify.criterion_determinism(summary_m200, summary_m50, "default")
+    assert result.verdict == "FAIL"
+    assert result.actual == "reports differ"
+
+
+def test_zagreb_column_does_not_depend_on_the_other_indices(summary_m200):
+    """Criterion R counts the suite's mc200 run as its first seed because a
+    Zagreb-only run at that seed gives the same column, type for type."""
+    cfg = dataclasses.replace(summary_m200.config, indices=(IndexSpec("zagreb"),))
+    column = run_mc(cfg).columns["zagreb"]
+    assert verify._typed([column]) == verify._typed([summary_m200.columns["zagreb"]])
+
+
+def test_suite_all_draws_each_replicate_set_at_most_twice(monkeypatch):
+    """The suite draws mc200 and mc50 once, criterion 11's fresh paper7 run
+    draws them once more, and criterion R draws only the 19 seeds after the
+    suite's own."""
+    draws = Counter()
+    real = experiments.replicate_rows
+
+    def counted(cfg):
+        draws[cfg.m, cfg.n, cfg.replications, cfg.seed] += 1
+        return real(cfg)
+
+    for module in (experiments, verify):
+        monkeypatch.setattr(module, "replicate_rows", counted, raising=False)
+    seed = DEFAULT_SEED
+    assert all(r.passed for r in verify.run_suite("all", seed=seed))
+    assert draws == {
+        (200, 5000, 500, seed): 2,
+        (50, 2000, 500, seed): 2,
+        **{(200, 5000, 500, s): 1 for s in range(seed + 1, seed + 20)},
+    }
+    assert draws.total() == 23
 
 
 def test_criterion_7_runs_one_bfs_per_grid_point_and_per_random_state(monkeypatch):
@@ -222,9 +270,14 @@ def test_criterion_2_fails_on_a_skewed_sample(profile):
 
 @pytest.mark.parametrize("test", ["ks_normality", "jarque_bera"])
 def test_criterion_R_fails_when_3_of_20_seeds_reject(monkeypatch, test):
+    seed = DEFAULT_SEED
+    big = zagreb_summary(NORMAL, seed=seed)
+    big.config = dataclasses.replace(big.config, indices=verify.MC200_INDICES)
     ran = []
 
     def fake_run_mc(cfg):
+        zagreb_only = (IndexSpec("zagreb"),)
+        assert cfg == dataclasses.replace(big.config, seed=cfg.seed, indices=zagreb_only)
         ran.append(cfg.seed)
         return zagreb_summary(NORMAL, cfg.m, cfg.n, cfg.seed)
 
@@ -233,18 +286,19 @@ def test_criterion_R_fails_when_3_of_20_seeds_reject(monkeypatch, test):
 
     def stubbed(z):
         result = real(z)
-        return dataclasses.replace(result, reject=ran[-1] in rejecting)
+        # the first decision, before any run_mc, is big's own seed
+        return dataclasses.replace(result, reject=(ran[-1] if ran else seed) in rejecting)
 
     monkeypatch.setattr(verify, "run_mc", fake_run_mc)
     monkeypatch.setattr(verify, test, stubbed)
-    seed = DEFAULT_SEED
     for rejected, want in (({seed + 2, seed + 9}, ("18/20", "PASS")),
-                           ({seed + 2, seed + 9, seed + 19}, ("17/20", "FAIL"))):
+                           ({seed + 2, seed + 9, seed + 19}, ("17/20", "FAIL")),
+                           ({seed, seed + 9, seed + 19}, ("17/20", "FAIL"))):
         ran.clear()
         rejecting = rejected
-        result = verify.criterion_seed_robustness(seed, "default")
+        result = verify.criterion_seed_robustness(big, "default")
         assert (result.actual, result.verdict) == want
-        assert ran == list(range(seed, seed + 20))
+        assert ran == list(range(seed + 1, seed + 20))
 
 
 def test_bfs_matches_the_published_scale_rows(summary_m50):
@@ -296,8 +350,8 @@ CRITERIA = {
     "criterion_martingale": ("8-martingale", ("strict",)),
     "criterion_supermartingale": ("9-supermartingale", ("strict",)),
     "criterion_gini": ("10-gini", ("big", "strict")),
-    "criterion_determinism": ("11-determinism", (7, "strict")),
-    "criterion_seed_robustness": ("R-seed-robustness", (7, "strict")),
+    "criterion_determinism": ("11-determinism", ("big", "small", "strict")),
+    "criterion_seed_robustness": ("R-seed-robustness", ("big", "strict")),
 }
 PAPER = ["1-hoover", "2-zagreb-clt", "3-wiener", "4-hyper-wiener", "5-randic"]
 ORACLE = ["6-oracle-equivalence", "7-formula-vs-bfs", "8-martingale", "9-supermartingale"]
@@ -326,7 +380,9 @@ def test_suite_assembly(monkeypatch, suite, want):
         monkeypatch.setattr(verify, name, fake(cid))
     results = verify.run_suite(suite, seed=7, profile="strict")
     assert [r.cid for r in results] == want
-    # a suite draws each shared Monte Carlo run at most once
+    # the suite draws each shared Monte Carlo run once; criteria 11 and R get
+    # those runs (test_suite_all_draws_each_replicate_set_at_most_twice counts
+    # what they draw on top)
     assert runs == ([] if suite == "oracle" else [("mc200", 7), ("mc50", 7)])
     wanted_args = {cid: repr(args) for cid, args in CRITERIA.values()}
     assert all(r.actual == wanted_args[r.cid] for r in results)
