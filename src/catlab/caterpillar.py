@@ -3,8 +3,8 @@
 A caterpillar is a tree whose non-leaf nodes form a path (the spine).  The
 state kept here is deliberately minimal: the spine size ``m`` and the number
 of leaves attached to each spine node.  Every index computed elsewhere in the
-package is a function of those leaf counts alone, so adjacency is only
-materialized on demand for the BFS oracles.
+package is a function of those leaf counts alone; only the BFS oracles need
+the explicit tree, which :func:`to_adjacency` lists as an edge list.
 
 Randomness is fully pinned down: every sample is drawn from a PCG64 bit
 generator seeded through ``numpy.random.SeedSequence(seed, spawn_key=(stream,))``.
@@ -175,14 +175,14 @@ class Caterpillar:
 
 @dataclass(frozen=True)
 class AdjacencyGraph:
-    """Explicit node/edge form of a caterpillar, used by the BFS oracles.
+    """An undirected graph on nodes 0 .. node_count-1, used by the BFS oracles.
 
-    Spine nodes come first (0 .. m-1, in spine order), then the leaves in
-    spine order.
+    ``edges`` holds one (u, v) tuple per edge.  The BFS checks them: an end
+    outside [0, node_count) or an edge that is not a pair is refused.
     """
 
     node_count: int
-    adjacency: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, int], ...]
 
 
 def new_spine(m: int) -> Caterpillar:
@@ -263,19 +263,8 @@ def degree_sequence(c: Caterpillar) -> list[int]:
 
 
 def to_adjacency(c: Caterpillar) -> AdjacencyGraph:
-    """Materialize the explicit tree: spine path plus pendant leaves."""
-    m, n = c.m, c.n
-    adjacency: list[list[int]] = [[] for _ in range(n + m)]
-    for i in range(m - 1):
-        adjacency[i].append(i + 1)
-        adjacency[i + 1].append(i)
-    next_node = m
-    for i, count in enumerate(c.leaf_counts):
-        for _ in range(count):
-            adjacency[i].append(next_node)
-            adjacency[next_node].append(i)
-            next_node += 1
-    return AdjacencyGraph(
-        node_count=n + m,
-        adjacency=tuple(tuple(nbrs) for nbrs in adjacency),
-    )
+    """The tree's spine edges (i, i + 1), then its pendant edges (i, leaf), leaves m, m+1, ..."""
+    owners = [i for i, count in enumerate(c.leaf_counts) for _ in range(count)]
+    edges = [(i, i + 1) for i in range(c.m - 1)]
+    edges += ((i, leaf) for leaf, i in enumerate(owners, c.m))
+    return AdjacencyGraph(node_count=c.m + len(owners), edges=tuple(edges))

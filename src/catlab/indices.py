@@ -1,7 +1,7 @@
 """Per-instance topological indices, computed exactly from leaf counts.
 
 Every function here consumes the compact ``Caterpillar`` state; nothing needs
-the explicit adjacency.  Zagreb, Randic with alpha = 1, Wiener and
+the explicit edge list.  Zagreb, Randic with alpha = 1, Wiener and
 hyper-Wiener are evaluated in arbitrary-precision integer arithmetic so the
 O(m) closed forms can be compared bit-for-bit against the BFS oracles even at
 n = 10^6.  Gini and Hoover are ratios of integers and come back as exact

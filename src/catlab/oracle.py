@@ -21,12 +21,13 @@ one level-synchronous BFS from every node at once, over a stack of G graphs
 that share one node count N: node v of graph g is row g*N + v, its reached
 set is a row of ceil(N/64) uint64 words, and each level ORs together the
 rows of its closed neighbourhood (``np.bitwise_or.reduceat`` over a CSR
-neighbour list shifted by g*N).  The bits a level sets are the ordered pairs
-at that distance.  Each graph's rows are one contiguous block, so its count
-is a 16-bit popcount table summed over its block (``np.bitwise_count`` needs
-numpy 2.0, and the floor is 1.24).  Only these per-level counts are kept; no
-distance table is built.  A stack pays numpy's per-call cost once for all its
-graphs: criterion 7 runs each point of its exhaustive grid as one stack.
+neighbour list sorted out of the edge lists).  The bits a level sets are the
+ordered pairs at that distance.  Each graph's rows are one contiguous block,
+so its count is a 16-bit popcount table summed over its block
+(``np.bitwise_count`` needs numpy 2.0, and the floor is 1.24).  Only these
+per-level counts are kept; no distance table is built.  A stack pays numpy's
+per-call cost once for all its graphs: criterion 7 runs each point of its
+exhaustive grid as one stack.
 """
 
 from __future__ import annotations
@@ -82,13 +83,12 @@ class ExactMoments:
 
     mean: Fraction
     second_moment: Fraction
-    variance: Fraction
     support_size: int
     history_count: int
 
-    def __post_init__(self):
-        if self.variance != self.second_moment - self.mean * self.mean:
-            raise DomainError("variance must equal second_moment - mean^2")
+    @property
+    def variance(self) -> Fraction:
+        return self.second_moment - self.mean * self.mean
 
 
 def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -201,7 +201,6 @@ def enumerate_exact(
     return ExactMoments(
         mean=mean,
         second_moment=second,
-        variance=second - mean * mean,
         support_size=len(sums.support),
         history_count=history_count,
     )
@@ -243,21 +242,35 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
             f" guard of {ENUMERATION_GUARD}"
         )
     words = -(-size // 64)
-    # Closed neighbourhoods (v first): reached sets only grow, and no
-    # reduceat segment is empty, not even an isolated node's.
-    closed = [(v, *nbrs) for g in graphs for v, nbrs in enumerate(g.adjacency)]
-    lengths = np.fromiter(map(len, closed), dtype=np.intp, count=stack * size)
-    gathered = int(lengths.sum())
+    edge_counts = [len(g.edges) for g in graphs]
+    # A node's closed neighbourhood lists the node and the far end of each of its edges.
+    gathered = stack * size + 2 * sum(edge_counts)
     if gathered * words > ENUMERATION_GUARD:
         raise ResourceLimitError(
             f"BFS neighbour rows of {gathered} x {words} words exceed the"
             f" guard of {ENUMERATION_GUARD}"
         )
+    edges = itertools.chain.from_iterable(g.edges for g in graphs)
+    try:
+        # A two-field record takes a 2-tuple and refuses a tuple of any other length.
+        pairs = np.fromiter(edges, [("u", np.intp), ("v", np.intp)], count=sum(edge_counts))
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("every edge must be a pair (u, v) of node numbers") from None
+    ends = pairs.view(np.intp).reshape(-1, 2)
+    if ends.size and (ends.min() < 0 or ends.max() >= size):
+        raise DomainError(f"an edge end lies outside the nodes [0, {size})")
     # Graph g's nodes are rows g*N .. g*N + N - 1 of the stacked sets.
-    nbr = np.fromiter(itertools.chain.from_iterable(closed), dtype=np.intp, count=gathered)
-    nbr += np.repeat(np.arange(stack) * size, lengths.reshape(stack, size).sum(axis=1))
-    starts = np.cumsum(lengths) - lengths
+    ends += np.repeat(np.arange(stack) * size, edge_counts)[:, None]
+    # CSR neighbour list with each row in its own segment: reached sets only
+    # grow, and no reduceat segment is empty, not even an isolated node's.
     rows = np.arange(stack * size)
+    tails = np.concatenate((rows, ends.ravel()))
+    heads = np.concatenate((rows, ends[:, ::-1].ravel()))
+    del pairs, ends
+    nbr = heads.take(np.argsort(tails, kind="stable"))
+    lengths = np.bincount(tails, minlength=stack * size)
+    del tails, heads
+    starts = np.cumsum(lengths) - lengths
     nodes = np.tile(np.arange(size), stack)
     # Little-endian words, so bit j of a row is bit j % 8 of byte j // 8.
     reached = np.zeros((stack * size, words), dtype="<u8")
@@ -316,12 +329,8 @@ def hyper_wiener_bfs(g: AdjacencyGraph) -> int:
 
 def one_step_successors(c: Caterpillar) -> list[Caterpillar]:
     """The m equally likely states one growth step after ``c``."""
-    successors = []
-    for i in range(c.m):
-        counts = list(c.leaf_counts)
-        counts[i] += 1
-        successors.append(Caterpillar(m=c.m, leaf_counts=tuple(counts)))
-    return successors
+    x = c.leaf_counts
+    return [Caterpillar(c.m, x[:i] + (x[i] + 1,) + x[i + 1:]) for i in range(c.m)]
 
 
 def martingale_residual(c: Caterpillar) -> Fraction:

@@ -277,11 +277,12 @@ EVALUATORS = {
 
 
 def evaluate(name: str, m: int, n: int) -> TheoryValue:
-    """Evaluate a named closed form at (m, n)."""
+    """Evaluate a named closed form at a checked (m, n), even one that ignores n."""
     try:
         fn = EVALUATORS[name]
     except KeyError:
         raise DomainError(
             f"unknown theory evaluator {name!r}; choose from {sorted(EVALUATORS)}"
         ) from None
+    _check_mn(m, n)
     return fn(m, n)

@@ -1,4 +1,4 @@
-"""Core model: growth process, samplers, degrees, adjacency, determinism."""
+"""Core model: growth process, samplers, degrees, edge lists, determinism."""
 
 import itertools
 import math
@@ -190,32 +190,23 @@ def test_degree_sum_is_twice_edges():
 def test_to_adjacency_examples():
     g = to_adjacency(Caterpillar(2, (1, 0)))
     assert g.node_count == 3
-    assert 2 in g.adjacency[0] and 1 in g.adjacency[0]
+    assert g.edges == ((0, 1), (0, 2))
 
     path = to_adjacency(new_spine(3))
-    assert path.adjacency == ((1,), (0, 2), (1,))
+    assert path.edges == ((0, 1), (1, 2))
 
 
 def test_adjacency_connected_and_degrees_agree():
-    """Exhaustive: adjacency degrees equal degree_sequence, m 2..6, n 0..8."""
+    """Exhaustive: edge-list degrees equal degree_sequence, m 2..6, n 0..8."""
     for m in range(2, 7):
         for n in range(0, 9):
             for counts in compositions(n, m):
                 c = Caterpillar(m, counts)
                 g = to_adjacency(c)
-                assert [len(nbrs) for nbrs in g.adjacency] == degree_sequence(c)
-                # BFS from node 0 reaches everything
-                seen = {0}
-                frontier = [0]
-                while frontier:
-                    nxt = []
-                    for u in frontier:
-                        for v in g.adjacency[u]:
-                            if v not in seen:
-                                seen.add(v)
-                                nxt.append(v)
-                    frontier = nxt
-                assert len(seen) == g.node_count
+                degs = np.bincount(np.ravel(g.edges), minlength=g.node_count)
+                assert degs.tolist() == degree_sequence(c)
+                # every node but 0 has an edge down to a smaller one, so all reach 0
+                assert {max(e) for e in g.edges if min(e) < max(e)} == set(range(1, g.node_count))
 
 
 def test_substream_determinism_and_distinctness():

@@ -137,6 +137,17 @@ def test_theory_randic_m2_validity_error(capsys):
     assert "m = 2" in err
 
 
+@pytest.mark.parametrize("scaled", ["none", "n2"])
+def test_theory_rejects_negative_n_for_every_evaluator(capsys, scaled):
+    """Also the limit forms that ignore n, such as zagreb_clt_variance."""
+    for index in cli.theory.EVALUATORS:
+        code, out, err = run_cli(
+            capsys, "theory", "--index", index, "--m", "3", "--n", "-5", "--scaled", scaled
+        )
+        assert (code, out) == (2, ""), index
+        assert "n must be >= 0, got -5" in err
+
+
 def test_verify_oracle_suite(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out, _ = run_cli(
