@@ -24,7 +24,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, theory
@@ -63,8 +62,8 @@ def _check_writable(path: str) -> None:
     """Raise the error that creating ``path`` would raise, without creating it.
 
     Catches a missing or unwritable directory and a path that is a
-    directory, so a command with several outputs can fail before its first
-    write.
+    directory, so a command fails before it computes anything or writes
+    the first of several outputs.
     """
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
@@ -125,6 +124,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         m=args.m, n=args.n, replications=args.replications, seed=args.seed,
         indices=_parse_indices(args.indices), sampler=args.sampler,
     )
+    if args.out:
+        _check_writable(args.out)
     columns = ["replicate_id"] + [str(spec) for spec in cfg.indices]
     rows = [[r] + values for r, values in enumerate(replicate_rows(cfg))]
 
@@ -158,29 +159,32 @@ def _json_number(v):
 def cmd_theory(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
     value = theory.evaluate(args.index, m, n)
+    exact = value.value
     if args.scaled == "n2":
         if n == 0:
             raise DomainError("cannot scale by n^2 at n = 0")
-        value = value.scaled(Fraction(n * n))
+        exact /= n * n
     payload = {
         "index": args.index,
         "m": m,
         "n": n,
         "scaled": args.scaled,
-        "value": float(value.value),
-        "numerator": str(value.numerator),
-        "denominator": str(value.denominator),
+        "value": float(exact),
+        "numerator": str(exact.numerator),
+        "denominator": str(exact.denominator),
         "validity": value.validity.value,
         "source": value.source,
     }
     if args.exact:
-        payload["exact"] = f"{value.numerator}/{value.denominator}"
+        payload["exact"] = f"{exact.numerator}/{exact.denominator}"
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suite, seed, profile = args.suite, args.seed, args.tolerance_profile
+    if args.report:
+        _check_writable(args.report)
     results = run_suite(suite, seed=seed, profile=profile)
     sys.stdout.write(render_table(results) + "\n")
     passed = sum(r.passed for r in results)

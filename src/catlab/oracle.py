@@ -23,8 +23,7 @@ set is a row of ceil(N/64) uint64 words, and each level ORs together the
 rows of its closed neighbourhood (``np.bitwise_or.reduceat`` over a CSR
 neighbour list sorted out of the edge lists).  The bits a level sets are the
 ordered pairs at that distance.  Each graph's rows are one contiguous block,
-so its count is a 16-bit popcount table summed over its block
-(``np.bitwise_count`` needs numpy 2.0, and the floor is 1.24).  Only these
+so its count is ``np.bitwise_count`` summed over its block.  Only these
 per-level counts are kept; no distance table is built.  A stack pays numpy's
 per-call cost once for all its graphs: criterion 7 runs each point of its
 exhaustive grid as one stack.
@@ -32,7 +31,6 @@ exhaustive grid as one stack.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -206,19 +204,6 @@ def enumerate_exact(
     )
 
 
-@functools.cache
-def _popcount16() -> np.ndarray:
-    """The number of set bits of every 16-bit value, as read-only uint8.
-
-    Built on the first BFS, so runs that never reach the oracle do not
-    carry its 64 KiB.
-    """
-    byte = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-    table = (byte[:, None] + byte).ravel()
-    table.flags.writeable = False
-    return table
-
-
 def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
     """Level-synchronous BFS from every node of every graph at once.
 
@@ -250,23 +235,33 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
             f"BFS neighbour rows of {gathered} x {words} words exceed the"
             f" guard of {ENUMERATION_GUARD}"
         )
-    edges = itertools.chain.from_iterable(g.edges for g in graphs)
+    edges = [e for g in graphs for e in g.edges]
     try:
-        # A two-field record takes a 2-tuple and refuses a tuple of any other length.
-        pairs = np.fromiter(edges, [("u", np.intp), ("v", np.intp)], count=sum(edge_counts))
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("every edge must be a pair (u, v) of node numbers") from None
-    ends = pairs.view(np.intp).reshape(-1, 2)
+        # numpy reads [] as float64 of shape (0,), so no edges are read as 0 x 2.
+        ends = np.array(edges) if edges else np.empty((0, 2), dtype=np.intp)
+    except ValueError:  # edges of unequal lengths
+        ends = None
+    # A float or string end turns the whole array from int, and an edge that
+    # is not a pair changes its shape; a bool among ints would read as 0 or 1.
+    if (
+        ends is None
+        or ends.dtype.kind != "i"
+        or ends.shape != (len(edges), 2)
+        or {bool, np.bool_} & set(map(type, itertools.chain.from_iterable(edges)))
+    ):
+        raise DomainError("every edge must be a pair (u, v) of node numbers")
     if ends.size and (ends.min() < 0 or ends.max() >= size):
         raise DomainError(f"an edge end lies outside the nodes [0, {size})")
-    # Graph g's nodes are rows g*N .. g*N + N - 1 of the stacked sets.
+    # Graph g's nodes are rows g*N .. g*N + N - 1 of the stacked sets; a
+    # narrower int (numpy int8 ends) would wrap on the shift.
+    ends = ends.astype(np.intp, copy=False)
     ends += np.repeat(np.arange(stack) * size, edge_counts)[:, None]
     # CSR neighbour list with each row in its own segment: reached sets only
     # grow, and no reduceat segment is empty, not even an isolated node's.
     rows = np.arange(stack * size)
     tails = np.concatenate((rows, ends.ravel()))
     heads = np.concatenate((rows, ends[:, ::-1].ravel()))
-    del pairs, ends
+    del edges, ends
     nbr = heads.take(np.argsort(tails, kind="stable"))
     lengths = np.bincount(tails, minlength=stack * size)
     del tails, heads
@@ -275,13 +270,12 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
     # Little-endian words, so bit j of a row is bit j % 8 of byte j // 8.
     reached = np.zeros((stack * size, words), dtype="<u8")
     reached.view(np.uint8)[rows, nodes >> 3] = 1 << (nodes & 7)
-    popcount = _popcount16()
     levels = []
     unreached = stack * (size * size - size)
     while unreached:
         step = np.bitwise_or.reduceat(reached.take(nbr, axis=0), starts, axis=0)
-        # Each graph's rows are one contiguous block of bytes.
-        fresh = popcount.take((step ^ reached).view(np.uint16)).reshape(stack, -1).sum(axis=1)
+        # Each graph's rows are one contiguous block of words.
+        fresh = np.bitwise_count(step ^ reached).reshape(stack, -1).sum(axis=1, dtype=np.int64)
         count = int(fresh.sum())
         # A graph that gains no pair never gains one again, so a stalled
         # member shows once the others are done.

@@ -55,26 +55,11 @@ class Validity(str, enum.Enum):
 
 @dataclass(frozen=True)
 class TheoryValue:
-    """An exact rational value with a float view and provenance string."""
+    """An exact rational value with its validity and provenance string."""
 
     value: Fraction
     validity: Validity
     source: str
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
-    def scaled(self, divisor: Fraction | int) -> "TheoryValue":
-        """Same value divided by ``divisor`` (e.g. n^2), still exact."""
-        return TheoryValue(self.value / Fraction(divisor), self.validity, self.source)
 
 
 def gini_mean(m: int, n: int) -> TheoryValue:

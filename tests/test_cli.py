@@ -375,15 +375,22 @@ def test_simulate_rejects_negative_seed_with_numpy_message(capsys):
     assert err == f"catlab: error: {numpy_error.value}\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ("simulate", "--m", "3", "--n", "4", "--out"),
-    ("verify", "--suite", "oracle", "--report"),
+@pytest.mark.parametrize("argv, engine", [
+    (("simulate", "--m", "3", "--n", "4", "--out"), "replicate_rows"),
+    (("verify", "--suite", "oracle", "--report"), "run_suite"),
 ], ids=["simulate", "verify"])
-def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, engine):
+    """The output path is checked before the draw or the suite runs, with
+    the message that opening it gives."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{engine} ran before the output path was checked")
+
+    monkeypatch.setattr(cli, engine, must_not_run)
     path = tmp_path / "missing_dir" / "x.out"
-    code, _, err = run_cli(capsys, *argv, str(path))
+    code, out, err = run_cli(capsys, *argv, str(path))
     assert code == 2
-    assert err.startswith("catlab: error: ") and str(path) in err
+    assert out == ""
+    assert err == f"catlab: error: [Errno 2] No such file or directory: '{path}'\n"
     assert not path.parent.exists()
 
 

@@ -322,6 +322,14 @@ def test_bfs_stack_equals_each_graph_on_the_grid():
             assert bfs_distance_sums_many(graphs) == list(map(bfs_distance_sums, graphs)), (m, n)
 
 
+def test_bfs_stack_shifts_narrow_int_ends_without_wrapping():
+    """numpy int8 ends are node numbers too; stacking 40 graphs of 6 nodes
+    shifts them past 127, where an int8 row number would wrap."""
+    g = to_adjacency(Caterpillar(3, (1, 0, 2)))
+    narrow = AdjacencyGraph(g.node_count, tuple((np.int8(u), np.int8(v)) for u, v in g.edges))
+    assert bfs_distance_sums_many([narrow] * 40) == [bfs_distance_sums(g)] * 40
+
+
 def test_bfs_stack_rejects_a_disconnected_member_and_mixed_sizes():
     path = to_adjacency(Caterpillar(2, (1, 2)))
     two_paths = AdjacencyGraph(5, ((0, 1), (1, 2), (3, 4)))
@@ -333,12 +341,16 @@ def test_bfs_stack_rejects_a_disconnected_member_and_mixed_sizes():
 
 
 def test_bfs_refuses_malformed_edges():
-    """An end outside [0, N) or an edge that is not a pair is refused, alone
-    or in a stack; a stacked end of N would reach the next graph's rows."""
+    """An end outside [0, N) or an edge that is not a pair of ints is refused,
+    alone or in a stack; a stacked end of N would reach the next graph's rows.
+    A float, string or bool end, or a bare int, must not be read as a nearby
+    pair: (1, 2), (1, 2), (1, 0) and the self-loop (2, 2)."""
     path3 = to_adjacency(new_spine(3))
-    for bad in ((2, 3), (1, -1), (0, 1, 2), (2,)):
+    outside = r"outside the nodes \[0, 3\)"
+    cases = [((2, 3), outside), ((1, -1), outside), ((0, 1, 2), "pair"), ((2,), "pair")]
+    cases += [(bad, "pair") for bad in ((1.5, 2), ("1", 2), 2, (True, False))]
+    for bad, match in cases:
         g = AdjacencyGraph(3, ((0, 1), (1, 2), bad))
-        match = "pair" if len(bad) != 2 else r"outside the nodes \[0, 3\)"
         for graphs in ([g, path3], [path3, g], [g]):
             with pytest.raises(DomainError, match=match):
                 bfs_distance_sums_many(graphs)

@@ -47,9 +47,9 @@ def test_hoover_mean_values():
     assert hoover_mean(2, 1).value == Fraction(1, 12)
     # documented approximation gap at small n: the instance value is 1/6
     assert hoover_exact(Caterpillar(2, (1, 0))) == Fraction(1, 6)
-    assert float(hoover_mean(200, 5000)) == pytest.approx(0.4806768, abs=1e-6)
+    assert float(hoover_mean(200, 5000).value) == pytest.approx(0.4806768, abs=1e-6)
     # n -> infinity limit is 1/2
-    assert abs(float(hoover_mean(7, 10**9)) - 0.5) < 1e-8
+    assert abs(float(hoover_mean(7, 10**9).value) - 0.5) < 1e-8
 
 
 def test_zagreb_moment_values():
@@ -166,9 +166,3 @@ def test_domain_errors():
         zagreb_mean(1, 5)
     with pytest.raises(DomainError):
         wiener_mean(3, -1)
-
-
-def test_theory_value_float_view():
-    tv = wiener_mean(50, 2000)
-    assert float(tv) == pytest.approx(float(Fraction(tv.numerator, tv.denominator)))
-    assert tv.scaled(2000**2).value == tv.value / 2000**2
