@@ -3,45 +3,49 @@
 The enumeration oracle computes exact rational moments of any rational-valued
 index over the uniform growth law, by one of two paths that are kept and
 cross-checked.  The histories path steps the law n times from the bare
-spine with :func:`one_step_successors`, so each distinct state's weight is
-its counted number of growth histories.  The compositions path streams
-the leaf-count compositions, weighted by their multinomial coefficients; it
-engages automatically for larger n since every index depends on leaf counts
-only.  The two paths differ only in where the weights come from: both
-evaluate their states in blocks of ``max(1, BLOCK_CELLS // m)`` with
-:func:`~catlab.indices.compute_index_batch` and reduce to Python-int sums
-over one common denominator (:class:`~catlab.experiments.WeightedSums`), so
-no Fraction arithmetic runs per state.  The guard counts the cells each
-path builds: states x m on the compositions path, and on the histories path
-the m successors of m cells of each of the C(n+m-1, m) states it steps.
+spine, one level at a time, as a dict from leaf-count tuples to counts of
+histories: each state's count is added into each of its m successors
+(:func:`_successor_counts`, the step :func:`one_step_successors` also
+takes), so each distinct state's weight is its counted number of growth
+histories.  The compositions path builds the leaf-count compositions a block
+at a time, as one int64 matrix of stars-and-bars cut differences, weighted
+by their multinomial coefficients; it engages automatically for larger n
+since every index depends on leaf counts only.  The two paths differ only
+in where the weights come from: both evaluate their states in blocks of
+``max(1, BLOCK_CELLS // m)`` with :func:`~catlab.indices.compute_index_batch`
+and reduce to Python-int sums over one common denominator
+(:class:`~catlab.experiments.WeightedSums`), so neither builds a
+:class:`~catlab.caterpillar.Caterpillar` per state and no Fraction
+arithmetic runs per state.  The guard counts the cells each path builds:
+states x m on the compositions path, and on the histories path the m
+successors of m cells of each of the C(n+m-1, m) states it steps.
 
 The BFS oracle is a generic graph algorithm that knows nothing of spines or
 leaves, so it stays independent of the edge-cut formula it checks.  It runs
 one level-synchronous BFS from every node at once, over a stack of G graphs
-that share one node count N: node v of graph g is row g*N + v, its reached
-set is a row of ceil(N/64) uint64 words, and each level ORs together the
-rows of its closed neighbourhood (``np.bitwise_or.reduceat`` over a CSR
-neighbour list sorted out of the edge lists).  The bits a level sets are the
-ordered pairs at that distance.  Each graph's rows are one contiguous block,
-so its count is ``np.bitwise_count`` summed over its block.  Only these
-per-level counts are kept; no distance table is built.  A stack pays numpy's
-per-call cost once for all its graphs: criterion 7 runs each point of its
-exhaustive grid as one stack.
+with node counts N_g laid out block-diagonally: node v of graph g is row
+N_0 + ... + N_{g-1} + v, its reached set is a row of ceil(max N_g / 64)
+uint64 words, and each level ORs together the rows of its closed
+neighbourhood (``np.bitwise_or.reduceat`` over a CSR neighbour list sorted
+out of the edge lists).  The bits a level sets are the ordered pairs at
+that distance.  Each graph's rows are one contiguous block, so its count is
+``np.bitwise_count`` summed over its block by ``np.add.reduceat``.  Only
+these per-level counts are kept; no distance table is built.  A stack pays numpy's per-call cost once
+for all its graphs: criterion 7 runs each point of its exhaustive grid as
+one stack, and its random states in stacks of similar spine length.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .caterpillar import AdjacencyGraph, Caterpillar, _check_mn, new_spine
+from .caterpillar import AdjacencyGraph, Caterpillar, _check_mn
 from .errors import DomainError, ResourceLimitError
 from .experiments import WeightedSums
 from .indices import IndexSpec, _check_int64, compute_index_batch, randic, zagreb
@@ -68,7 +72,7 @@ __all__ = [
 ENUMERATION_GUARD = 10**7
 
 # The compositions path holds max(1, BLOCK_CELLS // m) states at a time.  Each
-# state carries a count tuple, weight, value and ratio as Python objects next
+# state carries a count list, weight, value and ratio as Python objects next
 # to its int64 row, so the block is a quarter of the replicate engine's: at
 # (5, 20), 204 states per block keep the tracemalloc peak at 0.25 MiB, where
 # 819 states reached 0.53 MiB and ran no faster.
@@ -92,14 +96,31 @@ class ExactMoments:
 def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """All m-tuples of non-negative integers summing to n, in lexicographic order.
 
-    Stars and bars: the m - 1 bars stand at cut points 0 <= c_1 <= ... <= n
-    among the n stars, and the parts are the gaps between successive cuts.
+    The rows of :func:`_composition_blocks`, in blocks of
+    ``max(1, BLOCK_CELLS // m)``, as tuples.
     """
-    top = (n,)
-    for cuts in itertools.combinations_with_replacement(range(n + 1), m - 1):
-        # Through a list: tuple() of a lazy map would allocate a larger
-        # tuple and shrink it, piling freed tuples up.
-        yield tuple(list(map(operator.sub, cuts + top, (0, *cuts))))
+    for counts in _composition_blocks(n, m, max(1, BLOCK_CELLS // m)):
+        yield from map(tuple, counts.tolist())
+
+
+def _composition_blocks(n: int, m: int, rows: int) -> Iterator[np.ndarray]:
+    """The compositions of n into m parts as int64 matrices of up to ``rows``
+    rows each, in lexicographic order.
+
+    Stars and bars: the m - 1 bars stand at cut points 0 <= c_1 <= ... <= n
+    among the n stars, and the parts are the gaps between successive cuts,
+    ``np.diff`` of the cuts padded with 0 and n.
+    """
+    total = math.comb(n + m - 1, m - 1)
+    # Read as one stream of ints, each cut tuple is dropped before the next
+    # is drawn, so itertools reuses it rather than allocating one per state.
+    cuts = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(n + 1), m - 1)
+    )
+    for start in range(0, total, rows):
+        size = min(rows, total - start)
+        cut = np.fromiter(cuts, dtype=np.int64, count=size * (m - 1)).reshape(size, m - 1)
+        yield np.diff(cut, axis=1, prepend=0, append=n)
 
 
 def multinomial_coefficient(counts) -> int:
@@ -137,6 +158,28 @@ def _chain_cells(m: int, n: int) -> int:
     return math.comb(n + m - 1, m) * m * m
 
 
+def _history_blocks(m: int, n: int, rows: int) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
+    """The distinct states n growth steps from the bare spine, with their
+    counts of histories, in blocks of up to ``rows``: an int64 leaf-count
+    matrix and its rows' counts.
+
+    Each level maps leaf-count tuples to counts; each state's count is added
+    into each of its m successors (:func:`_successor_counts`), so the chain
+    steps the C(n+m-1, m) states of levels 0..n-1 once each.
+    """
+    histories = {(0,) * m: 1}
+    for _ in range(n):
+        grown = {}
+        for x, count in histories.items():
+            for s in _successor_counts(x):
+                grown[s] = grown.get(s, 0) + count
+        histories = grown
+    items = iter(histories.items())
+    while chunk := list(itertools.islice(items, rows)):
+        states, counts = zip(*chunk)
+        yield np.array(states, dtype=np.int64), counts
+
+
 def enumerate_exact(
     m: int,
     n: int,
@@ -146,11 +189,12 @@ def enumerate_exact(
 ) -> ExactMoments:
     """Exact mean/variance of an index over the uniform growth law at (m, n).
 
-    ``method`` is ``"histories"`` (n steps of :func:`one_step_successors`
-    from the bare spine), ``"compositions"`` (stream leaf-count compositions
-    in blocks, with multinomial weights), or ``"auto"`` (histories when
-    n <= 12, m^n * m <= guard and the chain cells <= guard, else
-    compositions; see :func:`choose_method`).  The cells the chosen path
+    ``method`` is ``"histories"`` (n growth steps of leaf-count tuples from
+    the bare spine, with counted history weights), ``"compositions"``
+    (leaf-count compositions built as int64 blocks, with multinomial
+    weights), or ``"auto"`` (histories when n <= 12, m^n * m <= guard and
+    the chain cells <= guard, else compositions; see
+    :func:`choose_method`).  The cells the chosen path
     builds, states x m (on the histories path, C(n+m-1, m) stepped states x
     m successors x m), must stay within ``guard`` (else
     :class:`ResourceLimitError`), and (m, n) within the batched evaluator's
@@ -164,6 +208,7 @@ def enumerate_exact(
         raise DomainError(f"exact Randic evaluation requires alpha = 1, got {spec.alpha}")
     method = choose_method(m, n, method, guard)
     _check_int64(m, n)
+    block = max(1, BLOCK_CELLS // m)
 
     # The sizes are stated as C(., .): str() refuses ints past 4300 digits.
     if method == "histories":
@@ -172,28 +217,23 @@ def enumerate_exact(
                 f"stepping C({n + m - 1},{m}) states, each to {m} successors of {m}"
                 f" cells, exceeds the guard of {guard} cells; use the composition method"
             )
-        histories = Counter([new_spine(m)])
-        for _ in range(n):
-            grown = Counter()
-            for c, count in histories.items():
-                grown.update(dict.fromkeys(one_step_successors(c), count))
-            histories = grown
-        weighted = ((c.leaf_counts, count) for c, count in histories.items())
+        blocks = _history_blocks(m, n, block)
     else:
         if math.comb(n + m - 1, m - 1) * m > guard:
             raise ResourceLimitError(
                 f"enumeration of C({n + m - 1},{m - 1}) compositions of {m} cells"
                 f" exceeds the guard of {guard} cells"
             )
-        weighted = ((c, multinomial_coefficient(c)) for c in compositions(n, m))
+        blocks = (
+            (counts, list(map(multinomial_coefficient, counts.tolist())))
+            for counts in _composition_blocks(n, m, block)
+        )
 
     history_count = m**n
 
     sums = WeightedSums(support=set())
-    block = max(1, BLOCK_CELLS // m)
-    while chunk := list(itertools.islice(weighted, block)):
-        states, weights = zip(*chunk)
-        sums.add(compute_index_batch(np.array(states, dtype=np.int64), spec), weights)
+    for counts, weights in blocks:
+        sums.add(compute_index_batch(counts, spec), weights)
     mean = Fraction(sums.total, history_count * sums.denominator)
     second = Fraction(sums.total_sq, history_count * sums.denominator**2)
     return ExactMoments(
@@ -207,29 +247,33 @@ def enumerate_exact(
 def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
     """Level-synchronous BFS from every node of every graph at once.
 
-    ``graphs`` is a stack of G graphs with one node count N.  Returns, per
-    graph, the number of ordered node pairs at distance 1, 2, ...  The G x N
-    x N pairs and the gathered neighbour rows must stay within
+    ``graphs`` is a stack of G graphs with node counts N_g, laid out block
+    diagonally.  Returns, per graph, the number of ordered node pairs at
+    distance 1, 2, ...  The sum of the N_g^2 pairs and the gathered
+    neighbour rows of ceil(max N_g / 64) words must stay within
     ``ENUMERATION_GUARD`` cells.
     """
     stack = len(graphs)
     if not stack:
         return []
-    size = graphs[0].node_count
-    if any(g.node_count != size for g in graphs):
-        sizes = sorted({g.node_count for g in graphs})
-        raise DomainError(f"a BFS stack needs one node count, got {sizes}")
-    cells = stack * size * size
+    sizes = [g.node_count for g in graphs]
+    cells = sum(size * size for size in sizes)
     if cells > ENUMERATION_GUARD:
-        tables = f"{size}^2" if stack == 1 else f"{stack} x {size}^2"
+        size = sizes[0]
+        if stack == 1:
+            tables = f"{size}^2"
+        elif sizes.count(size) == stack:
+            tables = f"{stack} x {size}^2"
+        else:
+            tables = f"{stack} graphs of {min(sizes)} to {max(sizes)} nodes"
         raise ResourceLimitError(
             f"BFS distance table of {tables} = {cells} cells exceeds the"
             f" guard of {ENUMERATION_GUARD}"
         )
-    words = -(-size // 64)
+    words = -(-max(sizes) // 64)
     edge_counts = [len(g.edges) for g in graphs]
     # A node's closed neighbourhood lists the node and the far end of each of its edges.
-    gathered = stack * size + 2 * sum(edge_counts)
+    gathered = sum(sizes) + 2 * sum(edge_counts)
     if gathered * words > ENUMERATION_GUARD:
         raise ResourceLimitError(
             f"BFS neighbour rows of {gathered} x {words} words exceed the"
@@ -250,32 +294,43 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
         or {bool, np.bool_} & set(map(type, itertools.chain.from_iterable(edges)))
     ):
         raise DomainError("every edge must be a pair (u, v) of node numbers")
-    if ends.size and (ends.min() < 0 or ends.max() >= size):
-        raise DomainError(f"an edge end lies outside the nodes [0, {size})")
-    # Graph g's nodes are rows g*N .. g*N + N - 1 of the stacked sets; a
-    # narrower int (numpy int8 ends) would wrap on the shift.
+    # Each end within its own graph's nodes: an end of N_g would reach the
+    # next graph's rows.
+    bounds = np.repeat(sizes, edge_counts)
+    outside = np.flatnonzero(((ends < 0) | (ends >= bounds[:, None])).any(axis=1))
+    if outside.size:
+        raise DomainError(f"an edge end lies outside the nodes [0, {bounds[outside[0]]})")
+    # Graph g's nodes are rows first[g] .. first[g] + N_g - 1 of the stacked
+    # sets; a narrower int (numpy int8 ends) would wrap on the shift.
+    sizes = np.array(sizes, dtype=np.intp)
+    first = np.cumsum(sizes) - sizes
     ends = ends.astype(np.intp, copy=False)
-    ends += np.repeat(np.arange(stack) * size, edge_counts)[:, None]
+    ends += np.repeat(first, edge_counts)[:, None]
     # CSR neighbour list with each row in its own segment: reached sets only
     # grow, and no reduceat segment is empty, not even an isolated node's.
-    rows = np.arange(stack * size)
+    rows = np.arange(sizes.sum())
     tails = np.concatenate((rows, ends.ravel()))
     heads = np.concatenate((rows, ends[:, ::-1].ravel()))
-    del edges, ends
+    del edges, ends, bounds
     nbr = heads.take(np.argsort(tails, kind="stable"))
-    lengths = np.bincount(tails, minlength=stack * size)
+    lengths = np.bincount(tails, minlength=len(rows))
     del tails, heads
     starts = np.cumsum(lengths) - lengths
-    nodes = np.tile(np.arange(size), stack)
+    nodes = rows - np.repeat(first, sizes)
     # Little-endian words, so bit j of a row is bit j % 8 of byte j // 8.
-    reached = np.zeros((stack * size, words), dtype="<u8")
+    reached = np.zeros((len(rows), words), dtype="<u8")
     reached.view(np.uint8)[rows, nodes >> 3] = 1 << (nodes & 7)
+    # Each graph's rows are one contiguous block of words, summed from its
+    # first word by np.add.reduceat; a graph with no nodes has no block.
+    blocks = np.flatnonzero(sizes)
+    block_starts = first[blocks] * words
     levels = []
-    unreached = stack * (size * size - size)
+    unreached = int((sizes * sizes - sizes).sum())
     while unreached:
         step = np.bitwise_or.reduceat(reached.take(nbr, axis=0), starts, axis=0)
-        # Each graph's rows are one contiguous block of words.
-        fresh = np.bitwise_count(step ^ reached).reshape(stack, -1).sum(axis=1, dtype=np.int64)
+        fresh = np.add.reduceat(
+            np.bitwise_count(step ^ reached).ravel(), block_starts, dtype=np.int64
+        )
         count = int(fresh.sum())
         # A graph that gains no pair never gains one again, so a stalled
         # member shows once the others are done.
@@ -286,14 +341,17 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
         reached = step
     # A connected graph has pairs at every distance up to its diameter and
     # none beyond, so its zeros are the levels after it was done.
-    per_graph = np.array(levels, dtype=np.int64).reshape(len(levels), stack).T
-    return [[c for c in counts if c] for counts in per_graph.tolist()]
+    per_block = np.array(levels, dtype=np.int64).reshape(len(levels), len(blocks)).T
+    counts = dict(zip(blocks.tolist(), per_block.tolist()))
+    return [[c for c in counts.get(g, ()) if c] for g in range(stack)]
 
 
 def bfs_distance_sums_many(graphs: Sequence[AdjacencyGraph]) -> list[tuple[int, int]]:
-    """:func:`bfs_distance_sums` of each graph of a stack with one node count.
+    """:func:`bfs_distance_sums` of each graph of a stack.
 
-    The stack runs as one BFS; the guard applies to G x N x N.
+    The stack runs as one BFS, its graphs laid out block-diagonally, so they
+    may have different node counts; the guard applies to the sum of their
+    N_g x N_g pairs.
     """
     sums = []
     for counts in _bfs_levels(graphs):
@@ -321,10 +379,15 @@ def hyper_wiener_bfs(g: AdjacencyGraph) -> int:
     return sum(bfs_distance_sums(g))
 
 
+def _successor_counts(x: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The leaf counts of the m equally likely states one growth step after
+    leaf counts ``x``: one more leaf on spine node i, for i = 0 .. m-1."""
+    return [x[:i] + (x[i] + 1,) + x[i + 1:] for i in range(len(x))]
+
+
 def one_step_successors(c: Caterpillar) -> list[Caterpillar]:
     """The m equally likely states one growth step after ``c``."""
-    x = c.leaf_counts
-    return [Caterpillar(c.m, x[:i] + (x[i] + 1,) + x[i + 1:]) for i in range(c.m)]
+    return [Caterpillar(c.m, x) for x in _successor_counts(c.leaf_counts)]
 
 
 def martingale_residual(c: Caterpillar) -> Fraction:

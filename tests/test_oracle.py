@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ import pytest
 from catlab import oracle
 from catlab.caterpillar import AdjacencyGraph, Caterpillar, RngSeed, new_spine, to_adjacency
 from catlab.errors import DomainError, ResourceLimitError
-from catlab.indices import zagreb
+from catlab.indices import IndexSpec, compute_index, zagreb
 from catlab.oracle import (
+    ExactMoments,
     bfs_distance_sums,
     bfs_distance_sums_many,
     choose_method,
@@ -44,17 +46,37 @@ def test_enumerate_exact_frozen_values():
 INDICES = ("gini_degree", "hoover", "zagreb", "randic:1", "wiener", "hyper_wiener")
 
 
+def reference_moments(m, n, index):
+    """The per-tuple formulation the block-built paths replaced: each
+    stars-and-bars composition as a tuple, weighted by its multinomial
+    coefficient and evaluated by the scalar ``compute_index``, with the
+    moments summed as Fractions."""
+    spec = IndexSpec.parse(index)
+    top = (n,)
+    values, weights = [], []
+    for cuts in itertools.combinations_with_replacement(range(n + 1), m - 1):
+        counts = tuple(map(operator.sub, cuts + top, (0, *cuts)))
+        values.append(Fraction(compute_index(Caterpillar(m, counts), spec)))
+        weights.append(multinomial_coefficient(counts))
+    histories = m**n
+    return ExactMoments(
+        mean=sum(map(operator.mul, weights, values)) / histories,
+        second_moment=sum(w * v * v for w, v in zip(weights, values)) / histories,
+        support_size=len(set(values)),
+        history_count=histories,
+    )
+
+
 def test_enumeration_paths_agree():
-    """Counted history weights (histories) equal multinomial weights
-    (compositions), support sizes included.  Both paths evaluate with
-    ``compute_index_batch``; its values are checked against the scalar
-    ``compute_index`` in ``test_batch_matches_scalar_exhaustively``."""
+    """Counted history weights (histories) and multinomial weights of the
+    block-built compositions (compositions) both equal the per-tuple
+    reference, support sizes included, for every m <= 6 and n <= 8."""
     for index in INDICES:
-        for m in range(2, 6):
-            for n in range(0, 8):
-                a = enumerate_exact(m, n, index, method="histories")
-                b = enumerate_exact(m, n, index, method="compositions")
-                assert a == b, (index, m, n)
+        for m in range(2, 7):
+            for n in range(0, 9):
+                want = reference_moments(m, n, index)
+                for method in ("histories", "compositions"):
+                    assert enumerate_exact(m, n, index, method=method) == want, (index, m, n)
 
 
 @pytest.mark.parametrize("m,n", [(10, 6), (3, 9), (4, 0)])
@@ -62,8 +84,8 @@ def test_histories_path_steps_each_state_once(monkeypatch, m, n):
     """The histories path steps the C(n+m-1, m) states of levels 0..n-1,
     each once, and never walks the m^n histories themselves."""
     calls = []
-    real = oracle.one_step_successors
-    monkeypatch.setattr(oracle, "one_step_successors", lambda c: calls.append(c) or real(c))
+    real = oracle._successor_counts
+    monkeypatch.setattr(oracle, "_successor_counts", lambda x: calls.append(x) or real(x))
     em = enumerate_exact(m, n, "zagreb", method="histories")
     assert len(calls) == len(set(calls)) == math.comb(n + m - 1, m)
     assert em.history_count == m**n
@@ -72,9 +94,20 @@ def test_histories_path_steps_each_state_once(monkeypatch, m, n):
 @pytest.mark.parametrize("m,n", [(10, 6), (2, 22)])
 def test_enumeration_paths_agree_near_the_histories_guard(m, n):
     assert m**n * m <= oracle.ENUMERATION_GUARD < m ** (n + 1) * m
-    for index in ("zagreb", "hyper_wiener"):
-        a = enumerate_exact(m, n, index, method="histories")
-        assert a == enumerate_exact(m, n, index, method="compositions"), index
+    for index in INDICES:
+        want = reference_moments(m, n, index)
+        for method in ("histories", "compositions"):
+            assert enumerate_exact(m, n, index, method=method) == want, (index, method)
+
+
+def traced_peak(f):
+    """The tracemalloc peak, in bytes, of calling ``f()``."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_histories_guard_follows_the_chain(monkeypatch):
@@ -83,9 +116,12 @@ def test_histories_guard_follows_the_chain(monkeypatch):
     assert math.comb(16, 10) * 10 * 10 <= oracle.ENUMERATION_GUARD < 10**7 * 10
     histories = enumerate_exact(10, 7, "zagreb", method="histories")
     assert histories == enumerate_exact(10, 7, "zagreb", method="compositions")
+    # Its levels hold leaf-count tuples, not Caterpillars: the 11,440 states
+    # of level 7 peak at 3.1 MiB, where a Counter of Caterpillars took 4.4.
+    assert traced_peak(lambda: enumerate_exact(10, 7, "zagreb", method="histories")) < 4 * 2**20
     # Refusals come before the first step, however large the chain: one
     # state of 10^5 successors of 10^5 cells, and C(2000002,3) states.
-    monkeypatch.setattr(oracle, "one_step_successors", None)
+    monkeypatch.setattr(oracle, "_successor_counts", None)
     for m, n in ((100_000, 1), (3, 2_000_000)):
         with pytest.raises(ResourceLimitError, match="use the composition method"):
             enumerate_exact(m, n, "zagreb", method="histories")
@@ -93,26 +129,24 @@ def test_histories_guard_follows_the_chain(monkeypatch):
 
 @pytest.mark.parametrize("rows_per_block", [1, 7, None])
 def test_composition_block_size_does_not_matter(monkeypatch, rows_per_block):
-    """Blocks of 1 and 7 states, and one block of every state, agree."""
-    cases = [(5, 20, index) for index in ("gini_degree", "hoover", "hyper_wiener")]
-    cases += [(3, 6, index) for index in INDICES]
-    wants = [enumerate_exact(m, n, index, method="compositions") for m, n, index in cases]
+    """Blocks of 1 and 7 states, and one block of every state, agree on both
+    paths, and ``compositions`` yields the same tuples in the same order."""
+    methods = ("histories", "compositions")
+    cases = [(5, 20, index, "compositions") for index in ("gini_degree", "hoover", "hyper_wiener")]
+    cases += [(3, 6, index, method) for index in INDICES for method in methods]
+    wants = [enumerate_exact(m, n, index, method=method) for m, n, index, method in cases]
     assert wants[0].mean.denominator > 1  # Gini at (5, 20) is Fraction-valued
-    for (m, n, index), want in zip(cases, wants):
+    for (m, n, index, method), want in zip(cases, wants):
         states = math.comb(n + m - 1, m - 1)
         monkeypatch.setattr(oracle, "BLOCK_CELLS", (rows_per_block or states) * m)
-        assert enumerate_exact(m, n, index, method="compositions") == want
+        assert enumerate_exact(m, n, index, method=method) == want, (m, n, index, method)
+        assert list(compositions(n, m)) == list(recursive_compositions(n, m))
 
 
 def test_composition_path_streams_blocks():
-    """All 10,626 states at (5, 20) are never held at once."""
-    tracemalloc.start()
-    try:
-        enumerate_exact(5, 20, "hyper_wiener")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+    """All 10,626 states at (5, 20) are never held at once: each block is
+    built as one int64 matrix, not from a tuple per state (365 KiB then)."""
+    assert traced_peak(lambda: enumerate_exact(5, 20, "hyper_wiener")) <= 0.4 * 2**20
 
 
 def test_enumerate_guard_and_method_choice():
@@ -331,13 +365,31 @@ def test_bfs_stack_shifts_narrow_int_ends_without_wrapping():
 
 
 def test_bfs_stack_rejects_a_disconnected_member_and_mixed_sizes():
+    """Graphs of different node counts share one block-diagonal BFS and get
+    their single-graph results.  A disconnected member is still refused, and
+    so is an end equal to its own graph's N, which would reach the next
+    graph's rows though it lies below the stack's largest N."""
     path = to_adjacency(Caterpillar(2, (1, 2)))
     two_paths = AdjacencyGraph(5, ((0, 1), (1, 2), (3, 4)))
     for graphs in ([path, two_paths], [two_paths, path, path], [path, path, two_paths]):
         with pytest.raises(DomainError, match="graph is disconnected"):
             bfs_distance_sums_many(graphs)
-    with pytest.raises(DomainError, match="one node count, got \\[5, 7\\]"):
-        bfs_distance_sums_many([path, to_adjacency(Caterpillar(2, (5, 0)))])
+    longer = to_adjacency(Caterpillar(2, (5, 0)))
+    graphs = [path, longer, *generic_graphs().values(), AdjacencyGraph(0, ()), path]
+    assert oracle._bfs_levels(graphs) == [oracle._bfs_levels([g])[0] for g in graphs]
+    assert bfs_distance_sums_many(graphs) == list(map(bfs_distance_sums, graphs))
+    for graphs in ([longer, two_paths, path], [two_paths, longer]):
+        with pytest.raises(DomainError, match="graph is disconnected"):
+            bfs_distance_sums_many(graphs)
+    reaching = AdjacencyGraph(5, path.edges + ((4, 5),))
+    for graphs in ([reaching, longer], [longer, reaching, path]):
+        with pytest.raises(DomainError, match=r"outside the nodes \[0, 5\)"):
+            bfs_distance_sums_many(graphs)
+    # The guard sums N^2 over the stack: 2 x 2000^2 + 1502^2.
+    wide, narrow = to_adjacency(Caterpillar(2, (1998, 0))), to_adjacency(Caterpillar(2, (1500, 0)))
+    message = ("BFS distance table of 3 graphs of 1502 to 2000 nodes = 10256004 cells"
+               " exceeds the guard of 10000000")
+    assert refused_peak(bfs_distance_sums_many, [wide, narrow, wide], message) < 64 * 2**10
 
 
 def test_bfs_refuses_malformed_edges():

@@ -174,17 +174,20 @@ def test_suite_all_draws_each_replicate_set_at_most_twice(monkeypatch):
 
 def test_criterion_7_runs_one_bfs_per_grid_point_and_per_random_state(monkeypatch):
     """The 784 grid states run as 28 stacked BFS calls, one per (m, n); the
-    100 random states, of mixed sizes, run one call each."""
+    100 random states, of mixed sizes, run as 20 stacks of 5, sorted by m."""
     stacks = []
     real = oracle._bfs_levels
     monkeypatch.setattr(
-        oracle, "_bfs_levels", lambda graphs: stacks.append(len(graphs)) or real(graphs)
+        oracle, "_bfs_levels",
+        lambda graphs: stacks.append([g.node_count for g in graphs]) or real(graphs),
     )
     assert verify.criterion_formula_vs_bfs("default").verdict == "PASS"
-    assert len(stacks) == 128
+    assert len(stacks) == 48
     grid = [math.comb(n + m - 1, m - 1) for m in range(2, 6) for n in range(7)]
-    assert stacks[:28] == grid and sum(grid) == 784
-    assert stacks[28:] == [1] * 100
+    assert list(map(len, stacks[:28])) == grid and sum(grid) == 784
+    assert list(map(len, stacks[28:])) == [5] * 20
+    by_m = sorted(verify._random_states(20_000_101, 100, 50, 200), key=lambda c: c.m)
+    assert sum(stacks[28:], []) == [c.node_count for c in by_m]
 
 
 HOOVER = Fraction("0.4807")
