@@ -23,16 +23,21 @@ successors of m cells of each of the C(n+m-1, m) states it steps.
 The BFS oracle is a generic graph algorithm that knows nothing of spines or
 leaves, so it stays independent of the edge-cut formula it checks.  It runs
 one level-synchronous BFS from every node at once, over a stack of G graphs
-with node counts N_g laid out block-diagonally: node v of graph g is row
-N_0 + ... + N_{g-1} + v, its reached set is a row of ceil(max N_g / 64)
-uint64 words, and each level ORs together the rows of its closed
-neighbourhood (``np.bitwise_or.reduceat`` over a CSR neighbour list sorted
-out of the edge lists).  The bits a level sets are the ordered pairs at
-that distance.  Each graph's rows are one contiguous block, so its count is
-``np.bitwise_count`` summed over its block by ``np.add.reduceat``.  Only
-these per-level counts are kept; no distance table is built.  A stack pays numpy's per-call cost once
-for all its graphs: criterion 7 runs each point of its exhaustive grid as
-one stack, and its random states in stacks of similar spine length.
+with node counts N_g laid out block-diagonally: node v of graph g is node
+N_0 + ... + N_{g-1} + v of the stack, and its reached set is a row of
+ceil(max N_g / 64) uint64 words.  Each level ORs into every row the row of
+the node's first neighbour and, for the hubs (the nodes with two or more
+neighbours) only, the rows of their other neighbours, by
+``np.bitwise_or.reduceat`` over a CSR list of open neighbourhoods sorted
+out of the edge lists.  A reduceat costs per segment, and most nodes of a
+sparse graph have one neighbour; the rows hold the hubs first, so the hubs'
+segments OR into one slice.  The bits a level sets are the ordered pairs at
+that distance.  A graph's rows are at most two runs, its hubs and its other
+nodes, so its count is ``np.bitwise_count`` summed over its runs by
+``np.add.reduceat``.  Only these per-level counts are kept; no distance
+table is built.  A stack pays numpy's per-call cost once for all its
+graphs: criterion 7 runs each point of its exhaustive grid as one stack,
+and its random states in stacks of similar spine length.
 """
 
 from __future__ import annotations
@@ -70,6 +75,9 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 10**7
+
+_ZAGREB = IndexSpec("zagreb")
+_RANDIC = IndexSpec("randic", 1)
 
 # The compositions path holds max(1, BLOCK_CELLS // m) states at a time.  Each
 # state carries a count list, weight, value and ratio as Python objects next
@@ -257,6 +265,11 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
     if not stack:
         return []
     sizes = [g.node_count for g in graphs]
+    for size in sizes:
+        # True * True is 1 node, and -3 or 2.5 would fail deep inside numpy.
+        if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 0:
+            raise DomainError(f"node_count must be a non-negative int, got {size!r}")
+    sizes = list(map(int, sizes))
     cells = sum(size * size for size in sizes)
     if cells > ENUMERATION_GUARD:
         size = sizes[0]
@@ -272,8 +285,10 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
         )
     words = -(-max(sizes) // 64)
     edge_counts = [len(g.edges) for g in graphs]
-    # A node's closed neighbourhood lists the node and the far end of each of its edges.
-    gathered = sum(sizes) + 2 * sum(edge_counts)
+    # A level gathers each node's first neighbour (or the node itself) and
+    # every further neighbour of a hub: at most one row per node and per edge end.
+    total = sum(sizes)
+    gathered = total + 2 * sum(edge_counts)
     if gathered * words > ENUMERATION_GUARD:
         raise ResourceLimitError(
             f"BFS neighbour rows of {gathered} x {words} words exceed the"
@@ -295,43 +310,65 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
     ):
         raise DomainError("every edge must be a pair (u, v) of node numbers")
     # Each end within its own graph's nodes: an end of N_g would reach the
-    # next graph's rows.
-    bounds = np.repeat(sizes, edge_counts)
-    outside = np.flatnonzero(((ends < 0) | (ends >= bounds[:, None])).any(axis=1))
+    # next graph's rows.  As unsigned, a negative end reads at least 2^63.
+    sizes = np.array(sizes, dtype=np.intp)
+    bounds = sizes.repeat(edge_counts)
+    # a narrower int (numpy int8 ends) would wrap on the shift below
+    ends = ends.astype(np.intp, copy=False)
+    outside = (ends.view(np.uintp) >= bounds.view(np.uintp)[:, None]).nonzero()[0]
     if outside.size:
         raise DomainError(f"an edge end lies outside the nodes [0, {bounds[outside[0]]})")
-    # Graph g's nodes are rows first[g] .. first[g] + N_g - 1 of the stacked
-    # sets; a narrower int (numpy int8 ends) would wrap on the shift.
-    sizes = np.array(sizes, dtype=np.intp)
-    first = np.cumsum(sizes) - sizes
-    ends = ends.astype(np.intp, copy=False)
-    ends += np.repeat(first, edge_counts)[:, None]
-    # CSR neighbour list with each row in its own segment: reached sets only
-    # grow, and no reduceat segment is empty, not even an isolated node's.
-    rows = np.arange(sizes.sum())
-    tails = np.concatenate((rows, ends.ravel()))
-    heads = np.concatenate((rows, ends[:, ::-1].ravel()))
-    del edges, ends, bounds
-    nbr = heads.take(np.argsort(tails, kind="stable"))
-    lengths = np.bincount(tails, minlength=len(rows))
-    del tails, heads
-    starts = np.cumsum(lengths) - lengths
-    nodes = rows - np.repeat(first, sizes)
+    # Graph g's nodes are first[g] .. first[g] + N_g - 1 in the stack.
+    first = np.add.accumulate(sizes) - sizes
+    ends += first.repeat(edge_counts)[:, None]
+    # CSR list of open neighbourhoods, sorted by node.
+    tails = ends.ravel()
+    nbr = ends[:, ::-1].ravel().take(tails.argsort(kind="stable"))
+    nodes = np.arange(total)
+    lengths = np.bincount(tails, minlength=len(nodes))
+    del edges, ends, bounds, tails
+    starts = np.add.accumulate(lengths) - lengths
+    has_nbr = lengths > 0
+    first_nbr = nodes.copy()
+    first_nbr[has_nbr] = nbr.take(starts[has_nbr])
+    leading = np.zeros(len(nbr), dtype=bool)
+    leading[starts[has_nbr]] = True
+    # A level ORs into each row its first neighbour's row (its own if it has
+    # none), then the other neighbours' rows of the hubs, the nodes with two
+    # or more, one reduceat segment per hub.  The rows hold the hubs first,
+    # so their segments OR into one slice, not a fancy-indexed set of rows.
+    hub = lengths > 1
+    hubs = np.count_nonzero(hub)
+    order = np.concatenate((hub.nonzero()[0], (~hub).nonzero()[0]))  # the node in each row
+    row = np.empty_like(order)
+    row[order] = nodes  # the row of each node
+    first_nbr = row.take(first_nbr.take(order))
+    others = row.take(nbr[~leading])
+    more = lengths[hub] - 1
+    more_starts = np.add.accumulate(more) - more
+    del nbr, starts, lengths, has_nbr, leading, hub, row, more
+    graph = np.arange(stack).repeat(sizes).take(order)
+    local = order - first.take(graph)
     # Little-endian words, so bit j of a row is bit j % 8 of byte j // 8.
-    reached = np.zeros((len(rows), words), dtype="<u8")
-    reached.view(np.uint8)[rows, nodes >> 3] = 1 << (nodes & 7)
-    # Each graph's rows are one contiguous block of words, summed from its
-    # first word by np.add.reduceat; a graph with no nodes has no block.
-    blocks = np.flatnonzero(sizes)
-    block_starts = first[blocks] * words
+    reached = np.zeros((len(nodes), words), dtype="<u8")
+    reached.view(np.uint8)[nodes, local >> 3] = 1 << (local & 7)
+    # A graph's rows are at most two runs, its hubs and its other nodes;
+    # each run's words are summed from its first word by np.add.reduceat.
+    new_run = np.empty(len(graph), dtype=bool)
+    new_run[:1] = True
+    np.not_equal(graph[1:], graph[:-1], out=new_run[1:])
+    runs = new_run.nonzero()[0]
+    run_starts = runs * words
     levels = []
-    unreached = int((sizes * sizes - sizes).sum())
+    unreached = cells - total
     while unreached:
-        step = np.bitwise_or.reduceat(reached.take(nbr, axis=0), starts, axis=0)
-        fresh = np.add.reduceat(
-            np.bitwise_count(step ^ reached).ravel(), block_starts, dtype=np.int64
-        )
-        count = int(fresh.sum())
+        step = reached.take(first_nbr, axis=0)
+        step |= reached
+        step[:hubs] |= np.bitwise_or.reduceat(reached.take(others, axis=0), more_starts, axis=0)
+        # reached only grows, so the bits a level sets are step ^ reached
+        reached ^= step
+        fresh = np.add.reduceat(np.bitwise_count(reached).ravel(), run_starts, dtype=np.int64)
+        count = int(np.add.reduce(fresh))
         # A graph that gains no pair never gains one again, so a stalled
         # member shows once the others are done.
         if not count:
@@ -339,11 +376,12 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
         levels.append(fresh)
         unreached -= count
         reached = step
+    per_run = np.array(levels, dtype=np.int64).reshape(len(levels), len(runs))
+    per_graph = np.zeros((stack, len(levels)), dtype=np.int64)
+    np.add.at(per_graph, graph.take(runs), per_run.T)
     # A connected graph has pairs at every distance up to its diameter and
     # none beyond, so its zeros are the levels after it was done.
-    per_block = np.array(levels, dtype=np.int64).reshape(len(levels), len(blocks)).T
-    counts = dict(zip(blocks.tolist(), per_block.tolist()))
-    return [[c for c in counts.get(g, ()) if c] for g in range(stack)]
+    return [[c for c in counts if c] for counts in per_graph.tolist()]
 
 
 def bfs_distance_sums_many(graphs: Sequence[AdjacencyGraph]) -> list[tuple[int, int]]:
@@ -390,24 +428,38 @@ def one_step_successors(c: Caterpillar) -> list[Caterpillar]:
     return [Caterpillar(c.m, x) for x in _successor_counts(c.leaf_counts)]
 
 
+def _successor_sum(c: Caterpillar, spec: IndexSpec) -> int:
+    """The sum of an integer index over the m states of
+    :func:`one_step_successors`, in one batched call: the leaf counts tiled
+    m times, plus the identity, are the successors' count matrix."""
+    counts = np.array(c.leaf_counts, dtype=np.int64)
+    return sum(compute_index_batch(counts + np.eye(c.m, dtype=np.int64), spec))
+
+
 def martingale_residual(c: Caterpillar) -> Fraction:
     """One-step drift of the compensated Zagreb index; exactly 0.
 
     With M_n = Z_n - n(n + 6m - 5)/m, returns the mean of M_n over the m
     successors of ``c`` minus M_{n-1} at ``c``, in exact rational arithmetic.
+    Raises :class:`DomainError` where a successor lies outside the batched
+    evaluator's exact range (:func:`~catlab.indices.compute_index_batch`).
     """
     m = c.m
     n_prev = c.n
     n_next = n_prev + 1
-    mean_z_next = Fraction(sum(zagreb(s) for s in one_step_successors(c)), m)
+    mean_z_next = Fraction(_successor_sum(c, _ZAGREB), m)
     m_next = mean_z_next + martingale_compensator(m, n_next)
     m_prev = zagreb(c) + martingale_compensator(m, n_prev)
     return m_next - m_prev
 
 
 def randic_one_step_mean(c: Caterpillar) -> Fraction:
-    """Exact conditional mean of the Randic index (alpha = 1) after one step."""
-    return Fraction(sum(randic(s, 1) for s in one_step_successors(c)), c.m)
+    """Exact conditional mean of the Randic index (alpha = 1) after one step.
+
+    Raises :class:`DomainError` where a successor lies outside the batched
+    evaluator's exact range, as :func:`martingale_residual` does.
+    """
+    return Fraction(_successor_sum(c, _RANDIC), c.m)
 
 
 def randic_supermartingale_gap(c: Caterpillar) -> Fraction:

@@ -12,7 +12,7 @@ import pytest
 from catlab import oracle
 from catlab.caterpillar import AdjacencyGraph, Caterpillar, RngSeed, new_spine, to_adjacency
 from catlab.errors import DomainError, ResourceLimitError
-from catlab.indices import IndexSpec, compute_index, zagreb
+from catlab.indices import IndexSpec, compute_index, randic, zagreb
 from catlab.oracle import (
     ExactMoments,
     bfs_distance_sums,
@@ -24,6 +24,7 @@ from catlab.oracle import (
     martingale_residual,
     multinomial_coefficient,
     one_step_successors,
+    randic_one_step_mean,
     randic_supermartingale_gap,
     wiener_bfs,
 )
@@ -287,7 +288,7 @@ def test_bfs_stack_guard():
 def test_bfs_neighbour_rows_guard():
     """A dense graph within the table guard still has its gather bounded,
     refused before any neighbour row is built."""
-    size = 900  # 810,000 cells, but 810,000 closed-neighbour rows of 15 words
+    size = 900  # 810,000 cells, but 900 + 2 x 404,550 gathered rows of 15 words
     g = AdjacencyGraph(size, tuple(itertools.combinations(range(size), 2)))
     message = "BFS neighbour rows of 810000 x 15 words exceed the guard of 10000000"
     assert refused_peak(bfs_distance_sums, g, message) < 64 * 2**10
@@ -346,6 +347,46 @@ def test_bfs_stack_matches_floyd_warshall(first, second):
     dists = [floyd_warshall(g) for g in graphs]
     assert oracle._bfs_levels(graphs) == [floyd_warshall_levels(d) for d in dists]
     assert bfs_distance_sums_many(graphs) == [floyd_warshall_sums(d) for d in dists]
+
+
+def test_bfs_first_neighbour_and_hub_split_matches_floyd_warshall():
+    """A level ORs in each node's first neighbour (its own row if it has
+    none) and reduces the other neighbours of the hubs only.  Mixed stacks
+    of nodes with no neighbour, with one (leaves, path ends) and hubs of
+    2 to 40 neighbours agree with brute force in every order."""
+    graphs = generic_graphs()
+    mixed = [
+        AdjacencyGraph(1, ()),
+        AdjacencyGraph(41, tuple((0, v) for v in range(1, 41))),  # the star K_{1,40}
+        AdjacencyGraph(9, tuple((v, v + 1) for v in range(8))),  # the 9-node path
+        graphs["cycle C_7"],
+        graphs["130 nodes, 3 words a row"],
+        AdjacencyGraph(2, ((1, 0),)),  # no hub at all
+    ]
+    want = {id(g): floyd_warshall(g) for g in mixed}
+    orders = [mixed, mixed[::-1], mixed[1::2] + mixed[::2], [mixed[0]] * 3, mixed[1:2] * 2]
+    for graphs in orders:
+        dists = [want[id(g)] for g in graphs]
+        assert oracle._bfs_levels(graphs) == [floyd_warshall_levels(d) for d in dists]
+        assert bfs_distance_sums_many(graphs) == [floyd_warshall_sums(d) for d in dists]
+    # A node with no neighbour is its own first neighbour; next to other
+    # nodes it is never reached, so its graph is refused wherever it stands.
+    isolated = AdjacencyGraph(3, ((0, 1),))
+    for k in range(len(mixed) + 1):
+        with pytest.raises(DomainError, match="graph is disconnected"):
+            bfs_distance_sums_many(mixed[:k] + [isolated] + mixed[k:])
+
+
+@pytest.mark.parametrize("count", [-3, 2.5, True, False, np.bool_(True), "3", None])
+def test_bfs_refuses_a_node_count_that_is_not_a_non_negative_int(count):
+    """Refused before anything is built: -3 would fail inside numpy, 2.5
+    would be a TypeError, and True would read as one node."""
+    g = AdjacencyGraph(count, ())
+    path = to_adjacency(new_spine(3))
+    for graphs in ([g], [path, g], [g, path]):
+        with pytest.raises(DomainError, match=r"node_count must be a non-negative int, got "):
+            bfs_distance_sums_many(graphs)
+    assert bfs_distance_sums_many([AdjacencyGraph(np.int64(3), path.edges), path]) == [(4, 6)] * 2
 
 
 def test_bfs_stack_equals_each_graph_on_the_grid():
@@ -460,6 +501,26 @@ def test_one_step_successors():
         degs = spine_degrees(state)
         for i, s in enumerate(one_step_successors(state)):
             assert zagreb(s) == zagreb(state) + 2 * degs[i] + 2
+
+
+def test_one_step_laws_equal_their_scalar_sums():
+    """The batched one-step laws against their scalar forms, written out:
+    sums over ``one_step_successors`` of ``zagreb`` and ``randic(., 1)``."""
+    rng = RngSeed(779).generator()
+    states = [new_spine(2)]
+    for _ in range(100):
+        m = int(rng.integers(2, 21))
+        n = int(rng.integers(0, 101))
+        states.append(sampled(m, n, RngSeed(int(rng.integers(0, 2**32))).generator()))
+    for c in states:
+        successors = one_step_successors(c)
+        mean_z = Fraction(sum(zagreb(s) for s in successors), c.m)
+        # M_n = Z_n - n(n + 6m - 5)/m, one step on from n = c.n
+        drift = Fraction((c.n + 1) * (c.n + 6 * c.m - 4) - c.n * (c.n + 6 * c.m - 5), c.m)
+        assert martingale_residual(c) == mean_z - drift - zagreb(c)
+        assert randic_one_step_mean(c) == Fraction(sum(randic(s, 1) for s in successors), c.m)
+    # (1, 0) and (0, 1) have degrees (2, 1) and (1, 2): R = 2 + 2 either way
+    assert randic_one_step_mean(new_spine(2)) == 4
 
 
 def test_martingale_residual_exact_zero():

@@ -11,6 +11,7 @@ Monte Carlo run.
 import dataclasses
 import math
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -173,8 +174,9 @@ def test_suite_all_draws_each_replicate_set_at_most_twice(monkeypatch):
 
 
 def test_criterion_7_runs_one_bfs_per_grid_point_and_per_random_state(monkeypatch):
-    """The 784 grid states run as 28 stacked BFS calls, one per (m, n); the
-    100 random states, of mixed sizes, run as 20 stacks of 5, sorted by m."""
+    """The 784 grid states run as 28 stacked BFS calls, one per (m, n), in
+    (m, n) order; the 100 random states, of mixed sizes, run as 10 stacks of
+    10, sorted by m."""
     stacks = []
     real = oracle._bfs_levels
     monkeypatch.setattr(
@@ -182,12 +184,26 @@ def test_criterion_7_runs_one_bfs_per_grid_point_and_per_random_state(monkeypatc
         lambda graphs: stacks.append([g.node_count for g in graphs]) or real(graphs),
     )
     assert verify.criterion_formula_vs_bfs("default").verdict == "PASS"
-    assert len(stacks) == 48
-    grid = [math.comb(n + m - 1, m - 1) for m in range(2, 6) for n in range(7)]
-    assert list(map(len, stacks[:28])) == grid and sum(grid) == 784
-    assert list(map(len, stacks[28:])) == [5] * 20
+    assert len(stacks) == 38
+    grid = [(m, n) for m in range(2, 6) for n in range(7)]
+    assert [len(s) for s in stacks[:28]] == [math.comb(n + m - 1, m - 1) for m, n in grid]
+    assert [set(s) for s in stacks[:28]] == [{m + n} for m, n in grid]
+    assert list(map(len, stacks[28:])) == [10] * 10
     by_m = sorted(verify._random_states(20_000_101, 100, 50, 200), key=lambda c: c.m)
     assert sum(stacks[28:], []) == [c.node_count for c in by_m]
+
+
+def test_criterion_7_tracemalloc_peak_stays_below_400_kib():
+    """Stacks of 10 random states hold more rows at once than stacks of 5;
+    the whole criterion still peaks below 400 KiB."""
+    verify.criterion_formula_vs_bfs("default")
+    tracemalloc.start()
+    try:
+        assert verify.criterion_formula_vs_bfs("default").verdict == "PASS"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 2**10
 
 
 HOOVER = Fraction("0.4807")
