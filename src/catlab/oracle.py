@@ -1,4 +1,4 @@
-"""Ground-truth machinery: exhaustive enumeration, BFS distance sums, one-step laws.
+"""Ground-truth machinery: exhaustive enumeration, BFS distance sums, one-step mean.
 
 The enumeration oracle computes exact rational moments of any rational-valued
 index over the uniform growth law, by one of two paths that are kept and
@@ -38,6 +38,13 @@ nodes, so its count is ``np.bitwise_count`` summed over its runs by
 table is built.  A stack pays numpy's per-call cost once for all its
 graphs: criterion 7 runs each point of its exhaustive grid as one stack,
 and its random states in stacks of similar spine length.
+
+The one-step law, :func:`one_step_mean`, is the exact mean of any index
+over the m successors of a state, evaluated as one batch of m leaf-count
+rows.  Like the other oracles it reads the index functions only and states
+no closed form: criteria 8 and 9 of :mod:`catlab.verify` hold it against
+the paper's martingale compensator and super-martingale bound in
+:mod:`catlab.theory`.
 """
 
 from __future__ import annotations
@@ -53,8 +60,7 @@ import numpy as np
 from .caterpillar import AdjacencyGraph, Caterpillar, _check_mn
 from .errors import DomainError, ResourceLimitError
 from .experiments import WeightedSums
-from .indices import IndexSpec, _check_int64, compute_index_batch, randic, zagreb
-from .theory import martingale_compensator, randic_supermartingale_bound
+from .indices import IndexSpec, _check_int64, compute_index_batch
 
 __all__ = [
     "ExactMoments",
@@ -69,15 +75,10 @@ __all__ = [
     "wiener_bfs",
     "hyper_wiener_bfs",
     "one_step_successors",
-    "martingale_residual",
-    "randic_one_step_mean",
-    "randic_supermartingale_gap",
+    "one_step_mean",
 ]
 
 ENUMERATION_GUARD = 10**7
-
-_ZAGREB = IndexSpec("zagreb")
-_RANDIC = IndexSpec("randic", 1)
 
 # The compositions path holds max(1, BLOCK_CELLS // m) states at a time.  Each
 # state carries a count list, weight, value and ratio as Python objects next
@@ -428,42 +429,15 @@ def one_step_successors(c: Caterpillar) -> list[Caterpillar]:
     return [Caterpillar(c.m, x) for x in _successor_counts(c.leaf_counts)]
 
 
-def _successor_sum(c: Caterpillar, spec: IndexSpec) -> int:
-    """The sum of an integer index over the m states of
-    :func:`one_step_successors`, in one batched call: the leaf counts tiled
-    m times, plus the identity, are the successors' count matrix."""
-    counts = np.array(c.leaf_counts, dtype=np.int64)
-    return sum(compute_index_batch(counts + np.eye(c.m, dtype=np.int64), spec))
+def one_step_mean(c: Caterpillar, index: IndexSpec | str) -> Fraction:
+    """Exact mean of an index over the m equally likely states one growth
+    step after ``c``.
 
-
-def martingale_residual(c: Caterpillar) -> Fraction:
-    """One-step drift of the compensated Zagreb index; exactly 0.
-
-    With M_n = Z_n - n(n + 6m - 5)/m, returns the mean of M_n over the m
-    successors of ``c`` minus M_{n-1} at ``c``, in exact rational arithmetic.
-    Raises :class:`DomainError` where a successor lies outside the batched
-    evaluator's exact range (:func:`~catlab.indices.compute_index_batch`).
+    The successors' leaf counts, ``c``'s counts tiled m times plus the
+    identity, make one :func:`~catlab.indices.compute_index_batch` call, so
+    this raises :class:`DomainError` where that evaluator does.  Randic with
+    alpha != 1 sums floats, in successor order, before the exact conversion.
     """
-    m = c.m
-    n_prev = c.n
-    n_next = n_prev + 1
-    mean_z_next = Fraction(_successor_sum(c, _ZAGREB), m)
-    m_next = mean_z_next + martingale_compensator(m, n_next)
-    m_prev = zagreb(c) + martingale_compensator(m, n_prev)
-    return m_next - m_prev
-
-
-def randic_one_step_mean(c: Caterpillar) -> Fraction:
-    """Exact conditional mean of the Randic index (alpha = 1) after one step.
-
-    Raises :class:`DomainError` where a successor lies outside the batched
-    evaluator's exact range, as :func:`martingale_residual` does.
-    """
-    return Fraction(_successor_sum(c, _RANDIC), c.m)
-
-
-def randic_supermartingale_gap(c: Caterpillar) -> Fraction:
-    """One-step Randic mean minus its super-martingale lower bound; >= 0."""
-    j = c.n + 1
-    bound = randic_supermartingale_bound(c.m, j, randic(c, 1))
-    return randic_one_step_mean(c) - bound
+    spec = IndexSpec.parse(index) if isinstance(index, str) else index
+    counts = np.array(c.leaf_counts, dtype=np.int64) + np.eye(c.m, dtype=np.int64)
+    return Fraction(sum(compute_index_batch(counts, spec))) / c.m

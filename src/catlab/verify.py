@@ -28,14 +28,8 @@ from .experiments import (
     run_mc,
     standardize_zagreb,
 )
-from .indices import IndexSpec, hyper_wiener, wiener
-from .oracle import (
-    bfs_distance_sums_many,
-    enumerate_exact,
-    martingale_residual,
-    randic_supermartingale_gap,
-    compositions,
-)
+from .indices import IndexSpec, hyper_wiener, randic, wiener, zagreb
+from .oracle import bfs_distance_sums_many, compositions, enumerate_exact, one_step_mean
 from . import theory
 
 __all__ = [
@@ -206,7 +200,7 @@ def _oracle_rows(m: int, n: int):
     )
 
 
-def criterion_oracle_equivalence(profile: str) -> CriterionResult:
+def criterion_oracle_equivalence() -> CriterionResult:
     """Exact equality of enumeration moments and closed forms on the grid.
 
     The only tolerated mismatches are the two documented errata, and they
@@ -231,7 +225,7 @@ def criterion_oracle_equivalence(profile: str) -> CriterionResult:
     )
 
 
-def criterion_formula_vs_bfs(profile: str) -> CriterionResult:
+def criterion_formula_vs_bfs() -> CriterionResult:
     failures = []
     for m in range(2, 6):
         for n in range(7):
@@ -271,9 +265,14 @@ def _random_states(seed: int, count: int, m_max: int, n_max: int):
         yield Caterpillar(m=m, leaf_counts=tuple(simulate_counts(m, n, rng)))
 
 
-def criterion_martingale(profile: str) -> CriterionResult:
+def criterion_martingale() -> CriterionResult:
+    """The paper's compensated Zagreb index Z_n + beta_n is a martingale:
+    its exact one-step mean equals its value at every state."""
     bad = sum(
-        1 for c in _random_states(20_000_102, 100, 20, 100) if martingale_residual(c) != 0
+        1
+        for c in _random_states(20_000_102, 100, 20, 100)
+        if one_step_mean(c, "zagreb") + theory.martingale_compensator(c.m, c.n + 1)
+        != zagreb(c) + theory.martingale_compensator(c.m, c.n)
     )
     return CriterionResult(
         cid="8-martingale",
@@ -285,11 +284,13 @@ def criterion_martingale(profile: str) -> CriterionResult:
     )
 
 
-def criterion_supermartingale(profile: str) -> CriterionResult:
+def criterion_supermartingale() -> CriterionResult:
+    """The paper's lower bound on the one-step Randic mean holds at every state."""
     bad = sum(
         1
         for c in _random_states(20_000_103, 100, 20, 100)
-        if randic_supermartingale_gap(c) < 0
+        if one_step_mean(c, "randic:1")
+        < theory.randic_supermartingale_bound(c.m, c.n + 1, randic(c, 1))
     )
     return CriterionResult(
         cid="9-supermartingale",
@@ -395,12 +396,12 @@ def _paper_criteria(big, small, profile: str) -> list[CriterionResult]:
     ]
 
 
-def _oracle_suite(profile: str) -> list[CriterionResult]:
+def _oracle_suite() -> list[CriterionResult]:
     return [
-        criterion_oracle_equivalence(profile),
-        criterion_formula_vs_bfs(profile),
-        criterion_martingale(profile),
-        criterion_supermartingale(profile),
+        criterion_oracle_equivalence(),
+        criterion_formula_vs_bfs(),
+        criterion_martingale(),
+        criterion_supermartingale(),
     ]
 
 
@@ -418,7 +419,7 @@ def run_suite(
     if profile not in SE_BAND:
         raise DomainError(f"unknown tolerance profile {profile!r}")
     if suite == "oracle":
-        return _oracle_suite(profile)
+        return _oracle_suite()
     big, small = mc200(seed), mc50(seed)
     paper = _paper_criteria(big, small, profile)
     if suite == "paper7":
@@ -427,7 +428,7 @@ def run_suite(
         return [*paper, criterion_gini(big, profile), criterion_seed_robustness(big, profile)]
     return [
         *paper,
-        *_oracle_suite(profile),
+        *_oracle_suite(),
         criterion_gini(big, profile),
         criterion_determinism(big, small, profile),
         criterion_seed_robustness(big, profile),

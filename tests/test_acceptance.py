@@ -44,23 +44,23 @@ def test_criterion_5_randic_mean(summary_m200):
 def test_criterion_6_oracle_equivalence():
     """Enumeration moments equal closed forms exactly; errata offsets exact."""
     started = time.perf_counter()
-    _report(verify.criterion_oracle_equivalence("default"))
+    _report(verify.criterion_oracle_equivalence())
     assert time.perf_counter() - started < 10.0
 
 
 def test_criterion_7_formula_bfs_cross_validation():
     """O(m) Wiener/hyper-Wiener equal BFS oracles on grid + random states."""
-    _report(verify.criterion_formula_vs_bfs("default"))
+    _report(verify.criterion_formula_vs_bfs())
 
 
 def test_criterion_8_martingale_identity():
     """Compensated Zagreb one-step drift exactly zero on 100 random states."""
-    _report(verify.criterion_martingale("default"))
+    _report(verify.criterion_martingale())
 
 
 def test_criterion_9_supermartingale_inequality():
     """One-step Randic mean >= R + (2j+7m-10)/m on 100 random states."""
-    _report(verify.criterion_supermartingale("default"))
+    _report(verify.criterion_supermartingale())
 
 
 def test_criterion_10_gini_theory(summary_m200):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from catlab import oracle
+from catlab import oracle, theory
 from catlab.caterpillar import AdjacencyGraph, Caterpillar, RngSeed, new_spine, to_adjacency
 from catlab.errors import DomainError, ResourceLimitError
 from catlab.indices import IndexSpec, compute_index, randic, zagreb
@@ -21,11 +21,9 @@ from catlab.oracle import (
     compositions,
     enumerate_exact,
     hyper_wiener_bfs,
-    martingale_residual,
     multinomial_coefficient,
+    one_step_mean,
     one_step_successors,
-    randic_one_step_mean,
-    randic_supermartingale_gap,
     wiener_bfs,
 )
 from catlab.caterpillar import spine_degrees
@@ -503,9 +501,14 @@ def test_one_step_successors():
             assert zagreb(s) == zagreb(state) + 2 * degs[i] + 2
 
 
+ONE_STEP_SPECS = (
+    "gini_degree", "hoover", "zagreb", "randic:1", "randic:0.5", "wiener", "hyper_wiener",
+)
+
+
 def test_one_step_laws_equal_their_scalar_sums():
-    """The batched one-step laws against their scalar forms, written out:
-    sums over ``one_step_successors`` of ``zagreb`` and ``randic(., 1)``."""
+    """The batched one-step mean against its scalar form, written out: the
+    sum of ``compute_index`` over ``one_step_successors``, over m."""
     rng = RngSeed(779).generator()
     states = [new_spine(2)]
     for _ in range(100):
@@ -514,24 +517,33 @@ def test_one_step_laws_equal_their_scalar_sums():
         states.append(sampled(m, n, RngSeed(int(rng.integers(0, 2**32))).generator()))
     for c in states:
         successors = one_step_successors(c)
-        mean_z = Fraction(sum(zagreb(s) for s in successors), c.m)
         # M_n = Z_n - n(n + 6m - 5)/m, one step on from n = c.n
         drift = Fraction((c.n + 1) * (c.n + 6 * c.m - 4) - c.n * (c.n + 6 * c.m - 5), c.m)
-        assert martingale_residual(c) == mean_z - drift - zagreb(c)
-        assert randic_one_step_mean(c) == Fraction(sum(randic(s, 1) for s in successors), c.m)
+        assert one_step_mean(c, "zagreb") == zagreb(c) + drift
+        for text in ONE_STEP_SPECS:
+            spec = IndexSpec.parse(text)
+            expected = Fraction(sum(compute_index(s, spec) for s in successors)) / c.m
+            assert one_step_mean(c, spec) == expected
+            assert one_step_mean(c, text) == expected
     # (1, 0) and (0, 1) have degrees (2, 1) and (1, 2): R = 2 + 2 either way
-    assert randic_one_step_mean(new_spine(2)) == 4
+    assert one_step_mean(new_spine(2), "randic:1") == 4
+
+
+def _martingale_residual(c):
+    """One-step drift of the compensated Zagreb index Z_n + beta_n."""
+    beta = theory.martingale_compensator
+    return one_step_mean(c, "zagreb") + beta(c.m, c.n + 1) - zagreb(c) - beta(c.m, c.n)
 
 
 def test_martingale_residual_exact_zero():
-    assert martingale_residual(new_spine(3)) == 0
-    assert martingale_residual(Caterpillar(2, (5, 1))) == 0
+    assert _martingale_residual(new_spine(3)) == 0
+    assert _martingale_residual(Caterpillar(2, (5, 1))) == 0
     rng = RngSeed(777).generator()
     for _ in range(100):
         m = int(rng.integers(2, 21))
         n = int(rng.integers(0, 101))
         c = sampled(m, n, RngSeed(int(rng.integers(0, 2**32))).generator())
-        assert martingale_residual(c) == 0
+        assert _martingale_residual(c) == 0
 
 
 def test_supermartingale_gap_nonnegative():
@@ -540,7 +552,18 @@ def test_supermartingale_gap_nonnegative():
         m = int(rng.integers(2, 21))
         n = int(rng.integers(0, 101))
         c = sampled(m, n, RngSeed(int(rng.integers(0, 2**32))).generator())
-        assert randic_supermartingale_gap(c) >= 0
+        bound = theory.randic_supermartingale_bound(c.m, c.n + 1, randic(c, 1))
+        assert one_step_mean(c, "randic:1") - bound >= 0
+
+
+def test_oracle_binds_nothing_from_theory():
+    """The oracles read the index functions only, never the closed forms
+    they are checked against."""
+    assert not any(value is theory for value in vars(oracle).values())
+    assert [
+        name for name, value in vars(oracle).items()
+        if getattr(value, "__module__", None) == theory.__name__
+    ] == []
 
 
 def test_conditional_variance_scaling():
