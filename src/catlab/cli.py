@@ -31,15 +31,13 @@ from .errors import DomainError, ResourceLimitError, ValidityError
 from .experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
-    jarque_bera,
-    ks_normality,
     replicate_rows,
     run_mc,
-    standardize_zagreb,
+    zagreb_normality,
 )
 from .indices import IndexSpec
 from .oracle import choose_method, enumerate_exact
-from .svg import histogram_kde_svg
+from .svg import MAX_BINS, check_bins, histogram_kde_svg
 from .verify import SUITES, render_table, report_json, run_suite
 
 __all__ = ["main"]
@@ -203,14 +201,16 @@ def cmd_clt(args: argparse.Namespace) -> int:
     m, n, replications, bins, seed = args.m, args.n, args.replications, args.bins, args.seed
     for path in filter(None, (args.out, args.plot)):
         _check_writable(path)
+    if args.plot:
+        check_bins(bins)
     summary = run_mc(
         ExperimentConfig(
             m=m, n=n, replications=replications, seed=seed,
             indices=(IndexSpec("zagreb"),),
         )
     )
-    z = standardize_zagreb(summary.sample("zagreb"), m, n)
-    tests = {"ks": ks_normality(z), "jarque_bera": jarque_bera(z)}
+    check = zagreb_normality(summary.sample("zagreb"), m, n)
+    z = check.z
 
     lines = ["replicate_id,standardized_zagreb"]
     lines += [f"{r},{format(v, '.17g')}" for r, v in enumerate(z)]
@@ -235,7 +235,7 @@ def cmd_clt(args: argparse.Namespace) -> int:
         "sample_mean": float(z.mean()),
         "sample_variance": float(z.var(ddof=1)),
     }
-    for name, test in tests.items():
+    for name, test in (("ks", check.ks), ("jarque_bera", check.jarque_bera)):
         payload[name] = {
             "statistic": test.statistic,
             "critical": test.critical,
@@ -248,13 +248,12 @@ def cmd_clt(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     m, n = args.m, args.n
-    resolved = choose_method(m, n, args.method)
     moments = enumerate_exact(m, n, args.index, method=args.method)
     payload = {
         "m": m,
         "n": n,
         "index": args.index,
-        "method": resolved,
+        "method": choose_method(m, n, args.method),
         "mean": f"{moments.mean.numerator}/{moments.mean.denominator}",
         "mean_float": float(moments.mean),
         "second_moment": f"{moments.second_moment.numerator}/{moments.second_moment.denominator}",
@@ -312,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_clt.add_argument("--m", type=int, default=200)
     p_clt.add_argument("--n", type=int, default=5000)
     p_clt.add_argument("--replications", type=int, default=500)
-    p_clt.add_argument("--bins", type=int, default=20)
+    p_clt.add_argument("--bins", type=int, default=20, help=f"histogram bars, 1..{MAX_BINS}")
     p_clt.add_argument("--plot", help="write histogram+KDE SVG here")
     p_clt.add_argument("--out", default="clt_sample.csv",
                        help="standardized sample CSV (default %(default)s)")

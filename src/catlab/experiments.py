@@ -52,9 +52,10 @@ __all__ = [
     "reference_rows",
     "run_mc",
     "standardize_zagreb",
-    "normal_cdf",
     "ks_normality",
     "jarque_bera",
+    "NormalityCheck",
+    "zagreb_normality",
     "Ecdf",
     "ecdf",
     "histogram",
@@ -349,11 +350,6 @@ def standardize_zagreb(sample, m: int, n: int) -> np.ndarray:
     return (np.asarray(sample, dtype=float) - mean) / sd
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the error function (double precision)."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def ks_normality(sample) -> TestResult:
     """One-sample Kolmogorov-Smirnov test against the standard normal.
 
@@ -363,7 +359,7 @@ def ks_normality(sample) -> TestResult:
     r = len(x)
     if r < 20:
         raise DomainError(f"KS test needs at least 20 observations, got {r}")
-    cdf = np.array([normal_cdf(v) for v in x])
+    cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
     upper = np.arange(1, r + 1) / r
     lower = np.arange(0, r) / r
     statistic = float(np.max(np.maximum(upper - cdf, cdf - lower)))
@@ -385,6 +381,23 @@ def jarque_bera(sample) -> TestResult:
     kurt = float(np.mean(centered**4)) / (m2 * m2)
     statistic = r / 6.0 * (skew * skew + (kurt - 3.0) ** 2 / 4.0)
     return TestResult("jarque_bera", statistic, JB_CRITICAL_001, 0.01, statistic > JB_CRITICAL_001)
+
+
+@dataclass(frozen=True)
+class NormalityCheck:
+    """A standardized Zagreb sample, its KS and JB tests, and whether either rejects."""
+
+    z: np.ndarray
+    ks: TestResult
+    jarque_bera: TestResult
+    reject: bool
+
+
+def zagreb_normality(sample, m: int, n: int) -> NormalityCheck:
+    """The one normality decision, shared by criteria 2 and R and ``catlab clt``."""
+    z = standardize_zagreb(sample, m, n)
+    ks, jb = ks_normality(z), jarque_bera(z)
+    return NormalityCheck(z, ks, jb, ks.reject or jb.reject)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ histories: each state's count is added into each of its m successors
 takes), so each distinct state's weight is its counted number of growth
 histories.  The compositions path builds the leaf-count compositions a block
 at a time, as one int64 matrix of stars-and-bars cut differences, weighted
-by their multinomial coefficients; it engages automatically for larger n
-since every index depends on leaf counts only.  The two paths differ only
-in where the weights come from: both evaluate their states in blocks of
+by their multinomial coefficients, since every index depends on leaf counts
+only; ``auto`` takes it.  The two paths differ only in where the weights
+come from: both evaluate their states in blocks of
 ``max(1, BLOCK_CELLS // m)`` with :func:`~catlab.indices.compute_index_batch`
 and reduce to Python-int sums over one common denominator
 (:class:`~catlab.experiments.WeightedSums`), so neither builds a
@@ -144,27 +144,14 @@ def multinomial_coefficient(counts) -> int:
 
 
 def choose_method(m: int, n: int, method: str = "auto", guard: int = ENUMERATION_GUARD) -> str:
-    """Resolve the enumeration path: histories for small n, else compositions.
+    """Resolve the enumeration path: ``auto`` is the compositions path, and
+    the histories path runs only by name, as the cross-check of the weights.
 
-    ``auto`` takes histories when n <= 12, m^n * m <= guard and the cells the
-    histories path builds (:func:`_chain_cells`) <= guard, else compositions,
-    so it never picks a path the guard refuses.  The m^n * m bound sizes
-    nothing the histories path builds; it only fixes where ``auto`` switches.
-    The chain bound binds only under guards below the default: at 10^7,
-    every (m, n) within the first two bounds fits it.
+    ``m``, ``n`` and ``guard`` are unread; callers pass them positionally.
     """
     if method not in ("auto", "histories", "compositions"):
         raise DomainError(f"unknown enumeration method {method!r}")
-    if method != "auto":
-        return method
-    fits = n <= 12 and m**n * m <= guard and _chain_cells(m, n) <= guard
-    return "histories" if fits else "compositions"
-
-
-def _chain_cells(m: int, n: int) -> int:
-    """Cells the histories path builds: m successors of m cells for each of
-    the C(n+m-1, m) states of levels 0..n-1 that it steps."""
-    return math.comb(n + m - 1, m) * m * m
+    return "compositions" if method == "auto" else method
 
 
 def _history_blocks(m: int, n: int, rows: int) -> Iterator[tuple[np.ndarray, tuple[int, ...]]]:
@@ -201,11 +188,9 @@ def enumerate_exact(
     ``method`` is ``"histories"`` (n growth steps of leaf-count tuples from
     the bare spine, with counted history weights), ``"compositions"``
     (leaf-count compositions built as int64 blocks, with multinomial
-    weights), or ``"auto"`` (histories when n <= 12, m^n * m <= guard and
-    the chain cells <= guard, else compositions; see
-    :func:`choose_method`).  The cells the chosen path
-    builds, states x m (on the histories path, C(n+m-1, m) stepped states x
-    m successors x m), must stay within ``guard`` (else
+    weights), or ``"auto"``, which is the compositions path.  The cells the
+    chosen path builds, states x m (on the histories path, C(n+m-1, m)
+    stepped states x m successors x m), must stay within ``guard`` (else
     :class:`ResourceLimitError`), and (m, n) within the batched evaluator's
     exact range :func:`~catlab.indices.fits_int64` (else
     :class:`DomainError`); within the default guard, only n = 0 with
@@ -221,7 +206,7 @@ def enumerate_exact(
 
     # The sizes are stated as C(., .): str() refuses ints past 4300 digits.
     if method == "histories":
-        if _chain_cells(m, n) > guard:
+        if math.comb(n + m - 1, m) * m * m > guard:
             raise ResourceLimitError(
                 f"stepping C({n + m - 1},{m}) states, each to {m} successors of {m}"
                 f" cells, exceeds the guard of {guard} cells; use the composition method"

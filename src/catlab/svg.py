@@ -9,14 +9,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .experiments import histogram, kde
 
-__all__ = ["histogram_kde_svg"]
+__all__ = ["MAX_BINS", "check_bins", "histogram_kde_svg"]
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_LEFT, MARGIN_RIGHT = 64, 20
 MARGIN_TOP, MARGIN_BOTTOM = 36, 48
+
+# Each bar is a <rect> of about 108 bytes, so the cap keeps a figure near 1.1 MB.
+MAX_BINS = 10_000
+
+
+def check_bins(bins: int) -> None:
+    """Refuse a bar count outside 1 .. ``MAX_BINS``."""
+    if bins < 1:
+        raise DomainError("bins must be >= 1")
+    if bins > MAX_BINS:
+        raise ResourceLimitError(f"a histogram of {bins} bars exceeds the cap of {MAX_BINS} bars")
 
 
 def _fmt(v: float) -> str:
@@ -46,6 +57,7 @@ def histogram_kde_svg(sample, bins: int = 20) -> str:
     x = np.asarray(sample, dtype=float)
     if x.size == 0:
         raise DomainError("cannot plot an empty sample")
+    check_bins(bins)
     counts, edges = histogram(x, bins)
     spread = x.size > 1 and x.std(ddof=1) > 0
     grid, density = kde(x) if spread else (edges, np.zeros_like(edges))

@@ -22,11 +22,9 @@ from .errors import DomainError
 from .experiments import (
     DEFAULT_SEED,
     ExperimentConfig,
-    jarque_bera,
-    ks_normality,
     reference_rows,
     run_mc,
-    standardize_zagreb,
+    zagreb_normality,
 )
 from .indices import IndexSpec, hyper_wiener, randic, wiener, zagreb
 from .oracle import bfs_distance_sums_many, compositions, enumerate_exact, one_step_mean
@@ -102,19 +100,13 @@ def criterion_hoover(summary, profile: str) -> CriterionResult:
 
 def criterion_zagreb_clt(summary, profile: str) -> CriterionResult:
     cfg = summary.config
-    z = standardize_zagreb(summary.sample("zagreb"), cfg.m, cfg.n)
-    ks = ks_normality(z)
-    jb = jarque_bera(z)
-    mean = float(z.mean())
-    var = float(z.var(ddof=1))
+    check = zagreb_normality(summary.sample("zagreb"), cfg.m, cfg.n)
+    ks, jb = check.ks, check.jarque_bera
+    mean = float(check.z.mean())
+    var = float(check.z.var(ddof=1))
     mean_lo, mean_hi = CLT_MEAN_BAND[profile]
     var_lo, var_hi = CLT_VAR_BAND[profile]
-    passed = (
-        not ks.reject
-        and not jb.reject
-        and mean_lo < mean < mean_hi
-        and var_lo < var < var_hi
-    )
+    passed = not check.reject and mean_lo < mean < mean_hi and var_lo < var < var_hi
     return CriterionResult(
         cid="2-zagreb-clt",
         quantity="standardized Zagreb sample normality (m=200, n=5000, R=500)",
@@ -357,7 +349,7 @@ def criterion_determinism(big, small, profile: str) -> CriterionResult:
     )
 
 
-def criterion_seed_robustness(big, profile: str) -> CriterionResult:
+def criterion_seed_robustness(big) -> CriterionResult:
     """Pass rate of the KS+JB normality decision over 20 consecutive seeds.
 
     ``big`` is the first seed's run: its Zagreb column comes from
@@ -370,11 +362,10 @@ def criterion_seed_robustness(big, profile: str) -> CriterionResult:
         run_mc(dataclasses.replace(cfg, seed=s, indices=(IndexSpec("zagreb"),)))
         for s in range(seed + 1, seed + 20)
     )
-    passes = 0
-    for run in itertools.chain([big], others):
-        z = standardize_zagreb(run.sample("zagreb"), cfg.m, cfg.n)
-        if not ks_normality(z).reject and not jarque_bera(z).reject:
-            passes += 1
+    passes = sum(
+        not zagreb_normality(run.sample("zagreb"), cfg.m, cfg.n).reject
+        for run in itertools.chain([big], others)
+    )
     return CriterionResult(
         cid="R-seed-robustness",
         quantity=f"KS+JB non-rejection rate over seeds {seed}..{seed + 19}",
@@ -425,13 +416,13 @@ def run_suite(
     if suite == "paper7":
         return paper
     if suite == "montecarlo":
-        return [*paper, criterion_gini(big, profile), criterion_seed_robustness(big, profile)]
+        return [*paper, criterion_gini(big, profile), criterion_seed_robustness(big)]
     return [
         *paper,
         *_oracle_suite(),
         criterion_gini(big, profile),
         criterion_determinism(big, small, profile),
-        criterion_seed_robustness(big, profile),
+        criterion_seed_robustness(big),
     ]
 
 

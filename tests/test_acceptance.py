@@ -75,4 +75,4 @@ def test_criterion_11_determinism(summary_m200, summary_m50):
 
 def test_seed_robustness_report(summary_m200):
     """KS+JB non-rejection holds for at least 18 of 20 consecutive seeds."""
-    _report(verify.criterion_seed_robustness(summary_m200, "default"))
+    _report(verify.criterion_seed_robustness(summary_m200))

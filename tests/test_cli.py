@@ -10,6 +10,7 @@ import pytest
 from catlab import cli
 from catlab.cli import build_parser, main
 from catlab.experiments import DEFAULT_SEED
+from catlab.svg import MAX_BINS
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +206,24 @@ def test_clt_failure_writes_no_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("bins, code, message", [
+    (0, 2, "catlab: error: bins must be >= 1"),
+    (MAX_BINS + 1, 3, f"catlab: resource guard: a histogram of {MAX_BINS + 1} bars"),
+], ids=["zero", "past-the-cap"])
+def test_clt_refuses_bins_before_any_draw(tmp_path, capsys, monkeypatch, bins, code, message):
+    def no_draw(cfg):
+        raise AssertionError("run_mc called")
+
+    monkeypatch.setattr(cli, "run_mc", no_draw)
+    result = run_cli(
+        capsys, "clt", "--m", "3", "--n", "4", "--replications", "30", "--bins", str(bins),
+        "--out", str(tmp_path / "s.csv"), "--plot", str(tmp_path / "p.svg"),
+    )
+    assert result[:2] == (code, "")
+    assert result[2].startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_clt_unwritable_plot_path_writes_no_file(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "clt", "--m", "3", "--n", "40", "--replications", "30",
@@ -225,6 +244,21 @@ def test_oracle_command(capsys):
 
     code, out, _ = run_cli(capsys, "oracle", "--m", "3", "--n", "1", "--index", "hyper_wiener")
     assert json.loads(out)["mean"] == "28/1"
+
+
+def test_oracle_auto_is_the_compositions_path(capsys):
+    """auto prints the compositions path and the moments the histories path gives."""
+    payloads = {}
+    for method in ("auto", "histories"):
+        code, out, _ = run_cli(
+            capsys, "oracle", "--m", "2", "--n", "5", "--index", "zagreb", "--method", method
+        )
+        assert code == 0
+        payloads[method] = json.loads(out)
+    auto, histories = payloads["auto"], payloads["histories"]
+    assert (auto.pop("method"), histories.pop("method")) == ("compositions", "histories")
+    assert auto == histories
+    assert auto["history_count"] == 32
 
 
 def test_oracle_guard_exit_code(capsys):

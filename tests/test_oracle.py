@@ -163,20 +163,19 @@ def test_enumerate_guard_and_method_choice():
     assert enumerate_exact(3, 2, "zagreb", method="compositions", guard=18).history_count == 9
     with pytest.raises(ResourceLimitError, match="C\\(4,2\\) compositions"):
         enumerate_exact(3, 2, "zagreb", method="compositions", guard=17)
-    assert choose_method(2, 40) == "compositions"
-    assert choose_method(2, 5) == "histories"
-    # 3162^2 cells fit the default guard of 10^7, 3163^2 do not
-    assert choose_method(3162, 1) == "histories"
-    assert choose_method(3163, 1) == "compositions"
-    # At the default guard auto takes histories wherever m^n x m fits
+    # auto is the compositions path wherever it used to pick histories (n <= 12
+    # and m^n x m within the default guard), and on either side of that rule
+    for m, n in ((2, 40), (2, 5), (3162, 1), (3163, 1)):
+        assert choose_method(m, n) == "compositions", (m, n)
     for n in range(1, 13):
         m = 2
         while m**n * m <= oracle.ENUMERATION_GUARD:
-            assert choose_method(m, n) == "histories", (m, n)
+            assert choose_method(m, n) == "compositions", (m, n)
             m += 1
-    # Under a smaller guard it never picks a refused path: 2^2 x 2 = 8
-    # histories cells fit a guard of 8, but the chain builds 2^2 x C(3,2) = 12
+    # and under a guard the chain would exceed: 2^2 x C(3,2) = 12 cells > 8
     assert choose_method(2, 2, guard=8) == "compositions"
+    for method in ("histories", "compositions"):
+        assert choose_method(2, 5, method) == method
     assert enumerate_exact(2, 2, "zagreb", guard=8).mean == 11
     # 2^40 histories, but the chain steps C(41,2) = 820 states
     em = enumerate_exact(2, 40, "zagreb")

@@ -1,10 +1,12 @@
-"""The CLT figure: polyline coordinates and degenerate samples."""
+"""The CLT figure: polyline coordinates, degenerate samples, the bar cap."""
 
 import re
 
 import numpy as np
+import pytest
 
 from catlab import svg
+from catlab.errors import DomainError, ResourceLimitError
 from catlab.experiments import kde
 from catlab.svg import histogram_kde_svg
 
@@ -46,3 +48,14 @@ def test_one_value_sample_renders_one_bar_and_a_flat_line():
     points = _points(text)
     assert len(points) == 21  # the histogram edges
     assert len({y for _, y in points}) == 1
+
+
+def test_bar_count_is_capped():
+    """The cap itself renders one bar per bin; one more, or none, is refused."""
+    x = np.linspace(-2.0, 2.0, 50)
+    text = histogram_kde_svg(x, bins=svg.MAX_BINS)
+    assert text.count('fill="#cfd8e6"') == svg.MAX_BINS
+    with pytest.raises(ResourceLimitError, match=f"{svg.MAX_BINS + 1} bars exceeds the cap"):
+        histogram_kde_svg(x, bins=svg.MAX_BINS + 1)
+    with pytest.raises(DomainError, match="bins must be >= 1"):
+        histogram_kde_svg(x, bins=0)
