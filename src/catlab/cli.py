@@ -201,8 +201,7 @@ def cmd_clt(args: argparse.Namespace) -> int:
     m, n, replications, bins, seed = args.m, args.n, args.replications, args.bins, args.seed
     for path in filter(None, (args.out, args.plot)):
         _check_writable(path)
-    if args.plot:
-        check_bins(bins)
+    check_bins(bins)
     summary = run_mc(
         ExperimentConfig(
             m=m, n=n, replications=replications, seed=seed,

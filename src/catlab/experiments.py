@@ -137,10 +137,10 @@ class WeightedSums:
     For values a with weights w, ``weight`` is the sum of w, ``total`` the sum
     of w*a*D and ``total_sq`` the sum of w*(a*D)^2, where D = ``denominator``
     is the lcm of the denominators added so far.  :meth:`add` takes one block
-    of values (ints, Fractions or finite floats) and takes the lcm once for
-    the block, so no Fraction arithmetic runs per value.  ``support``, if a
-    set, collects the distinct values as (p, q) from ``as_integer_ratio()``.
-    Callers form their own moments from the sums.
+    of values (ints, Fractions or finite floats) with their int weights and
+    takes the lcm once for the block, so no Fraction arithmetic runs per
+    value.  ``support``, if a set, collects the distinct values as (p, q)
+    from ``as_integer_ratio()``.  Callers form their own moments from the sums.
     """
 
     weight: int = 0
@@ -149,11 +149,8 @@ class WeightedSums:
     denominator: int = 1
     support: set | None = None
 
-    def add(self, values, weights=None) -> None:
-        """Add one block of values, each with weight 1 or with its weight.
-
-        ``weights``, if given, is a sequence of ints as long as ``values``.
-        """
+    def add(self, values, weights) -> None:
+        """Add one block of values; ``weights`` holds one int per value."""
         try:
             ratios = [x.as_integer_ratio() for x in values]
         except (OverflowError, ValueError):
@@ -166,14 +163,9 @@ class WeightedSums:
             self.denominator = denominator
         scaled = [p * (denominator // q) for p, q in ratios]
         squares = map(operator.mul, scaled, scaled)
-        if weights is None:
-            self.weight += len(scaled)
-            self.total += sum(scaled)
-            self.total_sq += sum(squares)
-        else:
-            self.weight += sum(weights)
-            self.total += sum(map(operator.mul, weights, scaled))
-            self.total_sq += sum(map(operator.mul, weights, squares))
+        self.weight += sum(weights)
+        self.total += sum(map(operator.mul, weights, scaled))
+        self.total_sq += sum(map(operator.mul, weights, squares))
         if self.support is not None:
             self.support.update(ratios)
 
@@ -182,7 +174,7 @@ def _exact_moments(column) -> tuple[Fraction, Fraction]:
     """Exact mean and unbiased variance (0 for one value) of a column,
     from its :class:`WeightedSums` at weight 1."""
     sums = WeightedSums()
-    sums.add(column)
+    sums.add(column, [1] * len(column))
     r, s1, denominator = sums.weight, sums.total, sums.denominator
     mean = Fraction(s1, r * denominator)
     if r < 2:

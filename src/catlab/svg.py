@@ -34,18 +34,26 @@ def _fmt(v: float) -> str:
     return format(float(v), ".2f")
 
 
+def _line(x1: float, y1: float, x2: float, y2: float) -> str:
+    ends = f'x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"'
+    return f'<line {ends} stroke="black"/>'
+
+
+def _label(x: float, y: float, anchor: str, t: float) -> str:
+    at = f'x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}"'
+    return f'<text {at} font-family="sans-serif" font-size="11">{t:g}</text>'
+
+
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
-    if hi <= lo:
-        return [lo]
+    """Round tick values over [lo, hi], which has hi > lo."""
     raw = (hi - lo) / (count - 1)
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
         if step >= raw:
             break
-    first = np.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = np.ceil(lo / step) * step
     while t <= hi + 1e-9 * step:
         ticks.append(float(t))
         t += step
@@ -61,8 +69,8 @@ def histogram_kde_svg(sample, bins: int = 20) -> str:
     counts, edges = histogram(x, bins)
     spread = x.size > 1 and x.std(ddof=1) > 0
     grid, density = kde(x) if spread else (edges, np.zeros_like(edges))
-    width = edges[1] - edges[0] if len(edges) > 1 else 1.0
-    bar_density = counts / (len(x) * width) if width > 0 else counts.astype(float)
+    # check_bins leaves at least two edges, and np.histogram refuses equal ones
+    bar_density = counts / (len(x) * (edges[1] - edges[0]))
 
     x_lo = min(float(edges[0]), float(grid[0]))
     x_hi = max(float(edges[-1]), float(grid[-1]))
@@ -100,33 +108,15 @@ def histogram_kde_svg(sample, bins: int = 20) -> str:
         f'<polyline points="{points}" fill="none" stroke="#1f4e9c" stroke-width="2.5"/>'
     )
     axis_y = sy(0.0)
-    parts.append(
-        f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(axis_y)}"'
-        f' x2="{_fmt(WIDTH - MARGIN_RIGHT)}" y2="{_fmt(axis_y)}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(MARGIN_TOP)}"'
-        f' x2="{_fmt(MARGIN_LEFT)}" y2="{_fmt(axis_y)}" stroke="black"/>'
-    )
+    parts.append(_line(MARGIN_LEFT, axis_y, WIDTH - MARGIN_RIGHT, axis_y))
+    parts.append(_line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, axis_y))
     for t in _ticks(x_lo, x_hi):
         px = sx(t)
-        parts.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(axis_y)}" x2="{_fmt(px)}"'
-            f' y2="{_fmt(axis_y + 5)}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(axis_y + 20)}" text-anchor="middle"'
-            f' font-family="sans-serif" font-size="11">{t:g}</text>'
-        )
+        parts.append(_line(px, axis_y, px, axis_y + 5))
+        parts.append(_label(px, axis_y + 20, "middle", t))
     for t in _ticks(0.0, y_hi, count=5):
         py = sy(t)
-        parts.append(
-            f'<line x1="{_fmt(MARGIN_LEFT - 5)}" y1="{_fmt(py)}"'
-            f' x2="{_fmt(MARGIN_LEFT)}" y2="{_fmt(py)}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(MARGIN_LEFT - 9)}" y="{_fmt(py + 4)}" text-anchor="end"'
-            f' font-family="sans-serif" font-size="11">{t:g}</text>'
-        )
+        parts.append(_line(MARGIN_LEFT - 5, py, MARGIN_LEFT, py))
+        parts.append(_label(MARGIN_LEFT - 9, py + 4, "end", t))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -206,18 +206,25 @@ def test_clt_failure_writes_no_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("bins, code, message", [
-    (0, 2, "catlab: error: bins must be >= 1"),
-    (MAX_BINS + 1, 3, f"catlab: resource guard: a histogram of {MAX_BINS + 1} bars"),
-], ids=["zero", "past-the-cap"])
-def test_clt_refuses_bins_before_any_draw(tmp_path, capsys, monkeypatch, bins, code, message):
+@pytest.mark.parametrize("bins, code, message, plot", [
+    (0, 2, "catlab: error: bins must be >= 1", True),
+    (MAX_BINS + 1, 3, f"catlab: resource guard: a histogram of {MAX_BINS + 1} bars", True),
+    (0, 2, "catlab: error: bins must be >= 1", False),
+    (-5, 2, "catlab: error: bins must be >= 1", False),
+    (MAX_BINS + 1, 3, f"catlab: resource guard: a histogram of {MAX_BINS + 1} bars", False),
+], ids=["zero", "past-the-cap", "zero-no-plot", "negative-no-plot", "past-the-cap-no-plot"])
+def test_clt_refuses_bins_before_any_draw(
+    tmp_path, capsys, monkeypatch, bins, code, message, plot
+):
+    """--bins is checked with or without --plot, before any draw or write."""
     def no_draw(cfg):
         raise AssertionError("run_mc called")
 
     monkeypatch.setattr(cli, "run_mc", no_draw)
+    plot_flags = ("--plot", str(tmp_path / "p.svg")) if plot else ()
     result = run_cli(
         capsys, "clt", "--m", "3", "--n", "4", "--replications", "30", "--bins", str(bins),
-        "--out", str(tmp_path / "s.csv"), "--plot", str(tmp_path / "p.svg"),
+        "--out", str(tmp_path / "s.csv"), *plot_flags,
     )
     assert result[:2] == (code, "")
     assert result[2].startswith(message)

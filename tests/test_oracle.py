@@ -91,8 +91,10 @@ def test_histories_path_steps_each_state_once(monkeypatch, m, n):
 
 
 @pytest.mark.parametrize("m,n", [(10, 6), (2, 22)])
-def test_enumeration_paths_agree_near_the_histories_guard(m, n):
-    assert m**n * m <= oracle.ENUMERATION_GUARD < m ** (n + 1) * m
+def test_enumeration_paths_agree_on_millions_of_histories(m, n):
+    """10^6 and 4.2 million histories, within the guard the histories chain
+    runs under: its C(n+m-1, m) stepped states x m successors x m cells."""
+    assert math.comb(n + m - 1, m) * m * m <= oracle.ENUMERATION_GUARD
     for index in INDICES:
         want = reference_moments(m, n, index)
         for method in ("histories", "compositions"):

@@ -6,8 +6,8 @@ import pytest
 
 from catlab.caterpillar import Caterpillar, RngSeed, spine_degrees
 from catlab.errors import DomainError, ValidityError
-from catlab.indices import hoover_exact, randic
-from catlab.oracle import enumerate_exact, one_step_mean
+from catlab.indices import hoover_exact, randic, zagreb
+from catlab.oracle import enumerate_exact, one_step_mean, one_step_successors
 from catlab.theory import (
     Validity,
     gini_mean,
@@ -25,6 +25,7 @@ from catlab.theory import (
     zagreb_second_moment,
     zagreb_variance,
 )
+from catlab.verify import _random_states
 from conftest import sampled
 
 
@@ -85,6 +86,76 @@ def test_zagreb_clt_params():
 def test_martingale_compensator():
     assert martingale_compensator(3, 0) == 0
     assert martingale_compensator(2, 3) == Fraction(-3 * (3 + 12 - 5), 2)
+
+
+# The paper's martingale CLT also needs the summed one-step variances V over
+# their mean to tend to 1.  A leaf at spine node i raises Z by 2 d_i + 2 and
+# the d_i sum to n + 2m - 2, so V is affine in Z, and that condition fails at
+# fixed m: Var Q_n / E[Q_n]^2 tends to 4/(3(m-1)), not 0.
+
+
+def _mean_v(m, n):
+    """E[V] at n leaves, from the affine identity and ``zagreb_mean``."""
+    return Fraction(4, m) * (zagreb_mean(m, n).value - n) - 4 * Fraction(n + 2 * m - 2, m) ** 2
+
+
+def _var_q(m, n):
+    """Var Q_n for Q_n = sum_{j<n} V(c_j): Cov(Z_j, Z_k) = Var Z_j for j <= k."""
+    return Fraction(16, m * m) * sum(
+        (2 * (n - 1 - j) + 1) * zagreb_variance(m, j).value for j in range(n)
+    )
+
+
+def test_one_step_zagreb_law_is_affine_in_zagreb():
+    """The m successors' Zagreb values have mean Z + (2(n+2m-2) + 2m)/m and
+    variance (4/m)(Z - n) - 4((n+2m-2)/m)^2, exactly."""
+    for c in _random_states(7, 200, 20, 100):
+        m, n, z = c.m, c.n, zagreb(c)
+        zs = [zagreb(s) for s in one_step_successors(c)]
+        assert Fraction(sum(zs), m) == z + Fraction(2 * (n + 2 * m - 2) + 2 * m, m)
+        variance = Fraction(m * sum(v * v for v in zs) - sum(zs) ** 2, m * m)
+        assert variance == Fraction(4, m) * (z - n) - 4 * Fraction(n + 2 * m - 2, m) ** 2
+
+
+@pytest.mark.parametrize("m,ratios", [
+    (3, ("0.9091", "0.9524", "0.9756", "0.9877")),
+    (5, ("0.4537", "0.4759", "0.4877", "0.4938")),
+], ids=["m3", "m5"])
+def test_one_step_variance_spread_tends_to_2_over_m_minus_1(m, ratios):
+    """Var[V]/E[V]^2 = (16/m^2) Var Z / E[V]^2 climbs towards 2/(m-1)."""
+    got = [Fraction(16, m * m) * zagreb_variance(m, n).value / _mean_v(m, n) ** 2
+           for n in (10, 20, 40, 80)]
+    assert [format(float(r), ".4f") for r in got] == list(ratios)
+    assert got == sorted(got) and got[-1] < Fraction(2, m - 1)
+
+
+def _scaled_path_sums(c, steps):
+    """m^2 Q over every history of ``steps`` steps from ``c``; each state's
+    m^2 V is m sum z^2 - (sum z)^2 over its successors' Zagreb values z."""
+    if steps == 0:
+        yield 0
+        return
+    successors = one_step_successors(c)
+    zs = [zagreb(s) for s in successors]
+    v = c.m * sum(z * z for z in zs) - sum(zs) ** 2
+    for s in successors:
+        for q in _scaled_path_sums(s, steps - 1):
+            yield v + q
+
+
+def test_summed_one_step_variance_law_over_every_history():
+    """Var Q_n and E[Q_n] from the closed forms equal their values over all
+    m^n growth histories (up to 3^8 = 6,561), in ints scaled by m^2."""
+    for m, n in ((3, 5), (3, 8), (4, 6)):
+        qs = list(_scaled_path_sums(Caterpillar(m, (0,) * m), n))
+        count, s1, s2 = len(qs), sum(qs), sum(q * q for q in qs)
+        assert count == m**n
+        assert Fraction(s1, count * m * m) == sum(_mean_v(m, j) for j in range(n))
+        assert Fraction(count * s2 - s1 * s1, count * count * m**4) == _var_q(m, n)
+    # the failing condition's ratio at the paper's scale, below its limit
+    ratio = _var_q(200, 5000) / sum(_mean_v(200, j) for j in range(5000)) ** 2
+    assert format(float(ratio), ".4g") == "0.006697"
+    assert ratio < Fraction(4, 3 * 199)
 
 
 def test_randic_mean_values_and_erratum():
