@@ -17,6 +17,12 @@ once in uint32 numpy lanes, exactly as ``SeedSequence`` mixes its spawn key
 and generates the seed words, finishes PCG64's seeding in Python ints and
 re-seeds one reused generator in place.  Tests pin every state and draw of
 it to :meth:`RngSeed.generator`.
+
+The leaf draw of substream (seed, r) is ``integers(0, m, size=n)``, counted
+per spine node.  :func:`leaf_count_blocks` repeats numpy's bounded-integer
+reduction (Lemire's) over the raw PCG64 words of many replicates at once
+where that is cheap, and redraws with ``integers`` any row in which numpy
+would reject a lane; tests pin every row to numpy's own draw.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ __all__ = [
     "AdjacencyGraph",
     "RngSeed",
     "substreams",
+    "leaf_count_blocks",
     "new_spine",
     "grow_step",
     "simulate_counts",
@@ -70,6 +77,10 @@ _SEED_CHUNK = 1024
 
 # Leaves drawn per integers() call in _leaf_counts(); bounds the draw's memory.
 _DRAW_CHUNK = 1 << 16
+
+# Lanes (leaves) per sub-block of leaf_count_blocks(); bounds its two reused
+# buffers, 12 bytes a lane, and its counts, m cells a row.
+_BLOCK_LANES = 1 << 15
 
 
 def _seed_words(pool: list[int], hash_const: int, streams: np.ndarray) -> np.ndarray:
@@ -211,6 +222,63 @@ def _leaf_counts(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     for start in range(0, n, _DRAW_CHUNK):
         counts += np.bincount(rng.integers(0, m, size=min(_DRAW_CHUNK, n - start)), minlength=m)
     return counts
+
+
+def leaf_count_blocks(
+    seed: int, replications: int, m: int, n: int, rows: int, sampler: str
+) -> Iterator[np.ndarray]:
+    """Leaf counts of replicates 0, ..., R-1 as int64 blocks of ``rows`` rows, in order.
+
+    Row r is substream (seed, r)'s draw by ``sampler``: ``_leaf_counts`` for
+    ``sequential``, :func:`sample_direct_counts` for ``direct``.  A sequential
+    draw with 0 < n <= ``_DRAW_CHUNK`` and at most 1/16 rejected lanes
+    expected a row, n (2^32 mod m) / 2^32, reduces the raw words of up to
+    ``_BLOCK_LANES // max(n, m)`` rows at a time and counts them with one
+    ``bincount``; a row with a rejected lane is drawn again by ``integers``.
+    Every other draw, n = 10^6 included, runs per replicate.
+    """
+    streams = substreams(seed, 0, replications)
+    # numpy maps a uint32 lane to the high half of lane * m and rejects it
+    # when the low half is below 2^32 mod m, which is 0 for a power of two
+    threshold = (1 << 32) % m
+    if sampler == "sequential" and 0 < n <= _DRAW_CHUNK and 16 * n * threshold <= 1 << 32:
+        sub = max(1, min(rows, replications, _BLOCK_LANES // max(n, m)))
+        # '<' dtypes: the lanes are each word's halves, low half first, on every platform
+        words = np.empty((sub, -(-n // 2)), dtype="<u8")
+        lanes = words.view("<u4")[:, :n]
+        products = np.empty((sub, n), dtype="<u8")
+        offsets = np.arange(0, sub * m, m, dtype="<u8")[:, None]
+
+        def fill(counts, first):
+            k = len(counts)
+            for row, rng in zip(words[:k], streams):
+                row[:] = rng.bit_generator.random_raw(words.shape[1])
+            product = products[:k]
+            product[:] = lanes[:k]
+            product *= np.uint64(m)
+            low = product.view("<u4")[:, 0::2]
+            rejected = ()
+            if threshold and low.min() < threshold:
+                rejected = np.flatnonzero(low.min(axis=1) < threshold)
+            product >>= np.uint64(32)
+            product += offsets[:k]
+            counts[:] = np.bincount(product.view("<i8").ravel(), minlength=k * m).reshape(k, m)
+            for j in rejected:
+                counts[j] = _leaf_counts(m, n, RngSeed(seed, first + j).generator())
+    else:
+        sub = rows
+        draw = _leaf_counts if sampler == "sequential" else sample_direct_counts
+
+        def fill(counts, first):
+            # zip takes a row before a generator, so no block draws past its last row
+            for row, rng in zip(counts, streams):
+                row[:] = draw(m, n, rng)
+
+    for start in range(0, replications, rows):
+        counts = np.empty((min(rows, replications - start), m), dtype=np.int64)
+        for first in range(start, start + len(counts), sub):
+            fill(counts[first - start:first - start + sub], first)
+        yield counts
 
 
 def simulate_counts(m: int, n: int, rng: np.random.Generator) -> list[int]:

@@ -3,8 +3,8 @@
 :func:`replicate_rows` is the one replicate engine: replicate r always draws
 from the substream (seed, r) and its index values come back exact (Python
 ints, or Fractions for Gini and Hoover) in replicate order.  The replicates
-are drawn from :func:`~catlab.caterpillar.substreams` in blocks into an
-int64 leaf-count matrix and evaluated a block at a time by
+come from :func:`~catlab.caterpillar.leaf_count_blocks` as blocks of an
+int64 leaf-count matrix and are evaluated a block at a time by
 :func:`~catlab.indices.compute_index_batch`, which is exact wherever
 :func:`~catlab.indices.fits_int64` holds; runs outside that bound are
 refused before any draw.  :func:`reference_rows` evaluates each replicate on
@@ -31,10 +31,9 @@ from .caterpillar import (
     Caterpillar,
     RngSeed,
     _check_mn,
-    _leaf_counts,
+    leaf_count_blocks,
     sample_direct_counts,
     simulate_counts,
-    substreams,
 )
 from .errors import DomainError, ResourceLimitError
 from .indices import IndexSpec, _check_int64, compute_index, compute_index_batch
@@ -278,10 +277,12 @@ def replicate_rows(cfg: ExperimentConfig) -> list[list]:
     """Exact index values of every replicate, in replicate order.
 
     Replicate r draws from substream (seed, r) with the configured sampler.
-    Blocks of ``max(1, BLOCK_CELLS // m)`` replicates draw from
-    :func:`~catlab.caterpillar.substreams` straight into an int64 block
-    and go through :func:`~catlab.indices.compute_index_batch`; the rows
-    equal :func:`reference_rows` for every block size.  Before any draw,
+    :func:`~catlab.caterpillar.leaf_count_blocks` draws blocks of
+    ``max(1, BLOCK_CELLS // m)`` replicates into an int64 matrix, from raw
+    PCG64 words where 0 < n <= 2^16 and n (2^32 mod m) <= 2^28 and per
+    replicate by ``integers`` elsewhere, and each block goes through
+    :func:`~catlab.indices.compute_index_batch`.  The rows equal
+    :func:`reference_rows` for every block size.  Before any draw,
     this refuses (m, n) outside :func:`~catlab.indices.fits_int64` with
     :class:`DomainError`, and runs whose rows would exceed
     :data:`SAMPLE_MEMORY_CAP` with :class:`ResourceLimitError`.
@@ -295,14 +296,8 @@ def replicate_rows(cfg: ExperimentConfig) -> list[list]:
         )
 
     block = max(1, BLOCK_CELLS // cfg.m)
-    draw = _leaf_counts if cfg.sampler == "sequential" else sample_direct_counts
-    streams = substreams(cfg.seed, 0, cfg.replications)
     rows = []
-    for start in range(0, cfg.replications, block):
-        counts = np.empty((min(block, cfg.replications - start), cfg.m), dtype=np.int64)
-        # zip takes a row before a generator, so no block draws past its last row
-        for row, rng in zip(counts, streams):
-            row[:] = draw(cfg.m, cfg.n, rng)
+    for counts in leaf_count_blocks(cfg.seed, cfg.replications, cfg.m, cfg.n, block, cfg.sampler):
         columns = [compute_index_batch(counts, spec) for spec in cfg.indices]
         rows.extend(map(list, zip(*columns)))
     return rows
@@ -421,7 +416,10 @@ def histogram(sample, bins: int) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("histogram of an empty sample")
     if bins < 1:
         raise DomainError("bins must be >= 1")
-    return np.histogram(x, bins=bins, range=(float(x.min()), float(x.max())))
+    try:
+        return np.histogram(x, bins=bins, range=(float(x.min()), float(x.max())))
+    except ValueError as exc:  # a non-finite range, or bins below the float spacing
+        raise DomainError(f"cannot split the sample into {bins} bins: {exc}") from None
 
 
 def kde(sample) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from catlab.caterpillar import (
     RngSeed,
     degree_sequence,
     grow_step,
+    leaf_count_blocks,
     new_spine,
     sample_direct_counts,
     simulate_counts,
@@ -127,6 +128,96 @@ def test_leaf_draw_memory_is_bounded():
         tracemalloc.stop()
     assert counts.sum() == 10**7
     assert peak < 2**20, peak
+
+
+def _numpy_counts(seed, r, m, n):
+    """Substream (seed, r)'s leaf counts from numpy alone."""
+    ss = np.random.SeedSequence(seed, spawn_key=(r,))
+    rng = np.random.Generator(np.random.PCG64(ss))
+    return np.bincount(rng.integers(0, m, size=n), minlength=m)
+
+
+def _rejects(seed, r, m, n):
+    """Whether numpy's Lemire reduction rejects one of the first n uint32 lanes
+    of substream (seed, r), read straight from its raw 64-bit words."""
+    ss = np.random.SeedSequence(seed, spawn_key=(r,))
+    words = np.random.PCG64(ss).random_raw(-(-n // 2)).astype("<u8")
+    lanes = words.view("<u4")[:n].astype(np.uint64)
+    low = lanes * np.uint64(m) & np.uint64(2**32 - 1)
+    return bool((low < 2**32 % m).any())
+
+
+def _blocks(seed, replications, m, n, rows, sampler="sequential"):
+    blocks = list(leaf_count_blocks(seed, replications, m, n, rows, sampler))
+    sizes = [min(rows, replications - start) for start in range(0, replications, rows)]
+    assert [len(b) for b in blocks] == sizes
+    assert all(b.dtype == np.int64 and b.shape[1] == m for b in blocks)
+    return np.concatenate(blocks)
+
+
+CHUNK = caterpillar._DRAW_CHUNK
+
+
+@pytest.mark.parametrize("seed", [1, 2**160 + 5])  # one and six seed words
+@pytest.mark.parametrize(
+    "m, n",
+    # m = 2 and 64 are powers of two (no rejection); 3, 7 and 200 are not
+    [(2, 0), (2, 1), (3, 1), (2, 37), (64, 1001), (200, 5000), (7, CHUNK), (7, CHUNK + 1)],
+)
+def test_leaf_count_blocks_equal_numpy_draws(seed, m, n):
+    replications = 13 if n < CHUNK else 3
+    want = [_numpy_counts(seed, r, m, n) for r in range(replications)]
+    for rows in (1, 5, 20):
+        assert np.array_equal(_blocks(seed, replications, m, n, rows), want), rows
+
+
+@pytest.mark.parametrize("lanes", [None, 1 << 17])
+def test_leaf_count_blocks_redraw_exactly_the_rejected_rows(monkeypatch, lanes):
+    """2^32 mod 15860 = 15856, so a row of 16384 lanes holds a rejected lane
+    with probability 0.06, inside the 1/16 the block path takes; at 2^17
+    lanes a sub-block holds 8 rows, so rejected rows sit at every offset."""
+    m, n, seed, replications = 15_860, 16_384, 31415, 80
+    assert 16 * n * (2**32 % m) <= 2**32
+    if lanes:
+        monkeypatch.setattr(caterpillar, "_BLOCK_LANES", lanes)
+    rejected = [r for r in range(replications) if _rejects(seed, r, m, n)]
+    assert len(rejected) >= 3, rejected
+    redrawn = []
+    leaf_counts = caterpillar._leaf_counts
+
+    def counted(m, n, rng):
+        redrawn.append(rng.bit_generator.state)
+        return leaf_counts(m, n, rng)
+
+    monkeypatch.setattr(caterpillar, "_leaf_counts", counted)
+    want = [_numpy_counts(seed, r, m, n) for r in range(replications)]
+    assert np.array_equal(_blocks(seed, replications, m, n, 10), want)
+    assert redrawn == [RngSeed(seed, r).generator().bit_generator.state for r in rejected]
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    # past the 1/16 expected rejections per row, past the chunk, and n = 0
+    [(15_860, 16_930), (3, CHUNK + 1), (200, 0)],
+)
+def test_leaf_count_blocks_draw_per_replicate_outside_the_block_rule(monkeypatch, m, n):
+    calls = []
+    leaf_counts = caterpillar._leaf_counts
+
+    def counted(m, n, rng):
+        calls.append(n)
+        return leaf_counts(m, n, rng)
+
+    monkeypatch.setattr(caterpillar, "_leaf_counts", counted)
+    want = [_numpy_counts(7, r, m, n) for r in range(3)]
+    assert np.array_equal(_blocks(7, 3, m, n, 2), want)
+    assert calls == [n] * 3
+
+
+def test_leaf_count_blocks_direct_sampler():
+    blocks = _blocks(5, 7, 6, 300, 3, "direct")
+    want = [sample_direct_counts(6, 300, RngSeed(5, r).generator()) for r in range(7)]
+    assert blocks.tolist() == want
 
 
 def test_sample_direct_basics():

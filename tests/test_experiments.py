@@ -182,7 +182,7 @@ def test_replicate_rows_refuses_past_the_bound_before_drawing(monkeypatch):
         raise AssertionError("drew a replicate")
 
     monkeypatch.setattr(RngSeed, "generator", refuse)
-    monkeypatch.setattr(experiments, "substreams", refuse)
+    monkeypatch.setattr(experiments, "leaf_count_blocks", refuse)
     for m, n in ((2**21, 0), (2, 1_239_850_261)):
         assert not fits_int64(m, n)
         cfg = ExperimentConfig(m=m, n=n, replications=3)
@@ -201,6 +201,22 @@ def test_replicate_rows_memory_at_the_stress_scale():
         tracemalloc.stop()
     assert len(rows) == 8
     assert peak < 2 * 2**20, peak
+
+
+def test_replicate_rows_memory_at_the_paper_scale():
+    """The per-replicate draw peaked at 265 KiB here and the block draw at 618 KiB:
+    its two reused buffers hold 12 bytes a lane, 6 rows of 5000 leaves at
+    2^15 lanes a sub-block.  2^16 lanes a sub-block peaked at 1028 KiB."""
+    cfg = ExperimentConfig(m=200, n=5000, replications=500, seed=31415)
+    replicate_rows(cfg)  # first-call allocations of numpy are not the draw's
+    tracemalloc.start()
+    try:
+        rows = replicate_rows(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 500
+    assert peak < 768 * 2**10, peak
 
 
 @pytest.mark.parametrize("path", ["batch", "reference"])
@@ -354,6 +370,14 @@ def test_histogram():
         histogram([], bins=3)
     with pytest.raises(DomainError):
         histogram([1.0, 2.0], bins=0)
+
+
+def test_histogram_refuses_bins_below_the_float_spacing():
+    """At 1e17 floats are 16 apart, so [1e17, 1e17 + 16] has no room for 3 bins."""
+    with pytest.raises(DomainError, match="cannot split the sample into 3 bins"):
+        histogram([1e17, 1e17 + 16], 3)
+    counts, edges = histogram([1e17, 1e17 + 16], 1)
+    assert list(counts) == [2] and list(edges) == [1e17, 1e17 + 16]
 
 
 def test_kde_normalization():

@@ -50,6 +50,12 @@ def test_one_value_sample_renders_one_bar_and_a_flat_line():
     assert len({y for _, y in points}) == 1
 
 
+def test_one_value_sample_refused_below_the_float_spacing():
+    """numpy widens one value v to [v - 0.5, v + 0.5], which is v again at 1e17."""
+    with pytest.raises(DomainError, match="cannot split the sample into 20 bins"):
+        histogram_kde_svg([1e17])
+
+
 def test_bar_count_is_capped():
     """The cap itself renders one bar per bin; one more, or none, is refused."""
     x = np.linspace(-2.0, 2.0, 50)
