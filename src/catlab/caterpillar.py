@@ -19,10 +19,10 @@ re-seeds one reused generator in place.  Tests pin every state and draw of
 it to :meth:`RngSeed.generator`.
 
 The leaf draw of substream (seed, r) is ``integers(0, m, size=n)``, counted
-per spine node.  :func:`leaf_count_blocks` repeats numpy's bounded-integer
-reduction (Lemire's) over the raw PCG64 words of many replicates at once
-where that is cheap, and redraws with ``integers`` any row in which numpy
-would reject a lane; tests pin every row to numpy's own draw.
+per spine node.  :func:`leaf_count_blocks` draws many replicates at once
+where that is cheap, repeating numpy's bounded-integer reduction (Lemire's)
+over raw PCG64 words from :func:`substreams`, and every other row from
+:meth:`RngSeed.generator`; tests pin every row to numpy's own draw.
 """
 
 from __future__ import annotations
@@ -117,9 +117,9 @@ def substreams(seed: int, first: int, count: int) -> Iterator[np.random.Generato
     Each is bit-identical to ``RngSeed(seed, stream).generator()``, but all
     of them are one :class:`numpy.random.Generator` whose PCG64 is re-seeded
     in place before it is yielded, so a caller must finish with it before
-    asking for the next.  The seed goes through one
-    ``numpy.random.SeedSequence``, which validates it; streams must lie in
-    [0, 2^32), where a spawn key is one uint32 word.
+    asking for the next; only the block kernel of :func:`leaf_count_blocks`
+    reads them.  The seed goes through one ``numpy.random.SeedSequence``,
+    which validates it; streams must lie in [0, 2^32), one uint32 word each.
     """
     if first < 0 or count < 0 or first + count > 1 << 32:
         raise DomainError(f"streams {first}..{first + count - 1} are outside [0, 2^32)")
@@ -232,52 +232,46 @@ def leaf_count_blocks(
     Row r is substream (seed, r)'s draw by ``sampler``: ``_leaf_counts`` for
     ``sequential``, :func:`sample_direct_counts` for ``direct``.  A sequential
     draw with 0 < n <= ``_DRAW_CHUNK`` and at most 1/16 rejected lanes
-    expected a row, n (2^32 mod m) / 2^32, reduces the raw words of up to
-    ``_BLOCK_LANES // max(n, m)`` rows at a time and counts them with one
-    ``bincount``; a row with a rejected lane is drawn again by ``integers``.
-    Every other draw, n = 10^6 included, runs per replicate.
+    expected a row, n (2^32 mod m) / 2^32, runs the block kernel: it reduces
+    the raw words of up to ``_BLOCK_LANES // max(n, m)`` rows from
+    :func:`substreams` at a time and counts them with one ``bincount``.  A
+    row it does not draw (one with a rejected lane, or any row of another
+    draw, n = 10^6 included) is drawn from ``RngSeed(seed, r).generator()``.
     """
-    streams = substreams(seed, 0, replications)
+    draw = _leaf_counts if sampler == "sequential" else sample_direct_counts
     # numpy maps a uint32 lane to the high half of lane * m and rejects it
     # when the low half is below 2^32 mod m, which is 0 for a power of two
     threshold = (1 << 32) % m
-    if sampler == "sequential" and 0 < n <= _DRAW_CHUNK and 16 * n * threshold <= 1 << 32:
-        sub = max(1, min(rows, replications, _BLOCK_LANES // max(n, m)))
+    kernel = sampler == "sequential" and 0 < n <= _DRAW_CHUNK and 16 * n * threshold <= 1 << 32
+    sub = max(1, min(rows, replications, _BLOCK_LANES // max(n, m)))
+    if kernel:
+        streams = substreams(seed, 0, replications)
         # '<' dtypes: the lanes are each word's halves, low half first, on every platform
         words = np.empty((sub, -(-n // 2)), dtype="<u8")
-        lanes = words.view("<u4")[:, :n]
         products = np.empty((sub, n), dtype="<u8")
         offsets = np.arange(0, sub * m, m, dtype="<u8")[:, None]
-
-        def fill(counts, first):
-            k = len(counts)
-            for row, rng in zip(words[:k], streams):
-                row[:] = rng.bit_generator.random_raw(words.shape[1])
-            product = products[:k]
-            product[:] = lanes[:k]
-            product *= np.uint64(m)
-            low = product.view("<u4")[:, 0::2]
-            rejected = ()
-            if threshold and low.min() < threshold:
-                rejected = np.flatnonzero(low.min(axis=1) < threshold)
-            product >>= np.uint64(32)
-            product += offsets[:k]
-            counts[:] = np.bincount(product.view("<i8").ravel(), minlength=k * m).reshape(k, m)
-            for j in rejected:
-                counts[j] = _leaf_counts(m, n, RngSeed(seed, first + j).generator())
-    else:
-        sub = rows
-        draw = _leaf_counts if sampler == "sequential" else sample_direct_counts
-
-        def fill(counts, first):
-            # zip takes a row before a generator, so no block draws past its last row
-            for row, rng in zip(counts, streams):
-                row[:] = draw(m, n, rng)
-
     for start in range(0, replications, rows):
         counts = np.empty((min(rows, replications - start), m), dtype=np.int64)
         for first in range(start, start + len(counts), sub):
-            fill(counts[first - start:first - start + sub], first)
+            block = counts[first - start:first - start + sub]
+            k = len(block)
+            undrawn = range(k)
+            if kernel:
+                # zip takes a row before a generator, so no sub-block seeds past its last row
+                for row, rng in zip(words[:k], streams):
+                    row[:] = rng.bit_generator.random_raw(words.shape[1])
+                product = products[:k]
+                product[:] = words[:k].view("<u4")[:, :n]
+                product *= np.uint64(m)
+                low = product.view("<u4")[:, 0::2]
+                undrawn = ()
+                if threshold and low.min() < threshold:
+                    undrawn = np.flatnonzero(low.min(axis=1) < threshold)
+                product >>= np.uint64(32)
+                product += offsets[:k]
+                block[:] = np.bincount(product.view("<i8").ravel(), minlength=k * m).reshape(k, m)
+            for j in undrawn:
+                block[j] = draw(m, n, RngSeed(seed, first + j).generator())
         yield counts
 
 

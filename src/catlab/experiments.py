@@ -150,6 +150,8 @@ class WeightedSums:
 
     def add(self, values, weights) -> None:
         """Add one block of values; ``weights`` holds one int per value."""
+        if len(values) != len(weights):
+            raise DomainError(f"{len(values)} values but {len(weights)} weights")
         try:
             ratios = [x.as_integer_ratio() for x in values]
         except (OverflowError, ValueError):
@@ -279,8 +281,9 @@ def replicate_rows(cfg: ExperimentConfig) -> list[list]:
     Replicate r draws from substream (seed, r) with the configured sampler.
     :func:`~catlab.caterpillar.leaf_count_blocks` draws blocks of
     ``max(1, BLOCK_CELLS // m)`` replicates into an int64 matrix, from raw
-    PCG64 words where 0 < n <= 2^16 and n (2^32 mod m) <= 2^28 and per
-    replicate by ``integers`` elsewhere, and each block goes through
+    PCG64 words where 0 < n <= 2^16 and n (2^32 mod m) <= 2^28, and every
+    other row on its own from ``RngSeed(seed, r).generator()`` as
+    :func:`reference_rows` draws it; each block goes through
     :func:`~catlab.indices.compute_index_batch`.  The rows equal
     :func:`reference_rows` for every block size.  Before any draw,
     this refuses (m, n) outside :func:`~catlab.indices.fits_int64` with

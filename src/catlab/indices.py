@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .caterpillar import Caterpillar, spine_degrees
+from .caterpillar import Caterpillar, _check_mn, spine_degrees
 from .errors import DomainError
 
 __all__ = [
@@ -334,13 +334,17 @@ def compute_index_batch(counts: np.ndarray, spec: IndexSpec) -> list:
     """:func:`compute_index` of every row of an int64 (states, m) leaf-count matrix.
 
     Exact at every row where :func:`fits_int64` holds; raises
-    :class:`DomainError` for other dtypes, for a count that is negative or
-    at least 2^32, or where it fails for the largest row.  Counts below 2^32
+    :class:`DomainError` for a matrix that is not 2-D or has fewer than two
+    columns, for other dtypes, for a count that is negative or at least
+    2^32, or where it fails for the largest row.  Counts below 2^32
     cannot wrap the int64 row sums, and larger ones fail it anyway.  Randic
     with alpha != 1 runs the scalar function per row, so its float sums keep
     their order.
     """
+    if counts.ndim != 2:
+        raise DomainError(f"batched index evaluation needs a 2-D matrix, not {counts.ndim}-D")
     m = counts.shape[1]
+    _check_mn(m)
     if counts.dtype != np.int64:
         raise DomainError("batched index evaluation needs int64 counts")
     if not len(counts):

@@ -171,6 +171,11 @@ def test_leaf_count_blocks_equal_numpy_draws(seed, m, n):
         assert np.array_equal(_blocks(seed, replications, m, n, rows), want), rows
 
 
+def _reference_states(seed, streams):
+    """The state of ``RngSeed(seed, r).generator()`` for each r in ``streams``."""
+    return [RngSeed(seed, r).generator().bit_generator.state for r in streams]
+
+
 @pytest.mark.parametrize("lanes", [None, 1 << 17])
 def test_leaf_count_blocks_redraw_exactly_the_rejected_rows(monkeypatch, lanes):
     """2^32 mod 15860 = 15856, so a row of 16384 lanes holds a rejected lane
@@ -192,7 +197,25 @@ def test_leaf_count_blocks_redraw_exactly_the_rejected_rows(monkeypatch, lanes):
     monkeypatch.setattr(caterpillar, "_leaf_counts", counted)
     want = [_numpy_counts(seed, r, m, n) for r in range(replications)]
     assert np.array_equal(_blocks(seed, replications, m, n, 10), want)
-    assert redrawn == [RngSeed(seed, r).generator().bit_generator.state for r in rejected]
+    assert redrawn == _reference_states(seed, rejected)
+
+
+def _own_generator_states(monkeypatch, name):
+    """Refuse :func:`substreams`, and record the generator state that each call
+    of the draw ``caterpillar.<name>`` starts from."""
+    def refuse(*args):
+        raise AssertionError("seeded from substreams")
+
+    states = []
+    draw = getattr(caterpillar, name)
+
+    def recorded(m, n, rng):
+        states.append(rng.bit_generator.state)
+        return draw(m, n, rng)
+
+    monkeypatch.setattr(caterpillar, "substreams", refuse)
+    monkeypatch.setattr(caterpillar, name, recorded)
+    return states
 
 
 @pytest.mark.parametrize(
@@ -201,23 +224,19 @@ def test_leaf_count_blocks_redraw_exactly_the_rejected_rows(monkeypatch, lanes):
     [(15_860, 16_930), (3, CHUNK + 1), (200, 0)],
 )
 def test_leaf_count_blocks_draw_per_replicate_outside_the_block_rule(monkeypatch, m, n):
-    calls = []
-    leaf_counts = caterpillar._leaf_counts
-
-    def counted(m, n, rng):
-        calls.append(n)
-        return leaf_counts(m, n, rng)
-
-    monkeypatch.setattr(caterpillar, "_leaf_counts", counted)
+    """Outside the kernel's rule each row is drawn from its own reference
+    generator, once and in row order, and substreams() never runs."""
+    states = _own_generator_states(monkeypatch, "_leaf_counts")
     want = [_numpy_counts(7, r, m, n) for r in range(3)]
     assert np.array_equal(_blocks(7, 3, m, n, 2), want)
-    assert calls == [n] * 3
+    assert states == _reference_states(7, range(3))
 
 
-def test_leaf_count_blocks_direct_sampler():
-    blocks = _blocks(5, 7, 6, 300, 3, "direct")
+def test_leaf_count_blocks_direct_sampler(monkeypatch):
     want = [sample_direct_counts(6, 300, RngSeed(5, r).generator()) for r in range(7)]
-    assert blocks.tolist() == want
+    states = _own_generator_states(monkeypatch, "sample_direct_counts")
+    assert _blocks(5, 7, 6, 300, 3, "direct").tolist() == want
+    assert states == _reference_states(5, range(7))
 
 
 def test_sample_direct_basics():

@@ -73,6 +73,15 @@ def test_weighted_sums_match_fraction_arithmetic():
     assert len(sums.support) == len({v for v, _ in pairs}) == 8
 
 
+def test_weighted_sums_refuse_a_weight_count_unlike_the_value_count():
+    """[1, 2] against weights [1, 1, 5] once left weight 7 but total 3."""
+    sums = WeightedSums()
+    for values, weights in (([1, 2], [1, 1, 5]), ([1, 2, 3], [1]), ([4], [])):
+        with pytest.raises(DomainError, match="weights"):
+            sums.add(values, weights)
+    assert (sums.weight, sums.total, sums.total_sq, sums.denominator) == (0, 0, 0, 1)
+
+
 def test_run_mc_moments_are_exact_above_2p53():
     specs = (IndexSpec("hyper_wiener"), IndexSpec("gini_degree"))
     cfg = ExperimentConfig(m=5000, n=100000, replications=3, indices=specs)
@@ -170,9 +179,8 @@ def test_replicate_rows_one_engine_above_the_old_bound(monkeypatch):
     for m, n in ((5000, 298_640), (10_000, 10**6)):
         cfg = ExperimentConfig(m=m, n=n, replications=2, indices=SIX)
         want = reference_rows(cfg)
-        with monkeypatch.context() as patch:  # the batch engine only, drawing from substreams
+        with monkeypatch.context() as patch:  # the batch engine only
             patch.setattr(experiments, "reference_rows", refuse)
-            patch.setattr(RngSeed, "generator", refuse)
             assert _typed(replicate_rows(cfg)) == _typed(want), (m, n)
         assert max(row[-1] for row in want) > 2**53
 

@@ -299,6 +299,18 @@ def test_batch_refuses_counts_that_could_wrap_or_are_negative():
         assert compute_index_batch(np.zeros((0, 5), dtype=np.int64), spec) == []
 
 
+@pytest.mark.parametrize("spec", BATCH_SPECS + [IndexSpec.parse("randic:0.5")], ids=str)
+def test_batch_refuses_what_is_not_a_spine_of_two_or_more_nodes(spec):
+    """One column once gave 0 (or a ZeroDivisionError for Gini and Hoover),
+    though Caterpillar refuses m = 1; no column and 1-D input met numpy's errors."""
+    for shape in ((2, 1), (0, 1), (3, 0), (0, 0)):
+        with pytest.raises(DomainError, match="spine too short"):
+            compute_index_batch(np.zeros(shape, dtype=np.int64), spec)
+    for shape in ((5,), (0,), (1, 2, 3)):
+        with pytest.raises(DomainError, match="matrix"):
+            compute_index_batch(np.zeros(shape, dtype=np.int64), spec)
+
+
 def test_limb_row_sums_are_exact_for_negative_terms():
     rng = np.random.default_rng(7)
     terms = rng.integers(-(2**62), 2**62, size=(4, 1000), dtype=np.int64)
