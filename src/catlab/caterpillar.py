@@ -19,10 +19,12 @@ re-seeds one reused generator in place.  Tests pin every state and draw of
 it to :meth:`RngSeed.generator`.
 
 The leaf draw of substream (seed, r) is ``integers(0, m, size=n)``, counted
-per spine node.  :func:`leaf_count_blocks` draws many replicates at once
-where that is cheap, repeating numpy's bounded-integer reduction (Lemire's)
-over raw PCG64 words from :func:`substreams`, and every other row from
-:meth:`RngSeed.generator`; tests pin every row to numpy's own draw.
+per spine node.  :func:`leaf_count_blocks` repeats numpy's bounded-integer
+reduction (Lemire's) over raw PCG64 words: for many replicates at once
+from :func:`substreams` where that is cheap, and for every other row on its
+own from :meth:`RngSeed.generator`.  Of the replicate draws, only
+:func:`simulate_counts`, the reference that ``experiments.reference_rows``
+draws with, calls ``integers``; tests pin every row to numpy's own draw.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ _SEED_CHUNK = 1024
 _DRAW_CHUNK = 1 << 16
 
 # Lanes (leaves) per sub-block of leaf_count_blocks(); bounds its two reused
-# buffers, 12 bytes a lane, and its counts, m cells a row.
+# buffers, 12 bytes a lane, and its counts, m cells a row.  _raw_leaf_counts()
+# reads up to max(_BLOCK_LANES, m) lanes a chunk.
 _BLOCK_LANES = 1 << 15
 
 
@@ -224,21 +227,57 @@ def _leaf_counts(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return counts
 
 
+def _raw_leaf_counts(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``_leaf_counts(m, n, rng)`` read from the raw PCG64 words of a fresh ``rng``.
+
+    The lanes are the words' uint32 halves, low half first, as ``integers``
+    reads them, and are reduced as in :func:`leaf_count_blocks`; a rejected
+    lane is dropped and the next one read, until n are accepted.  A chunk
+    holds up to ``max(_BLOCK_LANES, m)`` lanes, enough to pay for its
+    ``bincount`` of m cells, so memory is O(m + _BLOCK_LANES).  ``rng`` may
+    end past the last lane ``integers`` would read: throw it away after.
+    """
+    threshold = (1 << 32) % m
+    counts = np.zeros(m, dtype=np.int64)
+    # '<' dtypes: the lanes are each word's halves, low half first, on every platform
+    buffer = np.empty(min(n + n % 2, max(_BLOCK_LANES, m + m % 2)), dtype="<u8")
+    need = n
+    while need:
+        product = buffer[:min(need + need % 2, len(buffer))]
+        words = rng.bit_generator.random_raw(len(product) // 2).astype("<u8", copy=False)
+        product[:] = words.view("<u4")
+        product *= np.uint64(m)
+        low = product.view("<u4")[0::2]
+        rejected = np.flatnonzero(low < threshold) if low.min() < threshold else ()
+        product >>= np.uint64(32)
+        # a chunk holds need + 1 lanes at most, so one that rejects a lane
+        # accepts need at most: it is counted whole, its rejected lanes taken back
+        leaves = product[:need + len(rejected)]
+        counts += np.bincount(leaves.view("<i8"), minlength=m)
+        if len(rejected):
+            np.subtract.at(counts, product[rejected].view("<i8"), 1)
+        need -= len(leaves) - len(rejected)
+    return counts
+
+
 def leaf_count_blocks(
     seed: int, replications: int, m: int, n: int, rows: int, sampler: str
 ) -> Iterator[np.ndarray]:
     """Leaf counts of replicates 0, ..., R-1 as int64 blocks of ``rows`` rows, in order.
 
     Row r is substream (seed, r)'s draw by ``sampler``: ``_leaf_counts`` for
-    ``sequential``, :func:`sample_direct_counts` for ``direct``.  A sequential
-    draw with 0 < n <= ``_DRAW_CHUNK`` and at most 1/16 rejected lanes
-    expected a row, n (2^32 mod m) / 2^32, runs the block kernel: it reduces
-    the raw words of up to ``_BLOCK_LANES // max(n, m)`` rows from
-    :func:`substreams` at a time and counts them with one ``bincount``.  A
-    row it does not draw (one with a rejected lane, or any row of another
-    draw, n = 10^6 included) is drawn from ``RngSeed(seed, r).generator()``.
+    ``sequential``, :func:`sample_direct_counts` for ``direct``; at n = 0
+    every row is zeros and no generator is made.  A sequential draw with
+    0 < n <= ``_DRAW_CHUNK`` and at most 1/16 rejected lanes expected a row,
+    n (2^32 mod m) / 2^32, runs the block kernel: it reduces the raw words
+    of up to ``_BLOCK_LANES // max(n, m)`` rows from :func:`substreams` at
+    a time and counts them with one ``bincount``.  A row it does not draw
+    (one with a rejected lane, or any row of another draw, n = 10^6
+    included) is drawn on its own from ``RngSeed(seed, r).generator()``: a
+    sequential row by :func:`_raw_leaf_counts`, from raw words too, so
+    ``integers`` never runs here.
     """
-    draw = _leaf_counts if sampler == "sequential" else sample_direct_counts
+    draw = _raw_leaf_counts if sampler == "sequential" else sample_direct_counts
     # numpy maps a uint32 lane to the high half of lane * m and rejects it
     # when the low half is below 2^32 mod m, which is 0 for a power of two
     threshold = (1 << 32) % m
@@ -251,11 +290,12 @@ def leaf_count_blocks(
         products = np.empty((sub, n), dtype="<u8")
         offsets = np.arange(0, sub * m, m, dtype="<u8")[:, None]
     for start in range(0, replications, rows):
-        counts = np.empty((min(rows, replications - start), m), dtype=np.int64)
+        # zeros: a row of n = 0 leaves is never drawn
+        counts = np.zeros((min(rows, replications - start), m), dtype=np.int64)
         for first in range(start, start + len(counts), sub):
             block = counts[first - start:first - start + sub]
             k = len(block)
-            undrawn = range(k)
+            undrawn = range(k) if n else ()
             if kernel:
                 # zip takes a row before a generator, so no sub-block seeds past its last row
                 for row, rng in zip(words[:k], streams):

@@ -280,10 +280,12 @@ def replicate_rows(cfg: ExperimentConfig) -> list[list]:
 
     Replicate r draws from substream (seed, r) with the configured sampler.
     :func:`~catlab.caterpillar.leaf_count_blocks` draws blocks of
-    ``max(1, BLOCK_CELLS // m)`` replicates into an int64 matrix, from raw
-    PCG64 words where 0 < n <= 2^16 and n (2^32 mod m) <= 2^28, and every
-    other row on its own from ``RngSeed(seed, r).generator()`` as
-    :func:`reference_rows` draws it; each block goes through
+    ``max(1, BLOCK_CELLS // m)`` replicates into an int64 matrix, many rows
+    at once from raw PCG64 words where 0 < n <= 2^16 and n (2^32 mod m) <=
+    2^28, and every other row on its own from the generator
+    ``RngSeed(seed, r).generator()`` that :func:`reference_rows` draws from;
+    a sequential row is read from that generator's raw words too, so only
+    :func:`reference_rows` calls ``integers``; each block goes through
     :func:`~catlab.indices.compute_index_batch`.  The rows equal
     :func:`reference_rows` for every block size.  Before any draw,
     this refuses (m, n) outside :func:`~catlab.indices.fits_int64` with

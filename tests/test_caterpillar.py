@@ -137,14 +137,70 @@ def _numpy_counts(seed, r, m, n):
     return np.bincount(rng.integers(0, m, size=n), minlength=m)
 
 
-def _rejects(seed, r, m, n):
-    """Whether numpy's Lemire reduction rejects one of the first n uint32 lanes
-    of substream (seed, r), read straight from its raw 64-bit words."""
+def _rejected_lanes(seed, r, m, n):
+    """The positions among the first n uint32 lanes of substream (seed, r) that
+    numpy's Lemire reduction rejects, read straight from its raw 64-bit words."""
     ss = np.random.SeedSequence(seed, spawn_key=(r,))
     words = np.random.PCG64(ss).random_raw(-(-n // 2)).astype("<u8")
     lanes = words.view("<u4")[:n].astype(np.uint64)
     low = lanes * np.uint64(m) & np.uint64(2**32 - 1)
-    return bool((low < 2**32 % m).any())
+    return np.flatnonzero(low < 2**32 % m).tolist()
+
+
+def _raw_counts(seed, r, m, n):
+    counts = caterpillar._raw_leaf_counts(m, n, RngSeed(seed, r).generator())
+    assert counts.dtype == np.int64 and counts.shape == (m,)
+    return counts
+
+
+@pytest.mark.parametrize("lanes", [None, 8, 64])
+def test_raw_row_draw_equals_numpy_draws(monkeypatch, lanes):
+    """At 8 and 64 lanes a chunk (200 at m = 200) n spans several chunks, and
+    an odd n ends a word early; m = 2 and 64 are powers of two, 3 and 200 are
+    not."""
+    if lanes:
+        monkeypatch.setattr(caterpillar, "_BLOCK_LANES", lanes)
+    for m in (2, 64, 3, 200):
+        for n in (0, 1, 2, 7, 8, 9, 63, 64, 65, 200, 201, 1001):
+            for r in (0, 1):
+                assert np.array_equal(_raw_counts(7, r, m, n), _numpy_counts(7, r, m, n)), (m, n, r)
+
+
+@pytest.mark.parametrize(
+    "m, n, least",
+    # 2^32 mod 10^4 = 7296 rejects about 1.7 lanes of 10^6, and
+    # 2^32 mod 999,999 = 971,590 about 68 lanes of 300,000
+    [(10_000, 10**6, 1), (999_999, 300_000, 40)],
+)
+def test_raw_row_draw_drops_every_rejected_lane(m, n, least):
+    for seed in (1, 31415, 2**160 + 5):
+        for r in range(3):
+            assert np.array_equal(_raw_counts(seed, r, m, n), _numpy_counts(seed, r, m, n))
+    assert max(len(_rejected_lanes(1, r, m, n)) for r in range(3)) >= least
+
+
+def test_raw_row_draw_with_rejected_lanes_on_chunk_edges():
+    """A chunk holds whole words: a rejected high half can end the first chunk
+    and a rejected low half can open the top-up chunk after it."""
+    m, seed, r = 999_999, 31415, 0
+    rejected = _rejected_lanes(seed, r, m, 300_000)
+    last = next(p for p in rejected[1:] if p % 2)  # the first chunk's last lane
+    first = next(p for p in rejected[1:] if p % 2 == 0)  # the top-up's first lane
+    for n in (last + 1, first, first - 1):
+        assert np.array_equal(_raw_counts(seed, r, m, n), _numpy_counts(seed, r, m, n)), n
+
+
+def test_raw_row_draw_memory_is_bounded():
+    """Chunks of 2^15 lanes keep the raw draw under 1 MiB at any n."""
+    rng = RngSeed(3).generator()
+    tracemalloc.start()
+    try:
+        counts = caterpillar._raw_leaf_counts(100, 10**7, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 10**7
+    assert peak < 2**20, peak
 
 
 def _blocks(seed, replications, m, n, rows, sampler="sequential"):
@@ -185,27 +241,28 @@ def test_leaf_count_blocks_redraw_exactly_the_rejected_rows(monkeypatch, lanes):
     assert 16 * n * (2**32 % m) <= 2**32
     if lanes:
         monkeypatch.setattr(caterpillar, "_BLOCK_LANES", lanes)
-    rejected = [r for r in range(replications) if _rejects(seed, r, m, n)]
+    rejected = [r for r in range(replications) if _rejected_lanes(seed, r, m, n)]
     assert len(rejected) >= 3, rejected
     redrawn = []
-    leaf_counts = caterpillar._leaf_counts
+    raw_leaf_counts = caterpillar._raw_leaf_counts
 
     def counted(m, n, rng):
         redrawn.append(rng.bit_generator.state)
-        return leaf_counts(m, n, rng)
+        return raw_leaf_counts(m, n, rng)
 
-    monkeypatch.setattr(caterpillar, "_leaf_counts", counted)
+    monkeypatch.setattr(caterpillar, "_raw_leaf_counts", counted)
     want = [_numpy_counts(seed, r, m, n) for r in range(replications)]
     assert np.array_equal(_blocks(seed, replications, m, n, 10), want)
     assert redrawn == _reference_states(seed, rejected)
 
 
+def _refuse(*args):
+    raise AssertionError("made a generator")
+
+
 def _own_generator_states(monkeypatch, name):
     """Refuse :func:`substreams`, and record the generator state that each call
     of the draw ``caterpillar.<name>`` starts from."""
-    def refuse(*args):
-        raise AssertionError("seeded from substreams")
-
     states = []
     draw = getattr(caterpillar, name)
 
@@ -213,7 +270,7 @@ def _own_generator_states(monkeypatch, name):
         states.append(rng.bit_generator.state)
         return draw(m, n, rng)
 
-    monkeypatch.setattr(caterpillar, "substreams", refuse)
+    monkeypatch.setattr(caterpillar, "substreams", _refuse)
     monkeypatch.setattr(caterpillar, name, recorded)
     return states
 
@@ -225,11 +282,23 @@ def _own_generator_states(monkeypatch, name):
 )
 def test_leaf_count_blocks_draw_per_replicate_outside_the_block_rule(monkeypatch, m, n):
     """Outside the kernel's rule each row is drawn from its own reference
-    generator, once and in row order, and substreams() never runs."""
-    states = _own_generator_states(monkeypatch, "_leaf_counts")
+    generator, once and in row order, and substreams() never runs; at n = 0
+    no generator is made at all."""
     want = [_numpy_counts(7, r, m, n) for r in range(3)]
+    reference = _reference_states(7, range(3)) if n else []
+    states = _own_generator_states(monkeypatch, "_raw_leaf_counts")
+    if not n:
+        monkeypatch.setattr(RngSeed, "generator", _refuse)
     assert np.array_equal(_blocks(7, 3, m, n, 2), want)
-    assert states == _reference_states(7, range(3))
+    assert states == reference
+
+
+@pytest.mark.parametrize("sampler", ["sequential", "direct"])
+def test_leaf_count_blocks_of_zero_leaves_make_no_generator(monkeypatch, sampler):
+    monkeypatch.setattr(RngSeed, "generator", _refuse)
+    monkeypatch.setattr(caterpillar, "substreams", _refuse)
+    blocks = _blocks(7, 11, 5, 0, 4, sampler)
+    assert blocks.shape == (11, 5) and not blocks.any()
 
 
 def test_leaf_count_blocks_direct_sampler(monkeypatch):

@@ -3,7 +3,7 @@
 ``bench/digests.json`` pins the SHA-256 of every benchmark op's output at
 the seeds 31415 and 271828.  This runs the ``paper_mc`` ops (the paper7
 report and the m=200, n=5000 simulate CSV) and the ``stress_instance`` op
-(m=10^4, n=10^6, where hyper-Wiener reaches 8.5e18)
+(m=10^4, n=10^6, where hyper-Wiener reaches 8.5e18) at both seeds
 through ``catlab.cli.main`` and compares their digests with the recorded
 ones, so an output byte that drifts fails here rather than only in the
 benchmark.  The ``clt_sweep`` ops (20 CLT figures) and the ``oracle_exact``
@@ -45,7 +45,13 @@ def _sha(*parts: bytes) -> str:
 
 
 @pytest.mark.parametrize(
-    "workload,seed", [("paper_mc", 31415), ("paper_mc", 271828), ("stress_instance", 31415)]
+    "workload,seed",
+    [
+        ("paper_mc", 31415),
+        ("paper_mc", 271828),
+        ("stress_instance", 31415),
+        ("stress_instance", 271828),
+    ],
 )
 def test_outputs_match_recorded_digests(tmp_path, capsys, monkeypatch, workload, seed):
     monkeypatch.delenv("CATLAB_SEED", raising=False)
