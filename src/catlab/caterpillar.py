@@ -286,9 +286,10 @@ def leaf_count_blocks(
     if kernel:
         streams = substreams(seed, 0, replications)
         # '<' dtypes: the lanes are each word's halves, low half first, on every platform
-        words = np.empty((sub, -(-n // 2)), dtype="<u8")
-        products = np.empty((sub, n), dtype="<u8")
-        offsets = np.arange(0, sub * m, m, dtype="<u8")[:, None]
+        word, lane = np.dtype("<u8"), np.dtype("<u4")
+        pairs = -(-n // 2)
+        products = np.empty((sub, n), dtype=word)
+        offsets = np.arange(0, sub * m, m, dtype=word)[:, None]
     for start in range(0, replications, rows):
         # zeros: a row of n = 0 leaves is never drawn
         counts = np.zeros((min(rows, replications - start), m), dtype=np.int64)
@@ -297,13 +298,14 @@ def leaf_count_blocks(
             k = len(block)
             undrawn = range(k) if n else ()
             if kernel:
-                # zip takes a row before a generator, so no sub-block seeds past its last row
-                for row, rng in zip(words[:k], streams):
-                    row[:] = rng.bit_generator.random_raw(words.shape[1])
                 product = products[:k]
-                product[:] = words[:k].view("<u4")[:, :n]
+                # zip takes a row before a generator, so no sub-block seeds past its
+                # last row; each row's words widen straight into it, copied once
+                for row, rng in zip(product, streams):
+                    words = rng.bit_generator.random_raw(pairs).astype(word, copy=False)
+                    row[:] = words.view(lane)[:n]
                 product *= np.uint64(m)
-                low = product.view("<u4")[:, 0::2]
+                low = product.view(lane)[:, 0::2]
                 undrawn = ()
                 if threshold and low.min() < threshold:
                     undrawn = np.flatnonzero(low.min(axis=1) < threshold)

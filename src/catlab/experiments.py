@@ -4,8 +4,8 @@
 from the substream (seed, r) and its index values come back exact (Python
 ints, or Fractions for Gini and Hoover) in replicate order.  The replicates
 come from :func:`~catlab.caterpillar.leaf_count_blocks` as blocks of an
-int64 leaf-count matrix and are evaluated a block at a time by
-:func:`~catlab.indices.compute_index_batch`, which is exact wherever
+int64 leaf-count matrix, and each block is evaluated for every requested
+index in one :func:`~catlab.indices.compute_indices_batch` call, exact wherever
 :func:`~catlab.indices.fits_int64` holds; runs outside that bound are
 refused before any draw.  :func:`reference_rows` evaluates each replicate on
 its own with the scalar :func:`compute_index`, as the reference the batch
@@ -36,7 +36,7 @@ from .caterpillar import (
     simulate_counts,
 )
 from .errors import DomainError, ResourceLimitError
-from .indices import IndexSpec, _check_int64, compute_index, compute_index_batch
+from .indices import IndexSpec, _check_int64, compute_index, compute_indices_batch
 from .theory import zagreb_mean, zagreb_variance
 
 __all__ = [
@@ -285,8 +285,9 @@ def replicate_rows(cfg: ExperimentConfig) -> list[list]:
     2^28, and every other row on its own from the generator
     ``RngSeed(seed, r).generator()`` that :func:`reference_rows` draws from;
     a sequential row is read from that generator's raw words too, so only
-    :func:`reference_rows` calls ``integers``; each block goes through
-    :func:`~catlab.indices.compute_index_batch`.  The rows equal
+    :func:`reference_rows` calls ``integers``; each block makes one
+    :func:`~catlab.indices.compute_indices_batch` call for all the indices,
+    which checks it once and shares their common terms.  The rows equal
     :func:`reference_rows` for every block size.  Before any draw,
     this refuses (m, n) outside :func:`~catlab.indices.fits_int64` with
     :class:`DomainError`, and runs whose rows would exceed
@@ -303,8 +304,7 @@ def replicate_rows(cfg: ExperimentConfig) -> list[list]:
     block = max(1, BLOCK_CELLS // cfg.m)
     rows = []
     for counts in leaf_count_blocks(cfg.seed, cfg.replications, cfg.m, cfg.n, block, cfg.sampler):
-        columns = [compute_index_batch(counts, spec) for spec in cfg.indices]
-        rows.extend(map(list, zip(*columns)))
+        rows.extend(map(list, zip(*compute_indices_batch(counts, cfg.indices))))
     return rows
 
 

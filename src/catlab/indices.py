@@ -7,12 +7,15 @@ O(m) closed forms can be compared bit-for-bit against the BFS oracles even at
 n = 10^6.  Gini and Hoover are ratios of integers and come back as exact
 Fractions.
 
-:func:`compute_index_batch` evaluates many states at once from an int64
-matrix of leaf counts (one state per row) and returns the same Python ints
-and Fractions as the scalar functions, which stay the reference.  It is
-exact wherever :func:`fits_int64` holds: every term it adds up fits in
-int64 there, and the row sums that can pass 2^63, Wiener's and
-hyper-Wiener's, are taken in 32-bit limbs and finished in Python ints.
+:func:`compute_indices_batch` evaluates many states at once from an int64
+matrix of leaf counts (one state per row), for any number of indices in
+one pass: it checks the matrix once and computes each term the indices
+share once.  It returns the same Python ints and Fractions as the scalar
+functions, which stay the reference; :func:`compute_index_batch` is its
+one-index case.  It is exact wherever :func:`fits_int64` holds: every term
+it adds up fits in int64 there, and the row sums that can pass 2^63,
+Wiener's and hyper-Wiener's, are taken in 32-bit limbs and finished in
+Python ints.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +41,7 @@ __all__ = [
     "compute_index",
     "fits_int64",
     "compute_index_batch",
+    "compute_indices_batch",
 ]
 
 
@@ -251,68 +256,113 @@ def _row_sums(terms: np.ndarray) -> list[int]:
     return [(h << 32) + lo for h, lo in zip(high, low)]
 
 
-def _batch_degrees(counts: np.ndarray) -> np.ndarray:
-    """Spine degrees of every row: X + 2, and X + 1 at the two ends."""
-    degs = counts + 2
-    degs[:, 0] -= 1
-    degs[:, -1] -= 1
-    return degs
+class _term:
+    """A :class:`_BlockTerms` term, computed on its first read: a non-data
+    descriptor, so the value it stores in the instance shadows it after.
+    ``functools.cached_property`` takes a lock on Python 3.11 that every
+    one-index block would pay for."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, terms, owner=None):
+        value = terms.__dict__[self.name] = self.compute(terms)
+        return value
 
 
-def _fractions(numerators: np.ndarray, denominators: np.ndarray) -> list[Fraction]:
-    return [Fraction(p, q) for p, q in zip(numerators.tolist(), denominators.tolist())]
+class _BlockTerms:
+    """The terms that the batch evaluators of one validated leaf-count block
+    share, each computed at most once, on its first read, so a block pays
+    for the terms its indices read and for no other.
+
+    ``n``, the row totals, comes from the validation, which sums the rows
+    anyway.
+    """
+
+    def __init__(self, counts: np.ndarray, n: np.ndarray):
+        self.counts = counts
+        self.m = counts.shape[1]
+        self.n = n
+
+    @_term
+    def totals(self) -> list[int]:
+        """n as Python ints."""
+        return self.n.tolist()
+
+    @_term
+    def size(self) -> np.ndarray:
+        """The node counts N = n + m."""
+        return self.n + self.m
+
+    @_term
+    def degrees(self) -> np.ndarray:
+        """Spine degrees of every row: X + 2, and X + 1 at the two ends."""
+        degs = self.counts + 2
+        degs[:, 0] -= 1
+        degs[:, -1] -= 1
+        return degs
+
+    @_term
+    def left_leaves(self) -> np.ndarray:
+        """For each spine edge, the leaves among the nodes on its left."""
+        return np.cumsum(self.counts[:, :-1], axis=1)
+
+    @_term
+    def left(self) -> np.ndarray:
+        """For each spine edge, the L nodes on its left."""
+        return self.left_leaves + np.arange(1, self.m, dtype=np.int64)
+
+    @_term
+    def right(self) -> np.ndarray:
+        """For each spine edge, the R = N - L nodes on its right."""
+        return self.size[:, None] - self.left
+
+    @_term
+    def denominators(self) -> list[int]:
+        """The Gini and Hoover denominator 4 N (N - 1) of every row."""
+        return (4 * self.size * (self.size - 1)).tolist()
 
 
-def _degree_gini_batch(counts: np.ndarray) -> list[Fraction]:
+def _fractions(numerators: np.ndarray, denominators: list[int]) -> list[Fraction]:
+    return [Fraction(p, q) for p, q in zip(numerators.tolist(), denominators)]
+
+
+def _degree_gini_batch(t: _BlockTerms) -> list[Fraction]:
     """:func:`degree_gini_exact` of every row; rank weights on the sorted spine degrees."""
-    m = counts.shape[1]
-    n = counts.sum(axis=1)
-    size = n + m
-    weights = 2 * np.arange(1, m + 1, dtype=np.int64) - m - 1
-    ranked = (np.sort(_batch_degrees(counts), axis=1) * weights).sum(axis=1)
+    weights = 2 * np.arange(1, t.m + 1, dtype=np.int64) - t.m - 1
+    ranked = (np.sort(t.degrees, axis=1) * weights).sum(axis=1)
     # the spine degrees sum to n + 2m - 2, so the leaf term is 2n (n + m - 2)
-    return _fractions(2 * ranked + 2 * n * (size - 2), 4 * size * (size - 1))
+    return _fractions(2 * ranked + 2 * t.n * (t.size - 2), t.denominators)
 
 
-def _hoover_batch(counts: np.ndarray) -> list[Fraction]:
+def _hoover_batch(t: _BlockTerms) -> list[Fraction]:
     """:func:`hoover_exact` of every row: S / (4 N (N-1))."""
-    n = counts.sum(axis=1)
-    size = n + counts.shape[1]
-    spine = np.abs(size[:, None] * _batch_degrees(counts) - (2 * size - 2)[:, None])
-    s = spine.sum(axis=1) + n * (size - 2)  # each leaf: |N - (2N - 2)| = N - 2
-    return _fractions(s, 4 * size * (size - 1))
+    size = t.size
+    spine = np.abs(size[:, None] * t.degrees - (2 * size - 2)[:, None])
+    s = spine.sum(axis=1) + t.n * (size - 2)  # each leaf: |N - (2N - 2)| = N - 2
+    return _fractions(s, t.denominators)
 
 
-def _zagreb_batch(counts: np.ndarray) -> list[int]:
+def _zagreb_batch(t: _BlockTerms) -> list[int]:
     """:func:`zagreb` of every row."""
-    degs = _batch_degrees(counts)
-    return ((degs * degs).sum(axis=1) + counts.sum(axis=1)).tolist()
+    degs = t.degrees
+    return ((degs * degs).sum(axis=1) + t.n).tolist()
 
 
-def _randic_batch(counts: np.ndarray) -> list[int]:
+def _randic_batch(t: _BlockTerms) -> list[int]:
     """:func:`randic` with alpha = 1 of every row."""
-    degs = _batch_degrees(counts)
-    return ((degs[:, :-1] * degs[:, 1:]).sum(axis=1) + (counts * degs).sum(axis=1)).tolist()
+    degs = t.degrees
+    return ((degs[:, :-1] * degs[:, 1:]).sum(axis=1) + (t.counts * degs).sum(axis=1)).tolist()
 
 
-def _spine_edges(counts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each row's n, and for each spine edge the L nodes on its left, the
-    R = N - L on its right and the leaves among the L."""
-    m = counts.shape[1]
-    n = counts.sum(axis=1)
-    left_leaves = np.cumsum(counts[:, :-1], axis=1)
-    left = left_leaves + np.arange(1, m, dtype=np.int64)
-    return n, left, (n + m)[:, None] - left, left_leaves
-
-
-def _wiener_batch(counts: np.ndarray) -> list[int]:
+def _wiener_batch(t: _BlockTerms) -> list[int]:
     """:func:`wiener` of every row: each spine edge adds L R, each pendant edge N - 1."""
-    m = counts.shape[1]
-    n, left, right, _ = _spine_edges(counts)
-    return [k * (k + m - 1) + s for k, s in zip(n.tolist(), _row_sums(left * right))]
+    m = t.m
+    return [k * (k + m - 1) + s for k, s in zip(t.totals, _row_sums(t.left * t.right))]
 
 
-def _hyper_wiener_batch(counts: np.ndarray) -> list[int]:
+def _hyper_wiener_batch(t: _BlockTerms) -> list[int]:
     """:func:`hyper_wiener` of every row: sum d + d^2 = 2 (sum d + shared pairs).
 
     As in :func:`_distance_sums`, spine edge i adds L R to sum d, and shares
@@ -320,26 +370,30 @@ def _hyper_wiener_batch(counts: np.ndarray) -> list[int]:
     edges on its left and (leaves on its right) L with the pendant edges on
     its right.  Any two pendant edges share one pair.
     """
-    m = counts.shape[1]
-    n, left, right, left_leaves = _spine_edges(counts)
+    m = t.m
+    left, left_leaves = t.left, t.left_leaves
     reach = np.cumsum(left, axis=1) + left_leaves  # L + earlier L's + leaves among L
-    terms = reach * right + (n[:, None] - left_leaves) * left
+    terms = reach * t.right + (t.n[:, None] - left_leaves) * left
     return [
         2 * (k * (k + m - 1) + k * (k - 1) // 2 + s)
-        for k, s in zip(n.tolist(), _row_sums(terms))
+        for k, s in zip(t.totals, _row_sums(terms))
     ]
 
 
-def compute_index_batch(counts: np.ndarray, spec: IndexSpec) -> list:
-    """:func:`compute_index` of every row of an int64 (states, m) leaf-count matrix.
+def compute_indices_batch(counts: np.ndarray, specs: Sequence[IndexSpec]) -> list[list]:
+    """:func:`compute_index` of every row of an int64 (states, m) leaf-count
+    matrix, one column per spec, in the order of ``specs``.
 
-    Exact at every row where :func:`fits_int64` holds; raises
-    :class:`DomainError` for a matrix that is not 2-D or has fewer than two
-    columns, for other dtypes, for a count that is negative or at least
-    2^32, or where it fails for the largest row.  Counts below 2^32
-    cannot wrap the int64 row sums, and larger ones fail it anyway.  Randic
-    with alpha != 1 runs the scalar function per row, so its float sums keep
-    their order.
+    The matrix is checked once, and each term the requested indices share
+    (row totals, node counts, spine degrees, the nodes and leaves on either
+    side of each spine edge, the Gini and Hoover denominator) is computed
+    at most once for all of them.  Exact at every row where
+    :func:`fits_int64` holds; raises :class:`DomainError` for a matrix that
+    is not 2-D or has fewer than two columns, for other dtypes, for a count
+    that is negative or at least 2^32, or where it fails for the largest
+    row.  Counts below 2^32 cannot wrap the int64 row sums, and larger ones
+    fail it anyway.  Randic with alpha != 1 runs the scalar function per
+    row, so its float sums keep their order.
     """
     if counts.ndim != 2:
         raise DomainError(f"batched index evaluation needs a 2-D matrix, not {counts.ndim}-D")
@@ -348,14 +402,24 @@ def compute_index_batch(counts: np.ndarray, spec: IndexSpec) -> list:
     if counts.dtype != np.int64:
         raise DomainError("batched index evaluation needs int64 counts")
     if not len(counts):
-        return []
+        return [[] for _ in specs]
     # one reduction: as uint64, a negative count reads at least 2^63
     if counts.view(np.uint64).max() >= 2**32:
         raise DomainError("batched index evaluation needs counts in [0, 2^32)")
-    _check_int64(m, int(counts.sum(axis=1).max()))
-    if spec.kind == "randic" and spec.alpha != 1:
-        return [randic(Caterpillar(m, tuple(row)), spec.alpha) for row in counts.tolist()]
-    return _BATCH[spec.kind](counts)
+    n = counts.sum(axis=1)
+    _check_int64(m, int(n.max()))
+    terms = _BlockTerms(counts, n)
+    return [
+        [randic(Caterpillar(m, tuple(row)), spec.alpha) for row in counts.tolist()]
+        if spec.kind == "randic" and spec.alpha != 1
+        else _BATCH[spec.kind](terms)
+        for spec in specs
+    ]
+
+
+def compute_index_batch(counts: np.ndarray, spec: IndexSpec) -> list:
+    """:func:`compute_indices_batch` for one spec: its one column."""
+    return compute_indices_batch(counts, (spec,))[0]
 
 
 _BATCH = {

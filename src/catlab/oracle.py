@@ -12,11 +12,14 @@ at a time, as one int64 matrix of stars-and-bars cut differences, weighted
 by their multinomial coefficients, since every index depends on leaf counts
 only; ``auto`` takes it.  The two paths differ only in where the weights
 come from: both evaluate their states in blocks of
-``max(1, BLOCK_CELLS // m)`` with :func:`~catlab.indices.compute_index_batch`
+``max(1, BLOCK_CELLS // m)`` with :func:`~catlab.indices.compute_indices_batch`
 and reduce to Python-int sums over one common denominator
 (:class:`~catlab.experiments.WeightedSums`), so neither builds a
 :class:`~catlab.caterpillar.Caterpillar` per state and no Fraction
-arithmetic runs per state.  The guard counts the cells each path builds:
+arithmetic runs per state.  One pass serves any number of indices: the
+states, weights and checks are made once, and each block is one evaluator
+call for all of them; criterion 6 of :mod:`catlab.verify` makes one pass
+per grid point.  The guard counts the cells each path builds:
 states x m on the compositions path, and on the histories path the m
 successors of m cells of each of the C(n+m-1, m) states it steps.
 
@@ -39,9 +42,10 @@ table is built.  A stack pays numpy's per-call cost once for all its
 graphs: criterion 7 runs each point of its exhaustive grid as one stack,
 and its random states in stacks of similar spine length.
 
-The one-step law, :func:`one_step_mean`, is the exact mean of any index
-over the m successors of a state, evaluated as one batch of m leaf-count
-rows.  Like the other oracles it reads the index functions only and states
+The one-step law, :func:`one_step_means`, is the exact mean of any index
+over the m successors of each of many states, evaluated as one batch of
+leaf-count rows per spine length; :func:`one_step_mean` is its one-state
+case.  Like the other oracles it reads the index functions only and states
 no closed form: criteria 8 and 9 of :mod:`catlab.verify` hold it against
 the paper's martingale compensator and super-martingale bound in
 :mod:`catlab.theory`.
@@ -60,7 +64,7 @@ import numpy as np
 from .caterpillar import AdjacencyGraph, Caterpillar, _check_mn
 from .errors import DomainError, ResourceLimitError
 from .experiments import WeightedSums
-from .indices import IndexSpec, _check_int64, compute_index_batch
+from .indices import IndexSpec, _check_int64, compute_indices_batch
 
 __all__ = [
     "ExactMoments",
@@ -76,6 +80,7 @@ __all__ = [
     "hyper_wiener_bfs",
     "one_step_successors",
     "one_step_mean",
+    "one_step_means",
 ]
 
 ENUMERATION_GUARD = 10**7
@@ -196,10 +201,27 @@ def enumerate_exact(
     :class:`DomainError`); within the default guard, only n = 0 with
     m >= 2^21 falls outside that range.
     """
+    return _enumerate_moments(m, n, (index,), method, guard)[0]
+
+
+def _enumerate_moments(
+    m: int,
+    n: int,
+    indices: Sequence[IndexSpec | str],
+    method: str = "auto",
+    guard: int = ENUMERATION_GUARD,
+) -> list[ExactMoments]:
+    """:func:`enumerate_exact` of each of ``indices``, from one pass.
+
+    The states, their weights and the checks are made once, and each block
+    is evaluated for every index by one
+    :func:`~catlab.indices.compute_indices_batch` call.
+    """
     _check_mn(m, n)
-    spec = IndexSpec.parse(index) if isinstance(index, str) else index
-    if spec.kind == "randic" and spec.alpha != 1:
-        raise DomainError(f"exact Randic evaluation requires alpha = 1, got {spec.alpha}")
+    specs = [IndexSpec.parse(index) if isinstance(index, str) else index for index in indices]
+    for spec in specs:
+        if spec.kind == "randic" and spec.alpha != 1:
+            raise DomainError(f"exact Randic evaluation requires alpha = 1, got {spec.alpha}")
     method = choose_method(m, n, method, guard)
     _check_int64(m, n)
     block = max(1, BLOCK_CELLS // m)
@@ -225,17 +247,19 @@ def enumerate_exact(
 
     history_count = m**n
 
-    sums = WeightedSums(support=set())
+    sums = [WeightedSums(support=set()) for _ in specs]
     for counts, weights in blocks:
-        sums.add(compute_index_batch(counts, spec), weights)
-    mean = Fraction(sums.total, history_count * sums.denominator)
-    second = Fraction(sums.total_sq, history_count * sums.denominator**2)
-    return ExactMoments(
-        mean=mean,
-        second_moment=second,
-        support_size=len(sums.support),
-        history_count=history_count,
-    )
+        for acc, column in zip(sums, compute_indices_batch(counts, specs)):
+            acc.add(column, weights)
+    return [
+        ExactMoments(
+            mean=Fraction(acc.total, history_count * acc.denominator),
+            second_moment=Fraction(acc.total_sq, history_count * acc.denominator**2),
+            support_size=len(acc.support),
+            history_count=history_count,
+        )
+        for acc in sums
+    ]
 
 
 def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
@@ -414,15 +438,33 @@ def one_step_successors(c: Caterpillar) -> list[Caterpillar]:
     return [Caterpillar(c.m, x) for x in _successor_counts(c.leaf_counts)]
 
 
-def one_step_mean(c: Caterpillar, index: IndexSpec | str) -> Fraction:
+def one_step_means(states: Sequence[Caterpillar], index: IndexSpec | str) -> list[Fraction]:
     """Exact mean of an index over the m equally likely states one growth
-    step after ``c``.
+    step after each of ``states``, in their order.
 
-    The successors' leaf counts, ``c``'s counts tiled m times plus the
-    identity, make one :func:`~catlab.indices.compute_index_batch` call, so
-    this raises :class:`DomainError` where that evaluator does.  Randic with
-    alpha != 1 sums floats, in successor order, before the exact conversion.
+    The states of each spine length make one
+    :func:`~catlab.indices.compute_indices_batch` call: each state's counts
+    tiled m times plus the identity are its m successors' rows.  So this
+    raises :class:`DomainError` where that evaluator does.  Each state's
+    successor values are summed in successor order, so Randic with
+    alpha != 1 sums its floats as one state alone would, before the exact
+    conversion.
     """
     spec = IndexSpec.parse(index) if isinstance(index, str) else index
-    counts = np.array(c.leaf_counts, dtype=np.int64) + np.eye(c.m, dtype=np.int64)
-    return Fraction(sum(compute_index_batch(counts, spec))) / c.m
+    by_length = {}
+    for k, c in enumerate(states):
+        by_length.setdefault(c.m, []).append(k)
+    means = [None] * len(states)
+    for m, group in by_length.items():
+        counts = np.array([states[k].leaf_counts for k in group], dtype=np.int64)
+        successors = (counts[:, None, :] + np.eye(m, dtype=np.int64)).reshape(-1, m)
+        values = compute_indices_batch(successors, (spec,))[0]
+        for j, k in enumerate(group):
+            means[k] = Fraction(sum(values[j * m:(j + 1) * m])) / m
+    return means
+
+
+def one_step_mean(c: Caterpillar, index: IndexSpec | str) -> Fraction:
+    """Exact mean of an index over the m equally likely states one growth
+    step after ``c``: :func:`one_step_means` of ``c`` alone."""
+    return one_step_means([c], index)[0]

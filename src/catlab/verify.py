@@ -11,7 +11,6 @@ to identical bytes.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from .experiments import (
     zagreb_normality,
 )
 from .indices import IndexSpec, hyper_wiener, randic, wiener, zagreb
-from .oracle import bfs_distance_sums_many, compositions, enumerate_exact, one_step_mean
+from .oracle import _enumerate_moments, bfs_distance_sums_many, compositions, one_step_means
 from . import theory
 
 __all__ = [
@@ -202,10 +201,12 @@ def criterion_oracle_equivalence() -> CriterionResult:
     failures = []
     for m in (2, 3, 4):
         for n in range(7):
-            # one enumeration per index, shared by that index's rows
-            exact = functools.cache(functools.partial(enumerate_exact, m, n))
-            for label, index, moment, closed_form, offset in _oracle_rows(m, n):
-                if closed_form.value - getattr(exact(index), moment) != offset:
+            rows = _oracle_rows(m, n)
+            # one enumeration pass for all the indices the rows read
+            indices = list(dict.fromkeys(index for _, index, *_ in rows))
+            exact = dict(zip(indices, _enumerate_moments(m, n, indices)))
+            for label, index, moment, closed_form, offset in rows:
+                if closed_form.value - getattr(exact[index], moment) != offset:
                     failures.append(f"{label} ({m},{n})")
     return CriterionResult(
         cid="6-oracle-equivalence",
@@ -261,10 +262,11 @@ def _random_states(seed: int, count: int, m_max: int, n_max: int):
 def criterion_martingale() -> CriterionResult:
     """The paper's compensated Zagreb index Z_n + beta_n is a martingale:
     its exact one-step mean equals its value at every state."""
+    states = list(_random_states(20_000_102, 100, 20, 100))
     bad = sum(
         1
-        for c in _random_states(20_000_102, 100, 20, 100)
-        if one_step_mean(c, "zagreb") + theory.martingale_compensator(c.m, c.n + 1)
+        for c, mean in zip(states, one_step_means(states, "zagreb"))
+        if mean + theory.martingale_compensator(c.m, c.n + 1)
         != zagreb(c) + theory.martingale_compensator(c.m, c.n)
     )
     return CriterionResult(
@@ -279,11 +281,11 @@ def criterion_martingale() -> CriterionResult:
 
 def criterion_supermartingale() -> CriterionResult:
     """The paper's lower bound on the one-step Randic mean holds at every state."""
+    states = list(_random_states(20_000_103, 100, 20, 100))
     bad = sum(
         1
-        for c in _random_states(20_000_103, 100, 20, 100)
-        if one_step_mean(c, "randic:1")
-        < theory.randic_supermartingale_bound(c.m, c.n + 1, randic(c, 1))
+        for c, mean in zip(states, one_step_means(states, "randic:1"))
+        if mean < theory.randic_supermartingale_bound(c.m, c.n + 1, randic(c, 1))
     )
     return CriterionResult(
         cid="9-supermartingale",

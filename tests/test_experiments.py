@@ -159,6 +159,25 @@ def test_replicate_rows_exact_and_in_replicate_order(monkeypatch):
         assert _typed(replicate_rows(cfg)) == _typed(rows)
 
 
+@pytest.mark.parametrize("count", [1, 3, 7])
+def test_replicate_rows_makes_one_evaluator_call_per_block(monkeypatch, count):
+    """However many indices a run asks for, each block of replicates goes
+    through the index evaluator once."""
+    calls = []
+    for name in ("compute_index_batch", "compute_indices_batch"):
+        real = getattr(experiments, name, None)
+        if real is not None:
+            monkeypatch.setattr(
+                experiments, name, lambda *args, real=real: calls.append(args) or real(*args)
+            )
+    specs = (SIX + (IndexSpec("randic", -0.5),))[:count]
+    cfg = ExperimentConfig(m=50, n=100, replications=300, seed=3, indices=specs)
+    rows = replicate_rows(cfg)
+    assert len(rows) == 300 and all(len(row) == count for row in rows)
+    # blocks of 4096 // 50 = 81 replicates
+    assert len(calls) == math.ceil(300 / (experiments.BLOCK_CELLS // 50)) == 4
+
+
 @pytest.mark.parametrize("sampler", ["sequential", "direct"])
 def test_replicate_rows_batch_equals_reference(sampler):
     specs = SIX + (IndexSpec("randic", -0.5),)

@@ -20,6 +20,7 @@ from catlab.indices import (
     _row_sums,
     compute_index,
     compute_index_batch,
+    compute_indices_batch,
     degree_gini_exact,
     fits_int64,
     hoover_exact,
@@ -232,13 +233,36 @@ BATCH_SPECS = [
 ]
 
 
+# every kind, and Randic at three exponents
+ALL_SPECS = BATCH_SPECS + [IndexSpec.parse("randic:0.5")]
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
 def _assert_batch_matches_scalar(m, states):
-    """compute_index_batch equals compute_index state by state, types included."""
+    """compute_index_batch equals compute_index state by state, types
+    included, and one compute_indices_batch call of every spec equals it
+    column by column."""
     counts = np.array(states, dtype=np.int64).reshape(len(states), m)
-    for spec in BATCH_SPECS:
+    columns = compute_indices_batch(counts, ALL_SPECS)
+    assert len(columns) == len(ALL_SPECS)
+    for spec, column in zip(ALL_SPECS, columns):
         want = [compute_index(Caterpillar(m, tuple(x)), spec) for x in states]
         got = compute_index_batch(counts, spec)
-        assert [(type(v), v) for v in got] == [(type(v), v) for v in want], (m, str(spec))
+        assert _typed(got) == _typed(want), (m, str(spec))
+        assert _typed(column) == _typed(got), (m, str(spec))
+
+
+def _assert_refused(counts, spec, match):
+    """compute_index_batch refuses ``counts``, and so does
+    compute_indices_batch for ``spec`` alone and among every spec."""
+    with pytest.raises(DomainError, match=match):
+        compute_index_batch(counts, spec)
+    for specs in ([spec], ALL_SPECS):
+        with pytest.raises(DomainError, match=match):
+            compute_indices_batch(counts, specs)
 
 
 def test_batch_matches_scalar_exhaustively():
@@ -250,6 +274,9 @@ def test_batch_matches_scalar_exhaustively():
 def test_batch_matches_scalar_random_states():
     rng = RngSeed(2024).generator()
     _assert_batch_matches_scalar(2, [[0, 0], [0, 7], [3, 0]])
+    _assert_batch_matches_scalar(7, [[1, 0, 4, 0, 0, 2, 9]])  # one row
+    for m in (2, 5):
+        _assert_batch_matches_scalar(m, [])  # the empty (0, m) matrix
     for k in range(12):
         m = int(rng.integers(2, 300))
         states = []
@@ -278,25 +305,20 @@ def test_batch_exact_up_to_the_int64_bound():
     assert fits_int64(10_000, 10**6)
     assert fits_int64(2**21 - 1, 0) and not fits_int64(2**21, 0)
     over = np.array([[n + 1] + [0] * (m - 1)], dtype=np.int64)
-    with pytest.raises(DomainError, match="fits_int64"):
-        compute_index_batch(over, IndexSpec("zagreb"))
-    with pytest.raises(DomainError, match="int64"):
-        compute_index_batch(np.array([[1, 2]], dtype=np.int32), IndexSpec("zagreb"))
+    _assert_refused(over, IndexSpec("zagreb"), "fits_int64")
+    _assert_refused(np.array([[1, 2]], dtype=np.int32), IndexSpec("zagreb"), "int64")
 
 
 def test_batch_refuses_counts_that_could_wrap_or_are_negative():
     # four counts of 2^62 sum to 2^64, which wraps to 0 in int64
-    with pytest.raises(DomainError, match="2\\^32"):
-        compute_index_batch(np.array([[2**62] * 4]), IndexSpec("zagreb"))
-    with pytest.raises(DomainError, match="2\\^32"):
-        compute_index_batch(np.array([[-3, 1]]), IndexSpec("wiener"))
+    _assert_refused(np.array([[2**62] * 4]), IndexSpec("zagreb"), "2\\^32")
+    _assert_refused(np.array([[-3, 1]]), IndexSpec("wiener"), "2\\^32")
     # 2^32 alone is refused by the count check, 2^32 - 1 by fits_int64
-    with pytest.raises(DomainError, match="2\\^32"):
-        compute_index_batch(np.array([[2**32, 0]]), IndexSpec("zagreb"))
-    with pytest.raises(DomainError, match="fits_int64"):
-        compute_index_batch(np.array([[2**32 - 1, 0]]), IndexSpec("zagreb"))
+    _assert_refused(np.array([[2**32, 0]]), IndexSpec("zagreb"), "2\\^32")
+    _assert_refused(np.array([[2**32 - 1, 0]]), IndexSpec("zagreb"), "fits_int64")
     for spec in BATCH_SPECS:
         assert compute_index_batch(np.zeros((0, 5), dtype=np.int64), spec) == []
+    assert compute_indices_batch(np.zeros((0, 5), dtype=np.int64), ALL_SPECS) == [[]] * 8
 
 
 @pytest.mark.parametrize("spec", BATCH_SPECS + [IndexSpec.parse("randic:0.5")], ids=str)
@@ -304,11 +326,9 @@ def test_batch_refuses_what_is_not_a_spine_of_two_or_more_nodes(spec):
     """One column once gave 0 (or a ZeroDivisionError for Gini and Hoover),
     though Caterpillar refuses m = 1; no column and 1-D input met numpy's errors."""
     for shape in ((2, 1), (0, 1), (3, 0), (0, 0)):
-        with pytest.raises(DomainError, match="spine too short"):
-            compute_index_batch(np.zeros(shape, dtype=np.int64), spec)
+        _assert_refused(np.zeros(shape, dtype=np.int64), spec, "spine too short")
     for shape in ((5,), (0,), (1, 2, 3)):
-        with pytest.raises(DomainError, match="matrix"):
-            compute_index_batch(np.zeros(shape, dtype=np.int64), spec)
+        _assert_refused(np.zeros(shape, dtype=np.int64), spec, "matrix")
 
 
 def test_limb_row_sums_are_exact_for_negative_terms():

@@ -23,6 +23,7 @@ from catlab.oracle import (
     hyper_wiener_bfs,
     multinomial_coefficient,
     one_step_mean,
+    one_step_means,
     one_step_successors,
     wiener_bfs,
 )
@@ -198,6 +199,30 @@ def test_enumerate_rejects_irrational_randic():
         # rejected before the state count is checked against the guard
         with pytest.raises(DomainError, match="alpha = 1"):
             enumerate_exact(m, n, index)
+        with pytest.raises(DomainError, match="alpha = 1"):
+            oracle._enumerate_moments(m, n, ["zagreb", index])
+
+
+def test_one_pass_moments_equal_enumerate_exact_index_by_index():
+    """The multi-index core gives each index what enumerate_exact gives it
+    alone, on both paths, and refuses what enumerate_exact refuses."""
+    for m in range(2, 6):
+        for n in range(7):
+            for method in ("histories", "compositions"):
+                want = [enumerate_exact(m, n, index, method=method) for index in INDICES]
+                specs = [IndexSpec.parse(index) for index in INDICES]
+                for indices, moments in ((INDICES, want), (specs, want), (specs[::-1], want[::-1])):
+                    assert oracle._enumerate_moments(m, n, indices, method) == moments, (m, n)
+    assert oracle._enumerate_moments(3, 2, []) == []
+    # the guards of test_enumerate_guard_and_method_choice, with every index
+    assert oracle._enumerate_moments(3, 2, INDICES, "histories", guard=36)[0].history_count == 9
+    with pytest.raises(ResourceLimitError, match="stepping C\\(4,3\\) states"):
+        oracle._enumerate_moments(3, 2, INDICES, "histories", guard=35)
+    assert oracle._enumerate_moments(3, 2, INDICES, "compositions", guard=18)[0].history_count == 9
+    with pytest.raises(ResourceLimitError, match="C\\(4,2\\) compositions"):
+        oracle._enumerate_moments(3, 2, INDICES, "compositions", guard=17)
+    with pytest.raises(DomainError, match="fits_int64"):
+        oracle._enumerate_moments(2**21, 0, INDICES)
 
 
 def recursive_compositions(n, m):
@@ -503,7 +528,8 @@ def test_one_step_successors():
 
 
 ONE_STEP_SPECS = (
-    "gini_degree", "hoover", "zagreb", "randic:1", "randic:0.5", "wiener", "hyper_wiener",
+    "gini_degree", "hoover", "zagreb", "randic:1", "randic:0.5", "randic:-0.5", "wiener",
+    "hyper_wiener",
 )
 
 
@@ -516,6 +542,7 @@ def test_one_step_laws_equal_their_scalar_sums():
         m = int(rng.integers(2, 21))
         n = int(rng.integers(0, 101))
         states.append(sampled(m, n, RngSeed(int(rng.integers(0, 2**32))).generator()))
+    expected = {text: [] for text in ONE_STEP_SPECS}
     for c in states:
         successors = one_step_successors(c)
         # M_n = Z_n - n(n + 6m - 5)/m, one step on from n = c.n
@@ -523,9 +550,15 @@ def test_one_step_laws_equal_their_scalar_sums():
         assert one_step_mean(c, "zagreb") == zagreb(c) + drift
         for text in ONE_STEP_SPECS:
             spec = IndexSpec.parse(text)
-            expected = Fraction(sum(compute_index(s, spec) for s in successors)) / c.m
-            assert one_step_mean(c, spec) == expected
-            assert one_step_mean(c, text) == expected
+            want = Fraction(sum(compute_index(s, spec) for s in successors)) / c.m
+            assert one_step_mean(c, spec) == want
+            assert one_step_mean(c, text) == want
+            expected[text].append(want)
+    # all the states at once, their spine lengths mixed, equal them state by state
+    for text, want in expected.items():
+        got = one_step_means(states, text)
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want], text
+    assert one_step_means([], "zagreb") == []
     # (1, 0) and (0, 1) have degrees (2, 1) and (1, 2): R = 2 + 2 either way
     assert one_step_mean(new_spine(2), "randic:1") == 4
 

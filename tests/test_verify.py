@@ -193,6 +193,47 @@ def test_criterion_7_runs_one_bfs_per_grid_point_and_per_random_state(monkeypatc
     assert sum(stacks[28:], []) == [c.node_count for c in by_m]
 
 
+def test_criterion_6_makes_one_enumeration_pass_per_grid_point(monkeypatch):
+    """The four indices its rows read share one pass per (m, n): 21 runs of
+    the composition blocks, in (m, n) order, each block evaluated once."""
+    passes, calls = [], []
+    real_blocks = oracle._composition_blocks
+    monkeypatch.setattr(
+        oracle, "_composition_blocks",
+        lambda n, m, rows: passes.append((m, n)) or real_blocks(n, m, rows),
+    )
+    for name in ("compute_index_batch", "compute_indices_batch"):
+        real = getattr(oracle, name, None)
+        if real is not None:
+            monkeypatch.setattr(
+                oracle, name, lambda *args, real=real: calls.append(args) or real(*args)
+            )
+    assert verify.criterion_oracle_equivalence().verdict == "PASS"
+    assert passes == [(m, n) for m in (2, 3, 4) for n in range(7)]
+    # every grid point here fits one block
+    assert len(calls) == 21
+
+
+@pytest.mark.parametrize("criterion, seed", [
+    (verify.criterion_martingale, 20_000_102),
+    (verify.criterion_supermartingale, 20_000_103),
+])
+def test_criteria_8_and_9_make_one_evaluator_call_per_spine_length(monkeypatch, criterion, seed):
+    """The one-step means of the 100 random states are one evaluator call
+    per distinct spine length, on all m successors of each of its states."""
+    shapes = []
+    for name in ("compute_index_batch", "compute_indices_batch"):
+        real = getattr(oracle, name, None)
+        if real is not None:
+            monkeypatch.setattr(
+                oracle, name,
+                lambda counts, *args, real=real: shapes.append(counts.shape) or real(counts, *args),
+            )
+    assert criterion().verdict == "PASS"
+    lengths = Counter(c.m for c in verify._random_states(seed, 100, 20, 100))
+    assert sorted(shapes) == sorted((k * m, m) for m, k in lengths.items())
+
+
 def test_criterion_7_tracemalloc_peak_stays_below_400_kib():
     """Stacks of 10 random states hold more rows at once than stacks of 5;
     the whole criterion still peaks below 400 KiB."""
