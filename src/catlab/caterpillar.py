@@ -77,7 +77,7 @@ _MASK128 = (1 << 128) - 1
 # Substreams seeded per vectorised pass of substreams(); bounds its arrays.
 _SEED_CHUNK = 1024
 
-# Leaves drawn per integers() call in _leaf_counts(); bounds the draw's memory.
+# Leaves drawn per integers() call in simulate_counts(); bounds the draw's memory.
 _DRAW_CHUNK = 1 << 16
 
 # Lanes (leaves) per sub-block of leaf_count_blocks(); bounds its two reused
@@ -213,22 +213,9 @@ def grow_step(c: Caterpillar, rng: np.random.Generator) -> Caterpillar:
     return Caterpillar(m=c.m, leaf_counts=tuple(counts))
 
 
-def _leaf_counts(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """:func:`simulate_counts` as an int64 array.
-
-    Draws at most ``_DRAW_CHUNK`` leaves per ``integers`` call, so memory is
-    O(m + _DRAW_CHUNK) for any n; ``n <= _DRAW_CHUNK`` is one call.
-    """
-    if n <= _DRAW_CHUNK:
-        return np.bincount(rng.integers(0, m, size=n), minlength=m)
-    counts = np.zeros(m, dtype=np.int64)
-    for start in range(0, n, _DRAW_CHUNK):
-        counts += np.bincount(rng.integers(0, m, size=min(_DRAW_CHUNK, n - start)), minlength=m)
-    return counts
-
-
 def _raw_leaf_counts(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``_leaf_counts(m, n, rng)`` read from the raw PCG64 words of a fresh ``rng``.
+    """``simulate_counts(m, n, rng)`` as an int64 array, read from the raw
+    PCG64 words of a fresh ``rng``.
 
     The lanes are the words' uint32 halves, low half first, as ``integers``
     reads them, and are reduced as in :func:`leaf_count_blocks`; a rejected
@@ -265,8 +252,8 @@ def leaf_count_blocks(
 ) -> Iterator[np.ndarray]:
     """Leaf counts of replicates 0, ..., R-1 as int64 blocks of ``rows`` rows, in order.
 
-    Row r is substream (seed, r)'s draw by ``sampler``: ``_leaf_counts`` for
-    ``sequential``, :func:`sample_direct_counts` for ``direct``; at n = 0
+    Row r is substream (seed, r)'s draw by ``sampler``: :func:`simulate_counts`
+    for ``sequential``, :func:`sample_direct_counts` for ``direct``; at n = 0
     every row is zeros and no generator is made.  A sequential draw with
     0 < n <= ``_DRAW_CHUNK`` and at most 1/16 rejected lanes expected a row,
     n (2^32 mod m) / 2^32, runs the block kernel: it reduces the raw words
@@ -323,9 +310,16 @@ def simulate_counts(m: int, n: int, rng: np.random.Generator) -> list[int]:
     Batch bounded-integer draws from a PCG64 generator are bit-identical to
     repeated single draws in any chunking, so this consumes exactly the
     stream a loop of ``grow_step`` calls would, and leaves the generator in
-    the same state.
+    the same state.  It draws at most ``_DRAW_CHUNK`` leaves per ``integers``
+    call, so memory is O(m + _DRAW_CHUNK) for any n; ``n <= _DRAW_CHUNK`` is
+    one call.
     """
-    return _leaf_counts(m, n, rng).tolist()
+    if n <= _DRAW_CHUNK:
+        return np.bincount(rng.integers(0, m, size=n), minlength=m).tolist()
+    counts = np.zeros(m, dtype=np.int64)
+    for start in range(0, n, _DRAW_CHUNK):
+        counts += np.bincount(rng.integers(0, m, size=min(_DRAW_CHUNK, n - start)), minlength=m)
+    return counts.tolist()
 
 
 def sample_direct_counts(m: int, n: int, rng: np.random.Generator) -> list[int]:

@@ -110,17 +110,11 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     return [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
 
 
-def _parse_indices(text: str) -> tuple[IndexSpec, ...]:
-    specs = tuple(IndexSpec.parse(part) for part in text.split(",") if part.strip())
-    if not specs:
-        raise DomainError("no indices requested")
-    return specs
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
+    specs = tuple(IndexSpec.parse(part) for part in args.indices.split(",") if part.strip())
     cfg = ExperimentConfig(
         m=args.m, n=args.n, replications=args.replications, seed=args.seed,
-        indices=_parse_indices(args.indices), sampler=args.sampler,
+        indices=specs, sampler=args.sampler,
     )
     if args.out:
         _check_writable(args.out)
@@ -199,8 +193,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_clt(args: argparse.Namespace) -> int:
     m, n, replications, bins, seed = args.m, args.n, args.replications, args.bins, args.seed
-    for path in filter(None, (args.out, args.plot)):
+    paths = [path for path in (args.out, args.plot) if path]
+    for path in paths:
         _check_writable(path)
+    # each output and its manifest: one file written twice would lose the first
+    written = {os.path.realpath(path + end) for path in paths for end in ("", ".manifest.json")}
+    if len(written) < 2 * len(paths):
+        raise DomainError(f"--out {args.out} and --plot {args.plot} would write one file twice")
     check_bins(bins)
     summary = run_mc(
         ExperimentConfig(

@@ -110,6 +110,8 @@ class ExperimentConfig:
         if self.sampler not in ("sequential", "direct"):
             raise DomainError(f"unknown sampler {self.sampler!r}")
         keys = [str(spec) for spec in self.indices]
+        if not keys:
+            raise DomainError("no indices requested")
         if len(set(keys)) != len(keys):
             raise DomainError("duplicate index requested")
 
@@ -259,18 +261,14 @@ def _retained_bytes(cfg: ExperimentConfig) -> int:
     return cfg.replications * per_row
 
 
-def _draw(cfg: ExperimentConfig, r: int) -> list[int]:
-    """Leaf counts of replicate r, from substream (seed, r)."""
-    draw = simulate_counts if cfg.sampler == "sequential" else sample_direct_counts
-    return draw(cfg.m, cfg.n, RngSeed(cfg.seed, r).generator())
-
-
 def reference_rows(cfg: ExperimentConfig) -> list[list]:
     """The rows of :func:`replicate_rows` from the scalar :func:`compute_index`,
     one :class:`Caterpillar` per replicate; exact at every (m, n)."""
+    draw = simulate_counts if cfg.sampler == "sequential" else sample_direct_counts
     rows = []
     for r in range(cfg.replications):
-        c = Caterpillar(m=cfg.m, leaf_counts=tuple(_draw(cfg, r)))
+        counts = draw(cfg.m, cfg.n, RngSeed(cfg.seed, r).generator())
+        c = Caterpillar(m=cfg.m, leaf_counts=tuple(counts))
         rows.append([compute_index(c, spec) for spec in cfg.indices])
     return rows
 

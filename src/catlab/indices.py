@@ -11,11 +11,10 @@ Fractions.
 matrix of leaf counts (one state per row), for any number of indices in
 one pass: it checks the matrix once and computes each term the indices
 share once.  It returns the same Python ints and Fractions as the scalar
-functions, which stay the reference; :func:`compute_index_batch` is its
-one-index case.  It is exact wherever :func:`fits_int64` holds: every term
-it adds up fits in int64 there, and the row sums that can pass 2^63,
-Wiener's and hyper-Wiener's, are taken in 32-bit limbs and finished in
-Python ints.
+functions, which stay the reference.  It is exact wherever
+:func:`fits_int64` holds: every term it adds up fits in int64 there, and
+the row sums that can pass 2^63, Wiener's and hyper-Wiener's, are taken in
+32-bit limbs and finished in Python ints.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "hyper_wiener",
     "compute_index",
     "fits_int64",
-    "compute_index_batch",
     "compute_indices_batch",
 ]
 
@@ -415,11 +413,6 @@ def compute_indices_batch(counts: np.ndarray, specs: Sequence[IndexSpec]) -> lis
         else _BATCH[spec.kind](terms)
         for spec in specs
     ]
-
-
-def compute_index_batch(counts: np.ndarray, spec: IndexSpec) -> list:
-    """:func:`compute_indices_batch` for one spec: its one column."""
-    return compute_indices_batch(counts, (spec,))[0]
 
 
 _BATCH = {

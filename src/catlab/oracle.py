@@ -1,4 +1,4 @@
-"""Ground-truth machinery: exhaustive enumeration, BFS distance sums, one-step mean.
+"""Ground-truth machinery: exhaustive enumeration, BFS distance sums, one-step means.
 
 The enumeration oracle computes exact rational moments of any rational-valued
 index over the uniform growth law, by one of two paths that are kept and
@@ -44,11 +44,10 @@ and its random states in stacks of similar spine length.
 
 The one-step law, :func:`one_step_means`, is the exact mean of any index
 over the m successors of each of many states, evaluated as one batch of
-leaf-count rows per spine length; :func:`one_step_mean` is its one-state
-case.  Like the other oracles it reads the index functions only and states
-no closed form: criteria 8 and 9 of :mod:`catlab.verify` hold it against
-the paper's martingale compensator and super-martingale bound in
-:mod:`catlab.theory`.
+leaf-count rows per spine length.  Like the other oracles it reads the
+index functions only and states no closed form: criteria 8 and 9 of
+:mod:`catlab.verify` hold it against the paper's martingale compensator
+and super-martingale bound in :mod:`catlab.theory`.
 """
 
 from __future__ import annotations
@@ -74,12 +73,10 @@ __all__ = [
     "compositions",
     "multinomial_coefficient",
     "enumerate_exact",
-    "bfs_distance_sums",
     "bfs_distance_sums_many",
     "wiener_bfs",
     "hyper_wiener_bfs",
     "one_step_successors",
-    "one_step_mean",
     "one_step_means",
 ]
 
@@ -395,7 +392,8 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
 
 
 def bfs_distance_sums_many(graphs: Sequence[AdjacencyGraph]) -> list[tuple[int, int]]:
-    """:func:`bfs_distance_sums` of each graph of a stack.
+    """(sum of d, sum of d^2) over the unordered node pairs of each graph of
+    a stack, from its per-level pair counts; no distance table is stored.
 
     The stack runs as one BFS, its graphs laid out block-diagonally, so they
     may have different node counts; the guard applies to the sum of their
@@ -409,22 +407,14 @@ def bfs_distance_sums_many(graphs: Sequence[AdjacencyGraph]) -> list[tuple[int, 
     return sums
 
 
-def bfs_distance_sums(g: AdjacencyGraph) -> tuple[int, int]:
-    """(sum of d, sum of d^2) over unordered node pairs, from per-level pair counts.
-
-    No distance table is stored; the guard on N x N still applies.
-    """
-    return bfs_distance_sums_many([g])[0]
-
-
 def wiener_bfs(g: AdjacencyGraph) -> int:
     """Wiener index from explicit BFS distances (unordered pairs)."""
-    return bfs_distance_sums(g)[0]
+    return bfs_distance_sums_many([g])[0][0]
 
 
 def hyper_wiener_bfs(g: AdjacencyGraph) -> int:
     """Hyper-Wiener index from explicit BFS distances: sum of d + d^2."""
-    return sum(bfs_distance_sums(g))
+    return sum(bfs_distance_sums_many([g])[0])
 
 
 def _successor_counts(x: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -462,9 +452,3 @@ def one_step_means(states: Sequence[Caterpillar], index: IndexSpec | str) -> lis
         for j, k in enumerate(group):
             means[k] = Fraction(sum(values[j * m:(j + 1) * m])) / m
     return means
-
-
-def one_step_mean(c: Caterpillar, index: IndexSpec | str) -> Fraction:
-    """Exact mean of an index over the m equally likely states one growth
-    step after ``c``: :func:`one_step_means` of ``c`` alone."""
-    return one_step_means([c], index)[0]

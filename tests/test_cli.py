@@ -242,6 +242,28 @@ def test_clt_unwritable_plot_path_writes_no_file(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sample, plot", [
+    ("s.csv", "s.csv"), ("s.csv", "./s.csv"),
+    ("s.csv", "s.csv.manifest.json"), ("p.svg.manifest.json", "p.svg"),
+])
+def test_clt_refuses_outputs_that_write_one_file_twice(tmp_path, capsys, monkeypatch, sample, plot):
+    """--out and --plot naming one file, or one naming the other's manifest,
+    are refused before any draw or write."""
+    def no_draw(cfg):
+        raise AssertionError("run_mc called")
+
+    monkeypatch.setattr(cli, "run_mc", no_draw)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "clt", "--m", "3", "--n", "40", "--replications", "30",
+        "--out", sample, "--plot", plot,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"catlab: error: --out {sample} and --plot {plot} would write one file twice\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_command(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--m", "2", "--n", "2", "--index", "zagreb")
     assert code == 0
@@ -440,6 +462,13 @@ def test_simulate_rejects_duplicate_index(capsys):
     assert code == 2
     assert out == ""
     assert "duplicate index" in err
+
+
+def test_simulate_rejects_no_index(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--m", "3", "--n", "4", "--indices", " , ")
+    assert code == 2
+    assert out == ""
+    assert "no indices requested" in err
 
 
 def test_simulate_memory_cap_exit_code(capsys):

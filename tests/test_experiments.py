@@ -164,12 +164,10 @@ def test_replicate_rows_makes_one_evaluator_call_per_block(monkeypatch, count):
     """However many indices a run asks for, each block of replicates goes
     through the index evaluator once."""
     calls = []
-    for name in ("compute_index_batch", "compute_indices_batch"):
-        real = getattr(experiments, name, None)
-        if real is not None:
-            monkeypatch.setattr(
-                experiments, name, lambda *args, real=real: calls.append(args) or real(*args)
-            )
+    real = experiments.compute_indices_batch
+    monkeypatch.setattr(
+        experiments, "compute_indices_batch", lambda *args: calls.append(args) or real(*args)
+    )
     specs = (SIX + (IndexSpec("randic", -0.5),))[:count]
     cfg = ExperimentConfig(m=50, n=100, replications=300, seed=3, indices=specs)
     rows = replicate_rows(cfg)
@@ -281,6 +279,11 @@ def test_run_mc_memory_cap():
                 m=2, n=0, replications=10**8, indices=(IndexSpec("zagreb"),),
             )
         )
+
+
+def test_empty_indices_rejected():
+    with pytest.raises(DomainError, match="no indices requested"):
+        ExperimentConfig(m=3, n=4, replications=1, indices=())
 
 
 def test_duplicate_index_rejected():

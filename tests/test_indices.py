@@ -19,7 +19,6 @@ from catlab.indices import (
     IndexSpec,
     _row_sums,
     compute_index,
-    compute_index_batch,
     compute_indices_batch,
     degree_gini_exact,
     fits_int64,
@@ -242,24 +241,22 @@ def _typed(values):
 
 
 def _assert_batch_matches_scalar(m, states):
-    """compute_index_batch equals compute_index state by state, types
-    included, and one compute_indices_batch call of every spec equals it
-    column by column."""
+    """compute_indices_batch of each spec alone equals compute_index state
+    by state, types included, and one call of every spec equals it column
+    by column."""
     counts = np.array(states, dtype=np.int64).reshape(len(states), m)
     columns = compute_indices_batch(counts, ALL_SPECS)
     assert len(columns) == len(ALL_SPECS)
     for spec, column in zip(ALL_SPECS, columns):
         want = [compute_index(Caterpillar(m, tuple(x)), spec) for x in states]
-        got = compute_index_batch(counts, spec)
+        got = compute_indices_batch(counts, (spec,))[0]
         assert _typed(got) == _typed(want), (m, str(spec))
         assert _typed(column) == _typed(got), (m, str(spec))
 
 
 def _assert_refused(counts, spec, match):
-    """compute_index_batch refuses ``counts``, and so does
-    compute_indices_batch for ``spec`` alone and among every spec."""
-    with pytest.raises(DomainError, match=match):
-        compute_index_batch(counts, spec)
+    """compute_indices_batch refuses ``counts`` for ``spec`` alone and
+    among every spec."""
     for specs in ([spec], ALL_SPECS):
         with pytest.raises(DomainError, match=match):
             compute_indices_batch(counts, specs)
@@ -301,7 +298,7 @@ def test_batch_exact_up_to_the_int64_bound():
         one_end = [n] + [0] * (m - 1)
         both_ends = [n // 2] + [0] * (m - 2) + [n - n // 2]
         _assert_batch_matches_scalar(m, [one_end, both_ends])
-    assert compute_index_batch(np.array([both_ends]), IndexSpec("hyper_wiener"))[0] > 2**63
+    assert compute_indices_batch(np.array([both_ends]), (IndexSpec("hyper_wiener"),))[0][0] > 2**63
     assert fits_int64(10_000, 10**6)
     assert fits_int64(2**21 - 1, 0) and not fits_int64(2**21, 0)
     over = np.array([[n + 1] + [0] * (m - 1)], dtype=np.int64)
@@ -317,7 +314,7 @@ def test_batch_refuses_counts_that_could_wrap_or_are_negative():
     _assert_refused(np.array([[2**32, 0]]), IndexSpec("zagreb"), "2\\^32")
     _assert_refused(np.array([[2**32 - 1, 0]]), IndexSpec("zagreb"), "fits_int64")
     for spec in BATCH_SPECS:
-        assert compute_index_batch(np.zeros((0, 5), dtype=np.int64), spec) == []
+        assert compute_indices_batch(np.zeros((0, 5), dtype=np.int64), (spec,)) == [[]]
     assert compute_indices_batch(np.zeros((0, 5), dtype=np.int64), ALL_SPECS) == [[]] * 8
 
 

@@ -15,14 +15,12 @@ from catlab.errors import DomainError, ResourceLimitError
 from catlab.indices import IndexSpec, compute_index, randic, zagreb
 from catlab.oracle import (
     ExactMoments,
-    bfs_distance_sums,
     bfs_distance_sums_many,
     choose_method,
     compositions,
     enumerate_exact,
     hyper_wiener_bfs,
     multinomial_coefficient,
-    one_step_mean,
     one_step_means,
     one_step_successors,
     wiener_bfs,
@@ -296,15 +294,15 @@ def test_bfs_distance_table_guard():
     """N^2 > ENUMERATION_GUARD is refused before the bitsets exist."""
     g = to_adjacency(Caterpillar(2, (4000, 0)))
     message = "BFS distance table of 4002^2 = 16016004 cells exceeds the guard of 10000000"
-    for bfs in (wiener_bfs, bfs_distance_sums):
-        assert refused_peak(bfs, g, message) < 64 * 2**10
+    for bfs, graphs in ((wiener_bfs, g), (bfs_distance_sums_many, [g])):
+        assert refused_peak(bfs, graphs, message) < 64 * 2**10
 
 
 def test_bfs_stack_guard():
     """G x N^2 > ENUMERATION_GUARD is refused before the bitsets exist,
     though each graph of the stack fits on its own."""
     g = to_adjacency(Caterpillar(2, (1998, 0)))
-    assert bfs_distance_sums_many([g, g]) == [bfs_distance_sums(g)] * 2
+    assert bfs_distance_sums_many([g, g]) == bfs_distance_sums_many([g]) * 2
     message = "BFS distance table of 3 x 2000^2 = 12000000 cells exceeds the guard of 10000000"
     assert refused_peak(bfs_distance_sums_many, [g] * 3, message) < 64 * 2**10
 
@@ -315,7 +313,7 @@ def test_bfs_neighbour_rows_guard():
     size = 900  # 810,000 cells, but 900 + 2 x 404,550 gathered rows of 15 words
     g = AdjacencyGraph(size, tuple(itertools.combinations(range(size), 2)))
     message = "BFS neighbour rows of 810000 x 15 words exceed the guard of 10000000"
-    assert refused_peak(bfs_distance_sums, g, message) < 64 * 2**10
+    assert refused_peak(bfs_distance_sums_many, [g], message) < 64 * 2**10
 
 
 def floyd_warshall(g):
@@ -348,7 +346,7 @@ def test_bfs_matches_floyd_warshall_on_generic_graphs(name):
     g = generic_graphs()[name]
     want = floyd_warshall(g)
     assert oracle._bfs_levels([g]) == [floyd_warshall_levels(want)]
-    assert bfs_distance_sums(g) == floyd_warshall_sums(want)
+    assert bfs_distance_sums_many([g]) == [floyd_warshall_sums(want)]
 
 
 def floyd_warshall_levels(dist):
@@ -418,7 +416,8 @@ def test_bfs_stack_equals_each_graph_on_the_grid():
     for m in range(2, 6):
         for n in range(7):
             graphs = [to_adjacency(Caterpillar(m, counts)) for counts in compositions(n, m)]
-            assert bfs_distance_sums_many(graphs) == list(map(bfs_distance_sums, graphs)), (m, n)
+            singles = [bfs_distance_sums_many([g])[0] for g in graphs]
+            assert bfs_distance_sums_many(graphs) == singles, (m, n)
 
 
 def test_bfs_stack_shifts_narrow_int_ends_without_wrapping():
@@ -426,7 +425,7 @@ def test_bfs_stack_shifts_narrow_int_ends_without_wrapping():
     shifts them past 127, where an int8 row number would wrap."""
     g = to_adjacency(Caterpillar(3, (1, 0, 2)))
     narrow = AdjacencyGraph(g.node_count, tuple((np.int8(u), np.int8(v)) for u, v in g.edges))
-    assert bfs_distance_sums_many([narrow] * 40) == [bfs_distance_sums(g)] * 40
+    assert bfs_distance_sums_many([narrow] * 40) == bfs_distance_sums_many([g]) * 40
 
 
 def test_bfs_stack_rejects_a_disconnected_member_and_mixed_sizes():
@@ -442,7 +441,7 @@ def test_bfs_stack_rejects_a_disconnected_member_and_mixed_sizes():
     longer = to_adjacency(Caterpillar(2, (5, 0)))
     graphs = [path, longer, *generic_graphs().values(), AdjacencyGraph(0, ()), path]
     assert oracle._bfs_levels(graphs) == [oracle._bfs_levels([g])[0] for g in graphs]
-    assert bfs_distance_sums_many(graphs) == list(map(bfs_distance_sums, graphs))
+    assert bfs_distance_sums_many(graphs) == [bfs_distance_sums_many([g])[0] for g in graphs]
     for graphs in ([longer, two_paths, path], [two_paths, longer]):
         with pytest.raises(DomainError, match="graph is disconnected"):
             bfs_distance_sums_many(graphs)
@@ -475,17 +474,17 @@ def test_bfs_refuses_malformed_edges():
 
 def test_bfs_hand_values_on_generic_graphs():
     graphs = generic_graphs()
-    assert bfs_distance_sums(graphs["cycle C_7"]) == (7 * (1 + 2 + 3), 7 * (1 + 4 + 9))
-    assert bfs_distance_sums(graphs["complete K_5"]) == (10, 10)
+    assert bfs_distance_sums_many([graphs["cycle C_7"]]) == [(7 * (1 + 2 + 3), 7 * (1 + 4 + 9))]
+    assert bfs_distance_sums_many([graphs["complete K_5"]]) == [(10, 10)]
 
 
 def test_bfs_disconnected_error():
     isolated = AdjacencyGraph(node_count=3, edges=((0, 1),))
     two_paths = AdjacencyGraph(5, ((0, 1), (1, 2), (3, 4)))
     for g in (isolated, two_paths):
-        for bfs in (wiener_bfs, bfs_distance_sums):
+        for bfs, graphs in ((wiener_bfs, g), (bfs_distance_sums_many, [g])):
             with pytest.raises(DomainError, match="graph is disconnected"):
-                bfs(g)
+                bfs(graphs)
 
 
 def test_eccentricity_structure():
@@ -505,7 +504,7 @@ def test_wiener_bfs_hand_values():
     g = to_adjacency(Caterpillar(2, (1, 0)))
     assert wiener_bfs(g) == 4
     assert hyper_wiener_bfs(g) == 10
-    assert bfs_distance_sums(g) == (4, 6)  # distances 1, 1, 2
+    assert bfs_distance_sums_many([g]) == [(4, 6)]  # distances 1, 1, 2
 
 
 def test_one_step_successors():
@@ -547,12 +546,12 @@ def test_one_step_laws_equal_their_scalar_sums():
         successors = one_step_successors(c)
         # M_n = Z_n - n(n + 6m - 5)/m, one step on from n = c.n
         drift = Fraction((c.n + 1) * (c.n + 6 * c.m - 4) - c.n * (c.n + 6 * c.m - 5), c.m)
-        assert one_step_mean(c, "zagreb") == zagreb(c) + drift
+        assert one_step_means([c], "zagreb") == [zagreb(c) + drift]
         for text in ONE_STEP_SPECS:
             spec = IndexSpec.parse(text)
             want = Fraction(sum(compute_index(s, spec) for s in successors)) / c.m
-            assert one_step_mean(c, spec) == want
-            assert one_step_mean(c, text) == want
+            assert one_step_means([c], spec) == [want]
+            assert one_step_means([c], text) == [want]
             expected[text].append(want)
     # all the states at once, their spine lengths mixed, equal them state by state
     for text, want in expected.items():
@@ -560,13 +559,14 @@ def test_one_step_laws_equal_their_scalar_sums():
         assert [(type(v), v) for v in got] == [(type(v), v) for v in want], text
     assert one_step_means([], "zagreb") == []
     # (1, 0) and (0, 1) have degrees (2, 1) and (1, 2): R = 2 + 2 either way
-    assert one_step_mean(new_spine(2), "randic:1") == 4
+    assert one_step_means([new_spine(2)], "randic:1") == [4]
 
 
 def _martingale_residual(c):
     """One-step drift of the compensated Zagreb index Z_n + beta_n."""
     beta = theory.martingale_compensator
-    return one_step_mean(c, "zagreb") + beta(c.m, c.n + 1) - zagreb(c) - beta(c.m, c.n)
+    [mean] = one_step_means([c], "zagreb")
+    return mean + beta(c.m, c.n + 1) - zagreb(c) - beta(c.m, c.n)
 
 
 def test_martingale_residual_exact_zero():
@@ -587,7 +587,7 @@ def test_supermartingale_gap_nonnegative():
         n = int(rng.integers(0, 101))
         c = sampled(m, n, RngSeed(int(rng.integers(0, 2**32))).generator())
         bound = theory.randic_supermartingale_bound(c.m, c.n + 1, randic(c, 1))
-        assert one_step_mean(c, "randic:1") - bound >= 0
+        assert one_step_means([c], "randic:1")[0] - bound >= 0
 
 
 def test_oracle_binds_nothing_from_theory():
