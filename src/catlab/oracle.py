@@ -10,13 +10,16 @@ takes), so each distinct state's weight is its counted number of growth
 histories.  The compositions path builds the leaf-count compositions a block
 at a time, as one int64 matrix of stars-and-bars cut differences, weighted
 by their multinomial coefficients, since every index depends on leaf counts
-only; ``auto`` takes it.  The two paths differ only in where the weights
-come from: both evaluate their states in blocks of
-``max(1, BLOCK_CELLS // m)`` with :func:`~catlab.indices.compute_indices_batch`
-and reduce to Python-int sums over one common denominator
-(:class:`~catlab.experiments.WeightedSums`), so neither builds a
-:class:`~catlab.caterpillar.Caterpillar` per state and no Fraction
-arithmetic runs per state.  One pass serves any number of indices: the
+only; ``auto`` takes it.  Below 2^63 histories a block's weights are
+products along its rows of one int64 Pascal table, since
+n!/(x_1!...x_m!) = prod_i C(x_1 + ... + x_i, x_i); from 2^63 on,
+:func:`multinomial_coefficient` computes them one state at a time.  The
+two paths differ only in where the weights come from: both evaluate their
+states in blocks of ``max(1, BLOCK_CELLS // m)`` with
+:func:`~catlab.indices.compute_indices_batch` and reduce to Python-int sums
+over one common denominator (:class:`~catlab.experiments.WeightedSums`),
+so neither builds a :class:`~catlab.caterpillar.Caterpillar` per state and
+no Fraction arithmetic runs per state.  One pass serves any number of indices: the
 states, weights and checks are made once, and each block is one evaluator
 call for all of them; criterion 6 of :mod:`catlab.verify` makes one pass
 per grid point.  The guard counts the cells each path builds:
@@ -39,8 +42,9 @@ that distance.  A graph's rows are at most two runs, its hubs and its other
 nodes, so its count is ``np.bitwise_count`` summed over its runs by
 ``np.add.reduceat``.  Only these per-level counts are kept; no distance
 table is built.  A stack pays numpy's per-call cost once for all its
-graphs: criterion 7 runs each point of its exhaustive grid as one stack,
-and its random states in stacks of similar spine length.
+graphs: criterion 7 runs whole points of its exhaustive grid as one stack
+while its nodes stay within the largest point's, and its random states in
+stacks of similar spine length.
 
 The one-step law, :func:`one_step_means`, is the exact mean of any index
 over the m successors of each of many states, evaluated as one batch of
@@ -83,10 +87,11 @@ __all__ = [
 ENUMERATION_GUARD = 10**7
 
 # The compositions path holds max(1, BLOCK_CELLS // m) states at a time.  Each
-# state carries a count list, weight, value and ratio as Python objects next
-# to its int64 row, so the block is a quarter of the replicate engine's: at
-# (5, 20), 204 states per block keep the tracemalloc peak at 0.25 MiB, where
-# 819 states reached 0.53 MiB and ran no faster.
+# state carries a weight, value and ratio as Python objects (and, from 2^63
+# histories on, a count list) next to its int64 row, so the block is a
+# quarter of the replicate engine's: at (5, 20), 204 states per block keep
+# the tracemalloc peak at 0.26 MiB, where 819 states reached 0.53 MiB and
+# ran no faster.
 BLOCK_CELLS = 1024
 
 
@@ -108,8 +113,11 @@ def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """All m-tuples of non-negative integers summing to n, in lexicographic order.
 
     The rows of :func:`_composition_blocks`, in blocks of
-    ``max(1, BLOCK_CELLS // m)``, as tuples.
+    ``max(1, BLOCK_CELLS // m)``, as tuples; m < 1 raises
+    :class:`DomainError`.
     """
+    if m < 1:
+        raise DomainError(f"compositions need m >= 1 parts, got {m}")
     for counts in _composition_blocks(n, m, max(1, BLOCK_CELLS // m)):
         yield from map(tuple, counts.tolist())
 
@@ -190,9 +198,10 @@ def enumerate_exact(
     ``method`` is ``"histories"`` (n growth steps of leaf-count tuples from
     the bare spine, with counted history weights), ``"compositions"``
     (leaf-count compositions built as int64 blocks, with multinomial
-    weights), or ``"auto"``, which is the compositions path.  The cells the
-    chosen path builds, states x m (on the histories path, C(n+m-1, m)
-    stepped states x m successors x m), must stay within ``guard`` (else
+    weights from an int64 Pascal table below 2^63 histories), or
+    ``"auto"``, which is the compositions path.  The cells the chosen path
+    builds, states x m (on the histories path, C(n+m-1, m) stepped states
+    x m successors x m), must stay within ``guard`` (else
     :class:`ResourceLimitError`), and (m, n) within the batched evaluator's
     exact range :func:`~catlab.indices.fits_int64` (else
     :class:`DomainError`); within the default guard, only n = 0 with
@@ -230,19 +239,32 @@ def _enumerate_moments(
                 f"stepping C({n + m - 1},{m}) states, each to {m} successors of {m}"
                 f" cells, exceeds the guard of {guard} cells; use the composition method"
             )
+    elif math.comb(n + m - 1, m - 1) * m > guard:
+        raise ResourceLimitError(
+            f"enumeration of C({n + m - 1},{m - 1}) compositions of {m} cells"
+            f" exceeds the guard of {guard} cells"
+        )
+
+    history_count = m**n
+    if method == "histories":
         blocks = _history_blocks(m, n, block)
+    elif history_count < 2**63:
+        # n!/prod x_i! = prod_i C(x_1 + ... + x_i, x_i), read from one int64
+        # Pascal table (m >= 2, so n <= 62): every factor is at least 1 and
+        # the product at most m^n, so no partial product overflows.
+        pascal = np.zeros((n + 1, n + 1), dtype=np.int64)
+        pascal[:, 0] = 1
+        for a in range(1, n + 1):
+            pascal[a, 1:] = pascal[a - 1, 1:] + pascal[a - 1, :-1]
+        blocks = (
+            (counts, pascal[counts.cumsum(axis=1), counts].prod(axis=1).tolist())
+            for counts in _composition_blocks(n, m, block)
+        )
     else:
-        if math.comb(n + m - 1, m - 1) * m > guard:
-            raise ResourceLimitError(
-                f"enumeration of C({n + m - 1},{m - 1}) compositions of {m} cells"
-                f" exceeds the guard of {guard} cells"
-            )
         blocks = (
             (counts, list(map(multinomial_coefficient, counts.tolist())))
             for counts in _composition_blocks(n, m, block)
         )
-
-    history_count = m**n
 
     sums = [WeightedSums(support=set()) for _ in specs]
     for counts, weights in blocks:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -220,10 +221,21 @@ def criterion_oracle_equivalence() -> CriterionResult:
 
 def _formula_stacks():
     """Criterion 7's states, in the stacks that each run one all-sources BFS."""
-    for m in range(2, 6):
-        for n in range(7):
-            # every state of a grid point has N = m + n
-            yield [Caterpillar(m=m, leaf_counts=counts) for counts in compositions(n, m)]
+    # Every state of a grid point has N = m + n nodes.  Whole grid points, in
+    # (m, n) order, share a stack while its nodes stay within the largest
+    # point's, so the 784 grid states run as 4 stacks and the peak memory
+    # stays that of the largest point; one stack per m held twice as much.
+    grid = [(m, n) for m in range(2, 6) for n in range(7)]
+    nodes = [math.comb(n + m - 1, m - 1) * (m + n) for m, n in grid]
+    budget = max(nodes)
+    stack, size = [], 0
+    for (m, n), point in zip(grid, nodes):
+        if size + point > budget:
+            yield stack
+            stack, size = [], 0
+        stack += (Caterpillar(m=m, leaf_counts=counts) for counts in compositions(n, m))
+        size += point
+    yield stack
     # A stack runs as many levels as its longest diameter, about m + 1, so
     # the random states run in stacks of 10 of similar m: faster than
     # stacks of 5, and about as fast as stacks of 20, which held more memory.

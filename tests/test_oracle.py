@@ -149,6 +149,25 @@ def test_composition_path_streams_blocks():
     assert traced_peak(lambda: enumerate_exact(5, 20, "hyper_wiener")) <= 0.4 * 2**20
 
 
+@pytest.mark.parametrize("m,n", [(2, 62), (3, 39), (2, 63), (3, 40)])
+def test_composition_weights_on_either_side_of_int64(m, n):
+    """Below 2^63 histories the weights come from the int64 Pascal table,
+    from 2^63 on from math.comb; both paths agree on either side."""
+    assert (m**n < 2**63) == (n < {2: 63, 3: 40}[m])
+    for index in ("zagreb", "hyper_wiener"):
+        want = enumerate_exact(m, n, index, method="histories")
+        assert enumerate_exact(m, n, index, method="compositions") == want, (m, n, index)
+
+
+@pytest.mark.parametrize("m,n,per_state", [(2, 62, False), (5, 20, False), (2, 63, True)])
+def test_multinomial_coefficient_runs_only_from_2_to_the_63_histories(monkeypatch, m, n, per_state):
+    calls = []
+    real = oracle.multinomial_coefficient
+    monkeypatch.setattr(oracle, "multinomial_coefficient", lambda c: calls.append(c) or real(c))
+    enumerate_exact(m, n, "zagreb")
+    assert calls == ([list(c) for c in compositions(n, m)] if per_state else [])
+
+
 def test_enumerate_guard_and_method_choice():
     with pytest.raises(ResourceLimitError, match="guard"):
         enumerate_exact(2, 3000, "zagreb", method="histories")
@@ -237,6 +256,9 @@ def test_compositions_lexicographic():
     for m in range(1, 7):
         for n in range(9):
             assert list(compositions(n, m)) == list(recursive_compositions(n, m)), (m, n)
+    for n in (3, 0):
+        with pytest.raises(DomainError, match="m >= 1"):
+            list(compositions(n, 0))
 
 
 def test_compositions_long_spine():

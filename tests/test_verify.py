@@ -173,24 +173,32 @@ def test_suite_all_draws_each_replicate_set_at_most_twice(monkeypatch):
     assert draws.total() == 23
 
 
-def test_criterion_7_runs_one_bfs_per_grid_point_and_per_random_state(monkeypatch):
-    """The 784 grid states run as 28 stacked BFS calls, one per (m, n), in
-    (m, n) order; the 100 random states, of mixed sizes, run as 10 stacks of
-    10, sorted by m."""
-    stacks = []
+def test_criterion_7_stacks_whole_grid_points_within_the_largest_point(monkeypatch):
+    """The 784 grid states run as 4 stacked BFS calls of whole (m, n) grid
+    points, in (m, n) order, each point once and each stack within the
+    2,310 nodes of the largest point, (5, 6); the 100 random states, of
+    mixed sizes, run as 10 stacks of 10, sorted by m."""
+    calls = []
     real = oracle._bfs_levels
     monkeypatch.setattr(
         oracle, "_bfs_levels",
-        lambda graphs: stacks.append([g.node_count for g in graphs]) or real(graphs),
+        lambda graphs: calls.append([g.node_count for g in graphs]) or real(graphs),
     )
     assert verify.criterion_formula_vs_bfs().verdict == "PASS"
-    assert len(stacks) == 38
+    stacks = list(verify._formula_stacks())
+    assert len(calls) == 14
+    assert calls == [[c.node_count for c in stack] for stack in stacks]
     grid = [(m, n) for m in range(2, 6) for n in range(7)]
-    assert [len(s) for s in stacks[:28]] == [math.comb(n + m - 1, m - 1) for m, n in grid]
-    assert [set(s) for s in stacks[:28]] == [{m + n} for m, n in grid]
-    assert list(map(len, stacks[28:])) == [10] * 10
+    points = [[(m, counts) for counts in oracle.compositions(n, m)] for m, n in grid]
+    assert max(len(point) * (m + n) for point, (m, n) in zip(points, grid)) == 2310
+    cuts = [0, 20, 26, 27, 28]  # (2, 0) .. (4, 5), (4, 6) .. (5, 4), (5, 5), (5, 6)
+    assert [[(c.m, c.leaf_counts) for c in stack] for stack in stacks[:4]] == [
+        sum(points[a:b], []) for a, b in zip(cuts, cuts[1:])
+    ]
+    assert list(map(sum, calls[:4])) == [1806, 1890, 1260, 2310]
+    assert list(map(len, calls[4:])) == [10] * 10
     by_m = sorted(verify._random_states(20_000_101, 100, 50, 200), key=lambda c: c.m)
-    assert sum(stacks[28:], []) == [c.node_count for c in by_m]
+    assert sum(stacks[4:], []) == by_m
 
 
 def test_criterion_6_makes_one_enumeration_pass_per_grid_point(monkeypatch):
