@@ -140,8 +140,10 @@ class WeightedSums:
     is the lcm of the denominators added so far.  :meth:`add` takes one block
     of values (ints, Fractions or finite floats) with their int weights and
     takes the lcm once for the block, so no Fraction arithmetic runs per
-    value.  ``support``, if a set, collects the distinct values as (p, q)
-    from ``as_integer_ratio()``.  Callers form their own moments from the sums.
+    value; a block of ints at D = 1 is summed as it is, without
+    ``as_integer_ratio()``.  ``support``, if a set, collects the distinct
+    values themselves: equal ints, Fractions and floats hash equal, so each
+    number counts once.  Callers form their own moments from the sums.
     """
 
     weight: int = 0
@@ -154,23 +156,26 @@ class WeightedSums:
         """Add one block of values; ``weights`` holds one int per value."""
         if len(values) != len(weights):
             raise DomainError(f"{len(values)} values but {len(weights)} weights")
-        try:
-            ratios = [x.as_integer_ratio() for x in values]
-        except (OverflowError, ValueError):
-            raise DomainError("index value is not finite; its moments are undefined") from None
-        denominator = math.lcm(self.denominator, *{q for _, q in ratios})
-        if denominator != self.denominator:
-            scale = denominator // self.denominator
-            self.total *= scale
-            self.total_sq *= scale * scale
-            self.denominator = denominator
-        scaled = [p * (denominator // q) for p, q in ratios]
+        if self.denominator == 1 and set(map(type, values)) <= {int}:
+            scaled = values
+        else:
+            try:
+                ratios = [x.as_integer_ratio() for x in values]
+            except (OverflowError, ValueError):
+                raise DomainError("index value is not finite; its moments are undefined") from None
+            denominator = math.lcm(self.denominator, *{q for _, q in ratios})
+            if denominator != self.denominator:
+                scale = denominator // self.denominator
+                self.total *= scale
+                self.total_sq *= scale * scale
+                self.denominator = denominator
+            scaled = [p * (denominator // q) for p, q in ratios]
         squares = map(operator.mul, scaled, scaled)
         self.weight += sum(weights)
         self.total += sum(map(operator.mul, weights, scaled))
         self.total_sq += sum(map(operator.mul, weights, squares))
         if self.support is not None:
-            self.support.update(ratios)
+            self.support.update(values)
 
 
 def _exact_moments(column) -> tuple[Fraction, Fraction]:

@@ -31,20 +31,23 @@ leaves, so it stays independent of the edge-cut formula it checks.  It runs
 one level-synchronous BFS from every node at once, over a stack of G graphs
 with node counts N_g laid out block-diagonally: node v of graph g is node
 N_0 + ... + N_{g-1} + v of the stack, and its reached set is a row of
-ceil(max N_g / 64) uint64 words.  Each level ORs into every row the row of
-the node's first neighbour and, for the hubs (the nodes with two or more
-neighbours) only, the rows of their other neighbours, by
-``np.bitwise_or.reduceat`` over a CSR list of open neighbourhoods sorted
-out of the edge lists.  A reduceat costs per segment, and most nodes of a
-sparse graph have one neighbour; the rows hold the hubs first, so the hubs'
-segments OR into one slice.  The bits a level sets are the ordered pairs at
-that distance.  A graph's rows are at most two runs, its hubs and its other
-nodes, so its count is ``np.bitwise_count`` summed over its runs by
-``np.add.reduceat``.  Only these per-level counts are kept; no distance
-table is built.  A stack pays numpy's per-call cost once for all its
-graphs: criterion 7 runs whole points of its exhaustive grid as one stack
-while its nodes stay within the largest point's, and its random states in
-stacks of similar spine length.
+ceil(max N_g / 64) uint64 words.  The stack's edges are read once, as one
+flat list of ends.  Each level ORs into every row the row of the node's
+first neighbour and, for the hubs (the nodes with two or more neighbours)
+only, the rows of their other neighbours, by ``np.bitwise_or.reduceat``
+over a CSR list of open neighbourhoods sorted out of the edge lists.  A
+reduceat costs per segment, and most nodes of a sparse graph have one
+neighbour.  From the second level on, the row of a node with one
+neighbour sets no new bit in that neighbour's row, so a hub ORs in only
+its other neighbours that are hubs too, by one gathered row where it has
+one of them.  A graph's rows are at most four runs; the pairs each run
+has reached are ``np.bitwise_count`` summed by ``np.add.reduceat``, and
+the pairs at distance k are its gain at level k.  Only these per-level
+counts are kept, no distance table, and both distance sums are products
+of the count matrix with d and d^2.  A stack pays numpy's per-call cost
+once for all its graphs: criterion 7 runs whole points of its exhaustive
+grid as one stack while its nodes stay within the largest point's, and
+its random states in stacks of similar spine length.
 
 The one-step law, :func:`one_step_means`, is the exact mean of any index
 over the m successors of each of many states, evaluated as one batch of
@@ -113,11 +116,13 @@ def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """All m-tuples of non-negative integers summing to n, in lexicographic order.
 
     The rows of :func:`_composition_blocks`, in blocks of
-    ``max(1, BLOCK_CELLS // m)``, as tuples; m < 1 raises
+    ``max(1, BLOCK_CELLS // m)``, as tuples; m < 1 or n < 0 raises
     :class:`DomainError`.
     """
     if m < 1:
         raise DomainError(f"compositions need m >= 1 parts, got {m}")
+    if n < 0:
+        raise DomainError(f"compositions need a sum n >= 0, got {n}")
     for counts in _composition_blocks(n, m, max(1, BLOCK_CELLS // m)):
         yield from map(tuple, counts.tolist())
 
@@ -128,7 +133,7 @@ def _composition_blocks(n: int, m: int, rows: int) -> Iterator[np.ndarray]:
 
     Stars and bars: the m - 1 bars stand at cut points 0 <= c_1 <= ... <= n
     among the n stars, and the parts are the gaps between successive cuts,
-    ``np.diff`` of the cuts padded with 0 and n.
+    the differences of the cuts padded with 0 and n.
     """
     total = math.comb(n + m - 1, m - 1)
     # Read as one stream of ints, each cut tuple is dropped before the next
@@ -136,10 +141,15 @@ def _composition_blocks(n: int, m: int, rows: int) -> Iterator[np.ndarray]:
     cuts = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(n + 1), m - 1)
     )
+    # The padding columns are written once; each block fills the columns
+    # between them and is differenced once.
+    padded = np.zeros((min(rows, total), m + 1), dtype=np.int64)
+    padded[:, m] = n
     for start in range(0, total, rows):
         size = min(rows, total - start)
-        cut = np.fromiter(cuts, dtype=np.int64, count=size * (m - 1)).reshape(size, m - 1)
-        yield np.diff(cut, axis=1, prepend=0, append=n)
+        block = padded[:size]
+        block[:, 1:m] = np.fromiter(cuts, dtype=np.int64, count=size * (m - 1)).reshape(size, m - 1)
+        yield block[:, 1:] - block[:, :-1]
 
 
 def multinomial_coefficient(counts) -> int:
@@ -281,18 +291,19 @@ def _enumerate_moments(
     ]
 
 
-def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
+def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> np.ndarray:
     """Level-synchronous BFS from every node of every graph at once.
 
     ``graphs`` is a stack of G graphs with node counts N_g, laid out block
-    diagonally.  Returns, per graph, the number of ordered node pairs at
-    distance 1, 2, ...  The sum of the N_g^2 pairs and the gathered
-    neighbour rows of ceil(max N_g / 64) words must stay within
-    ``ENUMERATION_GUARD`` cells.
+    diagonally.  Returns a (G, L) int64 matrix whose row g counts the
+    ordered node pairs of graph g at distance 1, 2, ..., L, where L is the
+    stack's largest diameter; a row's zeros are the levels after its graph
+    was done.  The sum of the N_g^2 pairs and the gathered neighbour rows of
+    ceil(max N_g / 64) words must stay within ``ENUMERATION_GUARD`` cells.
     """
     stack = len(graphs)
     if not stack:
-        return []
+        return np.zeros((0, 0), dtype=np.int64)
     sizes = [g.node_count for g in graphs]
     for size in sizes:
         # True * True is 1 node, and -3 or 2.5 would fail deep inside numpy.
@@ -323,27 +334,32 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
             f"BFS neighbour rows of {gathered} x {words} words exceed the"
             f" guard of {ENUMERATION_GUARD}"
         )
-    edges = [e for g in graphs for e in g.edges]
+    edges = list(itertools.chain.from_iterable(g.edges for g in graphs))
     try:
-        # numpy reads [] as float64 of shape (0,), so no edges are read as 0 x 2.
-        ends = np.array(edges) if edges else np.empty((0, 2), dtype=np.intp)
-    except ValueError:  # edges of unequal lengths
+        # A bare int or a generator has no len, and numpy reads a str or
+        # bytes edge (numpy's own too) as one scalar, so none of them is a pair.
+        kinds = set(map(type, edges))
+        if set(map(len, edges)) - {2} or any(issubclass(kind, (str, bytes)) for kind in kinds):
+            raise TypeError
+        ends = list(itertools.chain.from_iterable(edges))
+        # A bool end would read as 0 or 1.
+        if {bool, np.bool_} & set(map(type, ends)):
+            raise TypeError
+        # numpy reads [] as float64, so no edges are read as no int ends.
+        ends = np.array(ends) if ends else np.empty(0, dtype=np.intp)
+    except (TypeError, ValueError):  # ValueError: ends of unequal shapes
         ends = None
-    # A float or string end turns the whole array from int, and an edge that
-    # is not a pair changes its shape; a bool among ints would read as 0 or 1.
-    if (
-        ends is None
-        or ends.dtype.kind != "i"
-        or ends.shape != (len(edges), 2)
-        or {bool, np.bool_} & set(map(type, itertools.chain.from_iterable(edges)))
-    ):
+    # A float or string end, or an int past int64, turns the whole array
+    # from int, and an end that is itself a sequence changes its shape.
+    if ends is None or ends.dtype.kind != "i" or ends.shape != (2 * len(edges),):
         raise DomainError("every edge must be a pair (u, v) of node numbers")
+    del edges
     # Each end within its own graph's nodes: an end of N_g would reach the
     # next graph's rows.  As unsigned, a negative end reads at least 2^63.
     sizes = np.array(sizes, dtype=np.intp)
     bounds = sizes.repeat(edge_counts)
     # a narrower int (numpy int8 ends) would wrap on the shift below
-    ends = ends.astype(np.intp, copy=False)
+    ends = ends.astype(np.intp, copy=False).reshape(-1, 2)
     outside = (ends.view(np.uintp) >= bounds.view(np.uintp)[:, None]).nonzero()[0]
     if outside.size:
         raise DomainError(f"an edge end lies outside the nodes [0, {bounds[outside[0]]})")
@@ -351,66 +367,88 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> list[list[int]]:
     first = np.add.accumulate(sizes) - sizes
     ends += first.repeat(edge_counts)[:, None]
     # CSR list of open neighbourhoods, sorted by node.
-    tails = ends.ravel()
-    nbr = ends[:, ::-1].ravel().take(tails.argsort(kind="stable"))
+    by_tail = ends.ravel().argsort(kind="stable")
+    tails = ends.ravel().take(by_tail)
+    nbr = ends[:, ::-1].ravel().take(by_tail)
     nodes = np.arange(total)
-    lengths = np.bincount(tails, minlength=len(nodes))
-    del edges, ends, bounds, tails
+    lengths = np.bincount(tails, minlength=total)
+    del ends, bounds, by_tail
     starts = np.add.accumulate(lengths) - lengths
     has_nbr = lengths > 0
     first_nbr = nodes.copy()
     first_nbr[has_nbr] = nbr.take(starts[has_nbr])
-    leading = np.zeros(len(nbr), dtype=bool)
-    leading[starts[has_nbr]] = True
+    later = np.ones(len(nbr), dtype=bool)
+    later[starts[has_nbr]] = False
     # A level ORs into each row its first neighbour's row (its own if it has
-    # none), then the other neighbours' rows of the hubs, the nodes with two
-    # or more, one reduceat segment per hub.  The rows hold the hubs first,
-    # so their segments OR into one slice, not a fancy-indexed set of rows.
+    # none), then, one reduceat segment per hub, its other neighbours' rows.
+    # From the second level on a hub ORs in only the other neighbours that
+    # are hubs too (for k >= 1, B_k(w) = {w} | B_{k-1}(u) lies in B_k(u)
+    # when u is w's one neighbour): by reduceat where it has two or more,
+    # by one gathered row where it has one.  The rows hold these two groups
+    # of hubs, then the other hubs, then the rest, so each reduce and gather
+    # ORs into one slice, not a fancy-indexed set of rows.
     hub = lengths > 1
-    hubs = np.count_nonzero(hub)
-    order = np.concatenate((hub.nonzero()[0], (~hub).nonzero()[0]))  # the node in each row
+    later_hub = later & hub.take(nbr)
+    more_hubs = np.bincount(tails[later_hub], minlength=total)
+    # The four groups are 0 to 3, int8, so that the stable argsort is a radix sort.
+    group = (3 - hub - np.minimum(more_hubs, 2)).astype(np.int8)
+    order = group.argsort(kind="stable")
+    multi, single, plain = np.bincount(group, minlength=4)[:3].tolist()
+    hubs = multi + single + plain
     row = np.empty_like(order)
     row[order] = nodes  # the row of each node
     first_nbr = row.take(first_nbr.take(order))
-    others = row.take(nbr[~leading])
-    more = lengths[hub] - 1
+    tail_group = group.take(tails)
+    others = row.take(nbr[later].take(tail_group[later].argsort(kind="stable")))
+    multi_others = row.take(nbr[later_hub & (tail_group == 0)])
+    single_others = row.take(nbr[later_hub & (tail_group == 1)])
+    more = lengths.take(order[:hubs]) - 1
     more_starts = np.add.accumulate(more) - more
-    del nbr, starts, lengths, has_nbr, leading, hub, row, more
+    more = more_hubs.take(order[:multi])
+    multi_starts = np.add.accumulate(more) - more
+    del nbr, tails, starts, lengths, has_nbr, later, hub, later_hub, more_hubs, group, row
+    del tail_group, more
     graph = np.arange(stack).repeat(sizes).take(order)
     local = order - first.take(graph)
-    # Little-endian words, so bit j of a row is bit j % 8 of byte j // 8.
-    reached = np.zeros((len(nodes), words), dtype="<u8")
-    reached.view(np.uint8)[nodes, local >> 3] = 1 << (local & 7)
-    # A graph's rows are at most two runs, its hubs and its other nodes;
-    # each run's words are summed from its first word by np.add.reduceat.
+    # A graph's rows are at most four runs, one in each group; each run's
+    # words are summed from its first word by np.add.reduceat.
     new_run = np.empty(len(graph), dtype=bool)
     new_run[:1] = True
     np.not_equal(graph[1:], graph[:-1], out=new_run[1:])
     runs = new_run.nonzero()[0]
+    run_graph = graph.take(runs)
     run_starts = runs * words
-    levels = []
-    unreached = cells - total
-    while unreached:
+    del order, first, graph, new_run, runs
+    # Little-endian words, so bit j of a row is bit j % 8 of byte j // 8.
+    reached = np.zeros((total, words), dtype="<u8")
+    reached.view(np.uint8)[nodes, local >> 3] = 1 << (local & 7)
+    del nodes, local
+    # Each run's reached pairs, level by level; reached only grows, so a
+    # level's new pairs are the differences.
+    pairs = [np.add.reduceat(np.bitwise_count(reached).ravel(), run_starts, dtype=np.int64)]
+    paired = total
+    reducing, gathering = hubs, 0
+    while paired < cells:
         step = reached.take(first_nbr, axis=0)
         step |= reached
-        step[:hubs] |= np.bitwise_or.reduceat(reached.take(others, axis=0), more_starts, axis=0)
-        # reached only grows, so the bits a level sets are step ^ reached
-        reached ^= step
-        fresh = np.add.reduceat(np.bitwise_count(reached).ravel(), run_starts, dtype=np.int64)
-        count = int(np.add.reduce(fresh))
+        if reducing:
+            step[:reducing] |= np.bitwise_or.reduceat(
+                reached.take(others, axis=0), more_starts, axis=0
+            )
+        if gathering:
+            step[multi:multi + single] |= reached.take(single_others, axis=0)
+        pairs.append(np.add.reduceat(np.bitwise_count(step).ravel(), run_starts, dtype=np.int64))
         # A graph that gains no pair never gains one again, so a stalled
         # member shows once the others are done.
-        if not count:
+        now = int(np.add.reduce(pairs[-1]))
+        if now == paired:
             raise DomainError("graph is disconnected: BFS did not reach every node")
-        levels.append(fresh)
-        unreached -= count
-        reached = step
-    per_run = np.array(levels, dtype=np.int64).reshape(len(levels), len(runs))
-    per_graph = np.zeros((stack, len(levels)), dtype=np.int64)
-    np.add.at(per_graph, graph.take(runs), per_run.T)
-    # A connected graph has pairs at every distance up to its diameter and
-    # none beyond, so its zeros are the levels after it was done.
-    return [[c for c in counts if c] for counts in per_graph.tolist()]
+        reached, paired = step, now
+        reducing, gathering, others, more_starts = multi, single, multi_others, multi_starts
+    per_run = np.diff(np.array(pairs), axis=0)
+    per_graph = np.zeros((stack, len(per_run)), dtype=np.int64)
+    np.add.at(per_graph, run_graph, per_run.T)
+    return per_graph
 
 
 def bfs_distance_sums_many(graphs: Sequence[AdjacencyGraph]) -> list[tuple[int, int]]:
@@ -419,14 +457,13 @@ def bfs_distance_sums_many(graphs: Sequence[AdjacencyGraph]) -> list[tuple[int, 
 
     The stack runs as one BFS, its graphs laid out block-diagonally, so they
     may have different node counts; the guard applies to the sum of their
-    N_g x N_g pairs.
+    N_g x N_g pairs.  Both sums are int64 products of the level-count matrix
+    with d and d^2: they are at most max N_g^2 times the guarded pair count.
     """
-    sums = []
-    for counts in _bfs_levels(graphs):
-        total = sum(k * c for k, c in enumerate(counts, 1))
-        total_sq = sum(k * k * c for k, c in enumerate(counts, 1))
-        sums.append((total // 2, total_sq // 2))
-    return sums
+    counts = _bfs_levels(graphs)
+    d = np.arange(1, counts.shape[1] + 1, dtype=np.int64)
+    sums = counts @ np.stack((d, d * d), axis=1) // 2
+    return list(map(tuple, sums.tolist()))
 
 
 def wiener_bfs(g: AdjacencyGraph) -> int:

@@ -73,6 +73,30 @@ def test_weighted_sums_match_fraction_arithmetic():
     assert len(sums.support) == len({v for v, _ in pairs}) == 8
 
 
+def test_weighted_sums_int_blocks_match_the_ratio_path():
+    """An int block at denominator 1 skips as_integer_ratio; an int block
+    after a Fraction block is scaled to the common denominator.  Weight,
+    totals, denominator and support equal those of the values' (p, q)
+    ratios, summed by hand."""
+    blocks = [
+        ([4, -2, 2**70, 4], [3, 1, 2, 5]),
+        ([Fraction(1, 6), Fraction(4, 1), 2], [7, 1, 2]),
+        ([5, 2**70, 0], [1, 4, 6]),
+    ]
+    sums = WeightedSums(support=set())
+    for values, weights in blocks:
+        sums.add(values, weights)
+    ratios = [(v.as_integer_ratio(), w) for values, weights in blocks for v, w in zip(values, weights)]
+    denominator = math.lcm(*(q for (_, q), _ in ratios))
+    scaled = [(p * (denominator // q), w) for (p, q), w in ratios]
+    assert sums.weight == sum(w for _, w in scaled) == 32
+    assert sums.total == sum(w * a for a, w in scaled)
+    assert sums.total_sq == sum(w * a * a for a, w in scaled)
+    assert sums.denominator == denominator == 6
+    # Fraction(4, 1) is the int 4 again: 4, -2, 2^70, 1/6, 2, 5 and 0
+    assert len(sums.support) == len({pq for pq, _ in ratios}) == 7
+
+
 def test_weighted_sums_refuse_a_weight_count_unlike_the_value_count():
     """[1, 2] against weights [1, 1, 5] once left weight 7 but total 3."""
     sums = WeightedSums()

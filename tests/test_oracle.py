@@ -259,6 +259,10 @@ def test_compositions_lexicographic():
     for n in (3, 0):
         with pytest.raises(DomainError, match="m >= 1"):
             list(compositions(n, 0))
+    # A negative sum is refused, not read as no compositions or left to math.comb.
+    for n, m in ((-1, 2), (-3, 2), (-1, 1)):
+        with pytest.raises(DomainError, match="n >= 0"):
+            list(compositions(n, m))
 
 
 def test_compositions_long_spine():
@@ -290,13 +294,19 @@ def test_multinomial_coefficient_skips_zero_parts(monkeypatch):
     assert len(calls) == 1
 
 
+def bfs_levels(graphs):
+    """Each graph's ordered pair counts at distance 1, 2, ... from one
+    stacked BFS, without the zeros that pad its row past its diameter."""
+    return [[c for c in counts if c] for counts in oracle._bfs_levels(graphs).tolist()]
+
+
 def test_bfs_distances_basics():
     """Ordered pairs at distance 1, 2, ...: each unordered pair counts twice."""
-    assert oracle._bfs_levels([to_adjacency(new_spine(3))]) == [[4, 2]]
-    assert oracle._bfs_levels([to_adjacency(Caterpillar(2, (1, 0)))]) == [[4, 2]]
+    assert bfs_levels([to_adjacency(new_spine(3))]) == [[4, 2]]
+    assert bfs_levels([to_adjacency(Caterpillar(2, (1, 0)))]) == [[4, 2]]
     # leaves x, y on the two ends of a-b-c: x-y is the one pair at distance 4
-    assert oracle._bfs_levels([to_adjacency(Caterpillar(3, (1, 0, 1)))]) == [[8, 6, 4, 2]]
-    assert oracle._bfs_levels([]) == [] and bfs_distance_sums_many([]) == []
+    assert bfs_levels([to_adjacency(Caterpillar(3, (1, 0, 1)))]) == [[8, 6, 4, 2]]
+    assert bfs_levels([]) == [] and bfs_distance_sums_many([]) == []
 
 
 def refused_peak(bfs, graphs, message):
@@ -360,6 +370,19 @@ def generic_graphs():
                                    + tuple((v, v + 4) for v in range(12))),
         "one node": AdjacencyGraph(1, ()),
         "130 nodes, 3 words a row": AdjacencyGraph(130, tuple(tree + chords)),
+        # After the first level a hub ORs in only its neighbours of degree 2
+        # or more: none here, one, or several.
+        "star K_{1,6}": AdjacencyGraph(7, tuple((0, v) for v in range(1, 7))),
+        "K_2": AdjacencyGraph(2, ((0, 1),)),
+        "path P_5": AdjacencyGraph(5, tuple((v, v + 1) for v in range(4))),
+        "C_6 with a pendant P_4": AdjacencyGraph(
+            9, tuple((v, (v + 1) % 6) for v in range(6)) + ((0, 6), (6, 7), (7, 8))
+        ),
+        # 0's first neighbour is the leaf 1, its others the hubs 2 and 3;
+        # 7's first neighbour is the leaf 8, its other the hub 3.
+        "hubs whose first neighbour is a leaf": AdjacencyGraph(
+            9, ((0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (2, 6), (7, 8), (3, 7))
+        ),
     }
 
 
@@ -367,7 +390,7 @@ def generic_graphs():
 def test_bfs_matches_floyd_warshall_on_generic_graphs(name):
     g = generic_graphs()[name]
     want = floyd_warshall(g)
-    assert oracle._bfs_levels([g]) == [floyd_warshall_levels(want)]
+    assert bfs_levels([g]) == [floyd_warshall_levels(want)]
     assert bfs_distance_sums_many([g]) == [floyd_warshall_sums(want)]
 
 
@@ -389,7 +412,7 @@ def test_bfs_stack_matches_floyd_warshall(first, second):
     """Graphs of one node count but different diameters share one BFS."""
     graphs = [generic_graphs()[first], second, second, generic_graphs()[first]]
     dists = [floyd_warshall(g) for g in graphs]
-    assert oracle._bfs_levels(graphs) == [floyd_warshall_levels(d) for d in dists]
+    assert bfs_levels(graphs) == [floyd_warshall_levels(d) for d in dists]
     assert bfs_distance_sums_many(graphs) == [floyd_warshall_sums(d) for d in dists]
 
 
@@ -411,7 +434,7 @@ def test_bfs_first_neighbour_and_hub_split_matches_floyd_warshall():
     orders = [mixed, mixed[::-1], mixed[1::2] + mixed[::2], [mixed[0]] * 3, mixed[1:2] * 2]
     for graphs in orders:
         dists = [want[id(g)] for g in graphs]
-        assert oracle._bfs_levels(graphs) == [floyd_warshall_levels(d) for d in dists]
+        assert bfs_levels(graphs) == [floyd_warshall_levels(d) for d in dists]
         assert bfs_distance_sums_many(graphs) == [floyd_warshall_sums(d) for d in dists]
     # A node with no neighbour is its own first neighbour; next to other
     # nodes it is never reached, so its graph is refused wherever it stands.
@@ -462,7 +485,7 @@ def test_bfs_stack_rejects_a_disconnected_member_and_mixed_sizes():
             bfs_distance_sums_many(graphs)
     longer = to_adjacency(Caterpillar(2, (5, 0)))
     graphs = [path, longer, *generic_graphs().values(), AdjacencyGraph(0, ()), path]
-    assert oracle._bfs_levels(graphs) == [oracle._bfs_levels([g])[0] for g in graphs]
+    assert bfs_levels(graphs) == [bfs_levels([g])[0] for g in graphs]
     assert bfs_distance_sums_many(graphs) == [bfs_distance_sums_many([g])[0] for g in graphs]
     for graphs in ([longer, two_paths, path], [two_paths, longer]):
         with pytest.raises(DomainError, match="graph is disconnected"):
@@ -487,11 +510,21 @@ def test_bfs_refuses_malformed_edges():
     outside = r"outside the nodes \[0, 3\)"
     cases = [((2, 3), outside), ((1, -1), outside), ((0, 1, 2), "pair"), ((2,), "pair")]
     cases += [(bad, "pair") for bad in ((1.5, 2), ("1", 2), 2, (True, False))]
+    # numpy reads a bytes or str edge as one scalar, a numpy bool or float
+    # end is no node number, and an end past int64 (or a uint64 next to an
+    # int) turns the ends from int.
+    cases += [(bad, "pair") for bad in (
+        b"\x01\x02", np.bytes_(b"\x01\x02"), "12", (np.bool_(True), 2), (np.float64(1.0), 2),
+        (1, 2**70), (1, np.uint64(2**63)),
+    )]
     for bad, match in cases:
         g = AdjacencyGraph(3, ((0, 1), (1, 2), bad))
         for graphs in ([g, path3], [path3, g], [g]):
             with pytest.raises(DomainError, match=match):
                 bfs_distance_sums_many(graphs)
+    # Narrow numpy ints, a list and an int array are pairs: (1, 2) again.
+    for good in ((np.uint8(1), np.uint8(2)), [1, 2], np.array([1, 2])):
+        assert bfs_distance_sums_many([AdjacencyGraph(3, ((0, 1), (1, 2), good))]) == [(4, 6)]
 
 
 def test_bfs_hand_values_on_generic_graphs():
@@ -515,7 +548,7 @@ def test_eccentricity_structure():
     for m in (2, 3, 4):
         for n in range(0, 6):
             states = list(compositions(n, m))
-            levels = oracle._bfs_levels([to_adjacency(Caterpillar(m, c)) for c in states])
+            levels = bfs_levels([to_adjacency(Caterpillar(m, c)) for c in states])
             for counts, got in zip(states, levels, strict=True):
                 assert len(got) == (m - 1) + (counts[0] > 0) + (counts[-1] > 0)
 
