@@ -4,7 +4,9 @@ A caterpillar is a tree whose non-leaf nodes form a path (the spine).  The
 state kept here is deliberately minimal: the spine size ``m`` and the number
 of leaves attached to each spine node.  Every index computed elsewhere in the
 package is a function of those leaf counts alone; only the BFS oracles need
-the explicit tree, which :func:`to_adjacency` lists as an edge list.
+the explicit tree, which :func:`to_adjacency` lists as an edge list, and
+``_adjacency_arrays`` writes as int arrays for a whole stack of leaf-count
+rows at once.
 
 Randomness is fully pinned down: every sample is drawn from a PCG64 bit
 generator seeded through ``numpy.random.SeedSequence(seed, spawn_key=(stream,))``.
@@ -366,3 +368,30 @@ def to_adjacency(c: Caterpillar) -> AdjacencyGraph:
     edges = [(i, i + 1) for i in range(c.m - 1)]
     edges += ((i, leaf) for leaf, i in enumerate(owners, c.m))
     return AdjacencyGraph(node_count=c.m + len(owners), edges=tuple(edges))
+
+
+def _adjacency_arrays(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node counts, edge counts and (E, 2) int64 edge ends of a stack of
+    caterpillars, each graph's edges listed as :func:`to_adjacency` lists
+    them, with no Caterpillar or edge tuple made.
+
+    ``blocks`` are int64 leaf-count matrices, each of one spine length m;
+    their rows, in order, are the stack's graphs.  A graph's second ends
+    are 1, 2, ..., N - 1: the spine edges' i + 1, then the leaves m, m + 1,
+    ...  Its first ends are the spine's 0 .. m - 2, then each spine node
+    once per leaf it holds.
+    """
+    edge_counts, ends = [], []
+    for counts in blocks:
+        k, m = counts.shape
+        # per row: each of 0 .. m - 2 once, then each of 0 .. m - 1 x_i times
+        times = np.ones((k, 2 * m - 1), dtype=np.int64)
+        times[:, m - 1:] = counts
+        firsts = np.tile(np.r_[0:m - 1, 0:m], k).repeat(times.ravel())
+        edges = counts.sum(axis=1) + (m - 1)
+        # a graph's edges are numbered from 1 in its own block of the stack
+        seconds = np.arange(1, len(firsts) + 1) - (np.add.accumulate(edges) - edges).repeat(edges)
+        edge_counts.append(edges)
+        ends.append(np.stack((firsts, seconds), axis=1))
+    edge_counts = np.concatenate(edge_counts)
+    return edge_counts + 1, edge_counts, np.concatenate(ends)

@@ -31,11 +31,20 @@ leaves, so it stays independent of the edge-cut formula it checks.  It runs
 one level-synchronous BFS from every node at once, over a stack of G graphs
 with node counts N_g laid out block-diagonally: node v of graph g is node
 N_0 + ... + N_{g-1} + v of the stack, and its reached set is a row of
-ceil(max N_g / 64) uint64 words.  The stack's edges are read once, as one
-flat list of ends.  Each level ORs into every row the row of the node's
-first neighbour and, for the hubs (the nodes with two or more neighbours)
-only, the rows of their other neighbours, by ``np.bitwise_or.reduceat``
-over a CSR list of open neighbourhoods sorted out of the edge lists.  A
+ceil(max N_g / 64) uint64 words.  Two entries share one core,
+:func:`_bfs_stack`, which holds the guards and the per-end bounds check
+and reads node counts and edge ends only.  :func:`bfs_distance_sums_many`
+reads :class:`AdjacencyGraph` objects: it refuses a malformed node count
+or edge and flattens the stack's edges once into one list of ends.  The
+private :func:`_bfs_distance_sums_arrays` reads int arrays of node
+counts, edge counts and (E, 2) ends, and leaves them unchanged.
+Criterion 7 of :mod:`catlab.verify` runs its exhaustive grid through the
+array entry, from :func:`~catlab.caterpillar._adjacency_arrays`, and its
+random states through :func:`bfs_distance_sums_many`.  Each level ORs
+into every row the row of the node's first neighbour and, for the hubs
+(the nodes with two or more neighbours) only, the rows of their other
+neighbours, by ``np.bitwise_or.reduceat`` over a CSR list of open
+neighbourhoods sorted out of the edge lists.  A
 reduceat costs per segment, and most nodes of a sparse graph have one
 neighbour.  From the second level on, the row of a node with one
 neighbour sets no new bit in that neighbour's row, so a hub ORs in only
@@ -47,7 +56,7 @@ counts are kept, no distance table, and both distance sums are products
 of the count matrix with d and d^2.  A stack pays numpy's per-call cost
 once for all its graphs: criterion 7 runs whole points of its exhaustive
 grid as one stack while its nodes stay within the largest point's, and
-its random states in stacks of similar spine length.
+its random states, sorted by spine length, in stacks of up to 2,000 nodes.
 
 The one-step law, :func:`one_step_means`, is the exact mean of any index
 over the m successors of each of many states, evaluated as one batch of
@@ -292,48 +301,23 @@ def _enumerate_moments(
 
 
 def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> np.ndarray:
-    """Level-synchronous BFS from every node of every graph at once.
-
-    ``graphs`` is a stack of G graphs with node counts N_g, laid out block
-    diagonally.  Returns a (G, L) int64 matrix whose row g counts the
-    ordered node pairs of graph g at distance 1, 2, ..., L, where L is the
-    stack's largest diameter; a row's zeros are the levels after its graph
-    was done.  The sum of the N_g^2 pairs and the gathered neighbour rows of
-    ceil(max N_g / 64) words must stay within ``ENUMERATION_GUARD`` cells.
+    """:func:`_bfs_stack` of a stack of :class:`AdjacencyGraph`: refuses
+    (:class:`DomainError`) a node count that is not a non-negative int and,
+    once the guards pass, an edge that is not a pair of int node numbers.
     """
-    stack = len(graphs)
-    if not stack:
-        return np.zeros((0, 0), dtype=np.int64)
     sizes = [g.node_count for g in graphs]
     for size in sizes:
         # True * True is 1 node, and -3 or 2.5 would fail deep inside numpy.
         if not isinstance(size, (int, np.integer)) or isinstance(size, bool) or size < 0:
             raise DomainError(f"node_count must be a non-negative int, got {size!r}")
-    sizes = list(map(int, sizes))
-    cells = sum(size * size for size in sizes)
-    if cells > ENUMERATION_GUARD:
-        size = sizes[0]
-        if stack == 1:
-            tables = f"{size}^2"
-        elif sizes.count(size) == stack:
-            tables = f"{stack} x {size}^2"
-        else:
-            tables = f"{stack} graphs of {min(sizes)} to {max(sizes)} nodes"
-        raise ResourceLimitError(
-            f"BFS distance table of {tables} = {cells} cells exceeds the"
-            f" guard of {ENUMERATION_GUARD}"
-        )
-    words = -(-max(sizes) // 64)
-    edge_counts = [len(g.edges) for g in graphs]
-    # A level gathers each node's first neighbour (or the node itself) and
-    # every further neighbour of a hub: at most one row per node and per edge end.
-    total = sum(sizes)
-    gathered = total + 2 * sum(edge_counts)
-    if gathered * words > ENUMERATION_GUARD:
-        raise ResourceLimitError(
-            f"BFS neighbour rows of {gathered} x {words} words exceed the"
-            f" guard of {ENUMERATION_GUARD}"
-        )
+    return _bfs_stack(
+        list(map(int, sizes)), [len(g.edges) for g in graphs], lambda: _read_ends(graphs)
+    )
+
+
+def _read_ends(graphs: Sequence[AdjacencyGraph]) -> np.ndarray:
+    """The stack's edges as one (E, 2) int array, read once as one flat list
+    of ends whose types are checked in one pass."""
     edges = list(itertools.chain.from_iterable(g.edges for g in graphs))
     try:
         # A bare int or a generator has no len, and numpy reads a str or
@@ -353,19 +337,62 @@ def _bfs_levels(graphs: Sequence[AdjacencyGraph]) -> np.ndarray:
     # from int, and an end that is itself a sequence changes its shape.
     if ends is None or ends.dtype.kind != "i" or ends.shape != (2 * len(edges),):
         raise DomainError("every edge must be a pair (u, v) of node numbers")
-    del edges
+    return ends.reshape(-1, 2)
+
+
+def _bfs_stack(sizes: list[int], edge_counts: list[int], read_ends) -> np.ndarray:
+    """Level-synchronous BFS from every node of every graph at once.
+
+    The stack holds G graphs with node counts ``sizes`` and edge counts
+    ``edge_counts``, laid out block diagonally; ``read_ends()`` returns
+    their (E, 2) int edge ends, graph after graph, each graph's in its own
+    numbering, and is called only once the guards pass.  Returns a (G, L)
+    int64 matrix whose row g counts the ordered node pairs of graph g at
+    distance 1, 2, ..., L, where L is the stack's largest diameter; a row's
+    zeros are the levels after its graph was done.  The sum of the N_g^2
+    pairs and the gathered neighbour rows of ceil(max N_g / 64) words must
+    stay within ``ENUMERATION_GUARD`` cells, and every end within its own
+    graph's nodes (else :class:`DomainError`).
+    """
+    stack = len(sizes)
+    if not stack:
+        return np.zeros((0, 0), dtype=np.int64)
+    cells = sum(size * size for size in sizes)
+    if cells > ENUMERATION_GUARD:
+        size = sizes[0]
+        if stack == 1:
+            tables = f"{size}^2"
+        elif sizes.count(size) == stack:
+            tables = f"{stack} x {size}^2"
+        else:
+            tables = f"{stack} graphs of {min(sizes)} to {max(sizes)} nodes"
+        raise ResourceLimitError(
+            f"BFS distance table of {tables} = {cells} cells exceeds the"
+            f" guard of {ENUMERATION_GUARD}"
+        )
+    words = -(-max(sizes) // 64)
+    # A level gathers each node's first neighbour (or the node itself) and
+    # every further neighbour of a hub: at most one row per node and per edge end.
+    total = sum(sizes)
+    gathered = total + 2 * sum(edge_counts)
+    if gathered * words > ENUMERATION_GUARD:
+        raise ResourceLimitError(
+            f"BFS neighbour rows of {gathered} x {words} words exceed the"
+            f" guard of {ENUMERATION_GUARD}"
+        )
     # Each end within its own graph's nodes: an end of N_g would reach the
     # next graph's rows.  As unsigned, a negative end reads at least 2^63.
     sizes = np.array(sizes, dtype=np.intp)
     bounds = sizes.repeat(edge_counts)
     # a narrower int (numpy int8 ends) would wrap on the shift below
-    ends = ends.astype(np.intp, copy=False).reshape(-1, 2)
+    ends = read_ends().astype(np.intp, copy=False)
     outside = (ends.view(np.uintp) >= bounds.view(np.uintp)[:, None]).nonzero()[0]
     if outside.size:
         raise DomainError(f"an edge end lies outside the nodes [0, {bounds[outside[0]]})")
     # Graph g's nodes are first[g] .. first[g] + N_g - 1 in the stack.
     first = np.add.accumulate(sizes) - sizes
-    ends += first.repeat(edge_counts)[:, None]
+    # a new array: the caller's ends stay as they were
+    ends = ends + first.repeat(edge_counts)[:, None]
     # CSR list of open neighbourhoods, sorted by node.
     by_tail = ends.ravel().argsort(kind="stable")
     tails = ends.ravel().take(by_tail)
@@ -460,7 +487,22 @@ def bfs_distance_sums_many(graphs: Sequence[AdjacencyGraph]) -> list[tuple[int, 
     N_g x N_g pairs.  Both sums are int64 products of the level-count matrix
     with d and d^2: they are at most max N_g^2 times the guarded pair count.
     """
-    counts = _bfs_levels(graphs)
+    return _level_sums(_bfs_levels(graphs))
+
+
+def _bfs_distance_sums_arrays(
+    node_counts: np.ndarray, edge_counts: np.ndarray, ends: np.ndarray
+) -> list[tuple[int, int]]:
+    """:func:`bfs_distance_sums_many` of a stack given as arrays: its graphs'
+    int node counts and edge counts, and their (E, 2) int edge ends, graph
+    after graph, each graph's in its own numbering.  ``ends`` is not changed.
+    """
+    return _level_sums(_bfs_stack(node_counts.tolist(), edge_counts.tolist(), lambda: ends))
+
+
+def _level_sums(counts: np.ndarray) -> list[tuple[int, int]]:
+    """Each row's (sum of d, sum of d^2) over unordered pairs, from its
+    ordered pairs at distance 1, 2, ..."""
     d = np.arange(1, counts.shape[1] + 1, dtype=np.int64)
     sums = counts @ np.stack((d, d * d), axis=1) // 2
     return list(map(tuple, sums.tolist()))

@@ -17,7 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .caterpillar import Caterpillar, RngSeed, simulate_counts, to_adjacency
+import numpy as np
+
+from .caterpillar import Caterpillar, RngSeed, _adjacency_arrays, simulate_counts, to_adjacency
 from .errors import DomainError
 from .experiments import (
     DEFAULT_SEED,
@@ -26,8 +28,14 @@ from .experiments import (
     run_mc,
     zagreb_normality,
 )
-from .indices import IndexSpec, hyper_wiener, randic, wiener, zagreb
-from .oracle import _enumerate_moments, bfs_distance_sums_many, compositions, one_step_means
+from .indices import IndexSpec, compute_indices_batch, hyper_wiener, randic, wiener, zagreb
+from .oracle import (
+    _bfs_distance_sums_arrays,
+    _composition_blocks,
+    _enumerate_moments,
+    bfs_distance_sums_many,
+    one_step_means,
+)
 from . import theory
 
 __all__ = [
@@ -219,40 +227,103 @@ def criterion_oracle_equivalence() -> CriterionResult:
     )
 
 
+# The indices criterion 7 checks, in the order of its failure texts.
+_FORMULA_INDICES = (IndexSpec("wiener"), IndexSpec("hyper_wiener"))
+
+# Nodes per stack of criterion 7's random states.  Their rows are up to four
+# words (N <= 250), and their edge tuples stay alive through the BFS: on
+# Python 3.11, at the grid's 2,310 nodes the criterion's tracemalloc peak
+# read 411 KiB, at 2,000 it reads 348 KiB, and the two ran within 0.5 ms.
+_STATE_STACK_NODES = 2000
+
+
+def _stacks(sizes, budget):
+    """Runs of consecutive items, as index lists, each of at most ``budget``
+    nodes in all unless one item alone holds more: ``sizes`` are the items'
+    node counts."""
+    run, total = [], 0
+    for k, size in enumerate(sizes):
+        if run and total + size > budget:
+            yield run
+            run, total = [], 0
+        run.append(k)
+        total += size
+    yield run
+
+
 def _formula_stacks():
-    """Criterion 7's states, in the stacks that each run one all-sources BFS."""
-    # Every state of a grid point has N = m + n nodes.  Whole grid points, in
-    # (m, n) order, share a stack while its nodes stay within the largest
-    # point's, so the 784 grid states run as 4 stacks and the peak memory
-    # stays that of the largest point; one stack per m held twice as much.
+    """Criterion 7's stacks, each of which runs one all-sources BFS: the
+    exhaustive grid's points (m, n), whole and in (m, n) order, then the
+    random states, sorted by m.
+
+    Every state of a grid point has N = m + n nodes.  A grid stack holds at
+    most the nodes of the largest point, (5, 6), so the peak memory stays
+    that of one BFS of that point: the 784 grid states run as 4 stacks.
+    One stack per m held twice as much.  A random stack holds at most
+    ``_STATE_STACK_NODES``, so the 100 random states run as 7 stacks.  A
+    stack runs as many levels as its longest diameter, about m + 1, so the
+    random states run sorted by spine length.
+    """
     grid = [(m, n) for m in range(2, 6) for n in range(7)]
     nodes = [math.comb(n + m - 1, m - 1) * (m + n) for m, n in grid]
-    budget = max(nodes)
-    stack, size = [], 0
-    for (m, n), point in zip(grid, nodes):
-        if size + point > budget:
-            yield stack
-            stack, size = [], 0
-        stack += (Caterpillar(m=m, leaf_counts=counts) for counts in compositions(n, m))
-        size += point
-    yield stack
-    # A stack runs as many levels as its longest diameter, about m + 1, so
-    # the random states run in stacks of 10 of similar m: faster than
-    # stacks of 5, and about as fast as stacks of 20, which held more memory.
     states = sorted(_random_states(20_000_101, 100, 50, 200), key=lambda c: c.m)
-    for k in range(0, len(states), 10):
-        yield states[k:k + 10]
+    sizes = [c.node_count for c in states]
+    return (
+        [[grid[k] for k in run] for run in _stacks(nodes, max(nodes))],
+        [[states[k] for k in run] for run in _stacks(sizes, _STATE_STACK_NODES)],
+    )
+
+
+def _grid_failures(points) -> list[str]:
+    """Criterion 7 on one stack of grid points: the batch evaluator's Wiener
+    and hyper-Wiener of each point's compositions against one BFS of the
+    stack, built from its leaf-count matrices, one per spine length."""
+    blocks = [
+        np.concatenate([
+            next(_composition_blocks(n, m, math.comb(n + m - 1, m - 1))) for _, n in group
+        ])
+        for m, group in itertools.groupby(points, key=lambda point: point[0])
+    ]
+    states = ((counts.shape[1], row) for counts in blocks for row in counts.tolist())
+    formulas = itertools.chain.from_iterable(
+        zip(*compute_indices_batch(counts, _FORMULA_INDICES)) for counts in blocks
+    )
+    return _mismatches(states, formulas, _bfs_distance_sums_arrays(*_adjacency_arrays(blocks)))
+
+
+def _state_failures(states) -> list[str]:
+    """Criterion 7 on one stack of random states: the scalar Wiener and
+    hyper-Wiener of each state against one BFS of their adjacency lists."""
+    return _mismatches(
+        ((c.m, c.leaf_counts) for c in states),
+        ((wiener(c), hyper_wiener(c)) for c in states),
+        bfs_distance_sums_many([to_adjacency(c) for c in states]),
+    )
+
+
+def _mismatches(states, formulas, sums) -> list[str]:
+    """The failure texts of the states (m, leaf counts) whose formula values
+    (Wiener, hyper-Wiener) differ from their BFS sums (of d, of d^2)."""
+    failures = []
+    for (m, counts), (w, wh), (total, total_sq) in zip(states, formulas, sums):
+        if w != total:
+            failures.append(f"wiener {m},{tuple(counts)}")
+        if wh != total + total_sq:
+            failures.append(f"hyper_wiener {m},{tuple(counts)}")
+    return failures
 
 
 def criterion_formula_vs_bfs() -> CriterionResult:
+    """The O(m) Wiener and hyper-Wiener formulas against a generic BFS: the
+    batch evaluator on the exhaustive grid (m <= 5, n <= 6), one leaf-count
+    array stack at a time, and the scalar index functions on 100 random
+    states, through :func:`~catlab.caterpillar.to_adjacency`."""
+    grid_stacks, state_stacks = _formula_stacks()
     failures = []
-    for stack in _formula_stacks():
-        sums = bfs_distance_sums_many([to_adjacency(c) for c in stack])
-        for c, (total, total_sq) in zip(stack, sums):
-            if wiener(c) != total:
-                failures.append(f"wiener {c.m},{c.leaf_counts}")
-            if hyper_wiener(c) != total + total_sq:
-                failures.append(f"hyper_wiener {c.m},{c.leaf_counts}")
+    for points in grid_stacks:
+        failures += _grid_failures(points)
+    for states in state_stacks:
+        failures += _state_failures(states)
     return CriterionResult(
         cid="7-formula-vs-bfs",
         quantity="O(m) Wiener/hyper-Wiener vs BFS oracle",

@@ -13,6 +13,7 @@ from catlab import caterpillar
 from catlab.caterpillar import (
     Caterpillar,
     RngSeed,
+    _adjacency_arrays,
     degree_sequence,
     grow_step,
     leaf_count_blocks,
@@ -25,6 +26,7 @@ from catlab.caterpillar import (
 from catlab.errors import DomainError
 from catlab.indices import zagreb
 from catlab.oracle import compositions, multinomial_coefficient
+from catlab.verify import _random_states
 from conftest import sampled
 
 
@@ -373,6 +375,29 @@ def test_to_adjacency_examples():
 
     path = to_adjacency(new_spine(3))
     assert path.edges == ((0, 1), (1, 2))
+
+
+def test_adjacency_arrays_equal_to_adjacency():
+    """The stack helper lists every graph as to_adjacency does, edge for edge
+    and node count for node count: every composition of m <= 5 and n <= 6,
+    one block per spine length; criterion 7's 100 random states, one block
+    per state; and the edge cases n = 0 and m = 2."""
+    random_states = list(_random_states(20_000_101, 100, 50, 200))
+    cases = [
+        [[Caterpillar(m, counts) for n in range(7) for counts in compositions(n, m)]
+         for m in range(2, 6)],
+        [[c] for c in random_states],
+        [[new_spine(2)], [new_spine(7)], [Caterpillar(2, (0, 5)), Caterpillar(2, (3, 1))]],
+    ]
+    for blocks in cases:
+        graphs = [to_adjacency(c) for block in blocks for c in block]
+        nodes, edges, ends = _adjacency_arrays(
+            [np.array([c.leaf_counts for c in block], dtype=np.int64) for block in blocks]
+        )
+        assert nodes.tolist() == [g.node_count for g in graphs]
+        assert edges.tolist() == [len(g.edges) for g in graphs]
+        assert ends.shape == (sum(edges.tolist()), 2)
+        assert list(map(tuple, ends.tolist())) == [e for g in graphs for e in g.edges]
 
 
 def test_adjacency_connected_and_degrees_agree():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -499,6 +500,70 @@ def test_bfs_stack_rejects_a_disconnected_member_and_mixed_sizes():
     message = ("BFS distance table of 3 graphs of 1502 to 2000 nodes = 10256004 cells"
                " exceeds the guard of 10000000")
     assert refused_peak(bfs_distance_sums_many, [wide, narrow, wide], message) < 64 * 2**10
+
+
+def as_arrays(graphs):
+    """A stack as the array entry reads it: node counts, edge counts, (E, 2) ends."""
+    ends = [end for g in graphs for edge in g.edges for end in edge]
+    return (
+        np.array([g.node_count for g in graphs], dtype=np.int64),
+        np.array([len(g.edges) for g in graphs], dtype=np.int64),
+        np.array(ends, dtype=np.int64).reshape(-1, 2),
+    )
+
+
+def test_bfs_array_entry_equals_the_graph_entry():
+    """The array entry runs the same core on the same graphs: generic ones
+    alone, a mixed-size stack, and criterion 7's largest grid point.  It
+    leaves the caller's ends as they were, though the core shifts each
+    graph's ends to its rows in the stack."""
+    graphs = generic_graphs()
+    mixed = [
+        to_adjacency(Caterpillar(2, (1, 2))), graphs["130 nodes, 3 words a row"],
+        AdjacencyGraph(0, ()), graphs["cycle C_7"], graphs["one node"],
+        to_adjacency(Caterpillar(4, (3, 0, 0, 5))),
+    ]
+    grid = [to_adjacency(Caterpillar(5, counts)) for counts in compositions(6, 5)]
+    stacks = [[g] for g in graphs.values()] + [mixed, grid, []]
+    for stack in stacks:
+        arrays = as_arrays(stack)
+        ends = arrays[2].copy()
+        assert oracle._bfs_distance_sums_arrays(*arrays) == bfs_distance_sums_many(stack)
+        assert np.array_equal(arrays[2], ends)
+
+
+def test_bfs_array_entry_refuses_an_end_outside_its_graph():
+    """An end of N_g lies below the stack's largest N but would reach the
+    next graph's rows; a negative end reads as a huge one."""
+    path = to_adjacency(Caterpillar(2, (1, 2)))
+    longer = to_adjacency(Caterpillar(2, (5, 0)))
+    for bad in ((4, 5), (-1, 0)):
+        reaching = AdjacencyGraph(5, path.edges + (bad,))
+        for stack in ([reaching, longer], [longer, reaching, path]):
+            message = re.escape("an edge end lies outside the nodes [0, 5)")
+            with pytest.raises(DomainError, match=message):
+                oracle._bfs_distance_sums_arrays(*as_arrays(stack))
+            with pytest.raises(DomainError, match=message):
+                bfs_distance_sums_many(stack)
+
+
+def test_bfs_array_entry_guards_refuse_before_allocating():
+    """Both guards of the shared core refuse the array entry's stack with the
+    graph entry's message, before any row is built."""
+    size = 900
+    dense = AdjacencyGraph(size, tuple(itertools.combinations(range(size), 2)))
+    cases = [
+        ([to_adjacency(Caterpillar(2, (4000, 0)))],
+         "BFS distance table of 4002^2 = 16016004 cells exceeds the guard of 10000000"),
+        ([to_adjacency(Caterpillar(2, (1998, 0)))] * 3,
+         "BFS distance table of 3 x 2000^2 = 12000000 cells exceeds the guard of 10000000"),
+        ([dense], "BFS neighbour rows of 810000 x 15 words exceed the guard of 10000000"),
+    ]
+    def entry(arrays):
+        return oracle._bfs_distance_sums_arrays(*arrays)
+
+    for graphs, message in cases:
+        assert refused_peak(entry, as_arrays(graphs), message) < 64 * 2**10
 
 
 def test_bfs_refuses_malformed_edges():

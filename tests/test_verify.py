@@ -53,12 +53,43 @@ def test_criterion_6_fails_when_an_erratum_offset_is_missing(monkeypatch):
     ]
 
 
+def one_batch_value_off(monkeypatch, column, m, counts):
+    """Add 1 to the batch evaluator's ``column`` of criterion 7 at one grid state."""
+    real = verify.compute_indices_batch
+
+    def off(block, specs):
+        values = real(block, specs)
+        rows = block.tolist()
+        if block.shape[1] == m and list(counts) in rows:
+            values[column][rows.index(list(counts))] += 1
+        return values
+
+    monkeypatch.setattr(verify, "compute_indices_batch", off)
+
+
 def test_criterion_7_fails_on_one_wrong_wiener_value(monkeypatch):
-    real = verify.wiener
-    monkeypatch.setattr(verify, "wiener", lambda c: real(c) + (c.leaf_counts == (1, 0, 2)))
+    one_batch_value_off(monkeypatch, 0, 3, (1, 0, 2))
     result = verify.criterion_formula_vs_bfs()
     assert result.verdict == "FAIL"
     assert result.actual == "wiener 3,(1, 0, 2)"
+
+
+def test_criterion_7_fails_on_one_wrong_batch_hyper_wiener_value(monkeypatch):
+    one_batch_value_off(monkeypatch, 1, 5, (0, 2, 0, 0, 4))
+    result = verify.criterion_formula_vs_bfs()
+    assert result.verdict == "FAIL"
+    assert result.actual == "hyper_wiener 5,(0, 2, 0, 0, 4)"
+
+
+def test_criterion_7_fails_on_one_wrong_scalar_wiener_value_of_a_random_state(monkeypatch):
+    """The grid reads the batch evaluator; the random states read the scalar
+    index functions, so a fault there is seen too, and named."""
+    state = list(verify._random_states(20_000_101, 100, 50, 200))[37]
+    real = verify.wiener
+    monkeypatch.setattr(verify, "wiener", lambda c: real(c) + (c == state))
+    result = verify.criterion_formula_vs_bfs()
+    assert result.verdict == "FAIL"
+    assert result.actual == f"wiener {state.m},{state.leaf_counts}"
 
 
 @pytest.mark.parametrize(
@@ -177,28 +208,41 @@ def test_criterion_7_stacks_whole_grid_points_within_the_largest_point(monkeypat
     """The 784 grid states run as 4 stacked BFS calls of whole (m, n) grid
     points, in (m, n) order, each point once and each stack within the
     2,310 nodes of the largest point, (5, 6); the 100 random states, of
-    mixed sizes, run as 10 stacks of 10, sorted by m."""
-    calls = []
-    real = oracle._bfs_levels
+    mixed sizes and sorted by m, run as 7 stacks of at most 2,000 nodes,
+    each by the same rule: a stack closes when the next item would take it
+    past its budget."""
+    calls, shapes = [], []
+    real = oracle._bfs_stack
     monkeypatch.setattr(
-        oracle, "_bfs_levels",
-        lambda graphs: calls.append([g.node_count for g in graphs]) or real(graphs),
+        oracle, "_bfs_stack",
+        lambda sizes, *args: calls.append(sizes) or real(sizes, *args),
+    )
+    real_batch = verify.compute_indices_batch
+    monkeypatch.setattr(
+        verify, "compute_indices_batch",
+        lambda counts, specs: shapes.append(counts.shape) or real_batch(counts, specs),
     )
     assert verify.criterion_formula_vs_bfs().verdict == "PASS"
-    stacks = list(verify._formula_stacks())
-    assert len(calls) == 14
-    assert calls == [[c.node_count for c in stack] for stack in stacks]
+    grid_stacks, state_stacks = verify._formula_stacks()
+    assert len(calls) == 11
+    # one evaluator call per spine length of each grid stack
+    assert shapes == [(28, 2), (84, 3), (126, 4), (84, 4), (126, 5), (126, 5), (210, 5)]
     grid = [(m, n) for m in range(2, 6) for n in range(7)]
     points = [[(m, counts) for counts in oracle.compositions(n, m)] for m, n in grid]
     assert max(len(point) * (m + n) for point, (m, n) in zip(points, grid)) == 2310
     cuts = [0, 20, 26, 27, 28]  # (2, 0) .. (4, 5), (4, 6) .. (5, 4), (5, 5), (5, 6)
-    assert [[(c.m, c.leaf_counts) for c in stack] for stack in stacks[:4]] == [
-        sum(points[a:b], []) for a, b in zip(cuts, cuts[1:])
+    assert grid_stacks == [grid[a:b] for a, b in zip(cuts, cuts[1:])]
+    assert calls[:4] == [
+        [m + sum(counts) for m, counts in sum(points[a:b], [])] for a, b in zip(cuts, cuts[1:])
     ]
     assert list(map(sum, calls[:4])) == [1806, 1890, 1260, 2310]
-    assert list(map(len, calls[4:])) == [10] * 10
+    assert calls[4:] == [[c.node_count for c in stack] for stack in state_stacks]
+    totals = list(map(sum, calls[4:]))
+    assert max(totals) <= 2000
+    assert all(total + stack[0].node_count > 2000
+               for total, stack in zip(totals, state_stacks[1:]))
     by_m = sorted(verify._random_states(20_000_101, 100, 50, 200), key=lambda c: c.m)
-    assert sum(stacks[4:], []) == by_m
+    assert sum(state_stacks, []) == by_m
 
 
 def test_criterion_6_makes_one_enumeration_pass_per_grid_point(monkeypatch):
