@@ -41,17 +41,17 @@ counts, edge counts and (E, 2) ends, and leaves them unchanged.
 Criterion 7 of :mod:`catlab.verify` runs its exhaustive grid through the
 array entry, from :func:`~catlab.caterpillar._adjacency_arrays`, and its
 random states through :func:`bfs_distance_sums_many`.  Each level ORs
-into every row the row of the node's first neighbour and, for the hubs
-(the nodes with two or more neighbours) only, the rows of their other
-neighbours, by ``np.bitwise_or.reduceat`` over a CSR list of open
-neighbourhoods sorted out of the edge lists.  A
-reduceat costs per segment, and most nodes of a sparse graph have one
-neighbour.  From the second level on, the row of a node with one
-neighbour sets no new bit in that neighbour's row, so a hub ORs in only
-its other neighbours that are hubs too, by one gathered row where it has
-one of them.  A graph's rows are at most four runs; the pairs each run
-has reached are ``np.bitwise_count`` summed by ``np.add.reduceat``, and
-the pairs at distance k are its gain at level k.  Only these per-level
+into every row the rows of the node's first and second neighbours (its
+own row where it has none) and, for the nodes with more, the rows of
+their other neighbours, by ``np.bitwise_or.reduceat`` over a CSR list of
+open neighbourhoods sorted out of the edge lists and written back by
+index.  A reduceat costs per segment, and most nodes of a sparse graph
+have one or two neighbours.  From the second level on, the row of a node
+with one neighbour sets no new bit in that neighbour's row, so past its
+first neighbour a node reads only neighbours of degree 2 or more.  Graph
+g's rows are one run, in its own node order; the pairs it has reached are
+``np.bitwise_count`` summed by ``np.add.reduceat`` from its first word,
+and the pairs at distance k are its gain at level k.  Only these per-level
 counts are kept, no distance table, and both distance sums are products
 of the count matrix with d and d^2.  A stack pays numpy's per-call cost
 once for all its graphs: criterion 7 runs whole points of its exhaustive
@@ -371,8 +371,9 @@ def _bfs_stack(sizes: list[int], edge_counts: list[int], read_ends) -> np.ndarra
             f" guard of {ENUMERATION_GUARD}"
         )
     words = -(-max(sizes) // 64)
-    # A level gathers each node's first neighbour (or the node itself) and
-    # every further neighbour of a hub: at most one row per node and per edge end.
+    # A level holds each node's first neighbour's row (or its own), then its
+    # second neighbours' or its further neighbours' rows: at most one row per
+    # node and per edge end where every node has a neighbour.
     total = sum(sizes)
     gathered = total + 2 * sum(edge_counts)
     if gathered * words > ENUMERATION_GUARD:
@@ -389,7 +390,8 @@ def _bfs_stack(sizes: list[int], edge_counts: list[int], read_ends) -> np.ndarra
     outside = (ends.view(np.uintp) >= bounds.view(np.uintp)[:, None]).nonzero()[0]
     if outside.size:
         raise DomainError(f"an edge end lies outside the nodes [0, {bounds[outside[0]]})")
-    # Graph g's nodes are first[g] .. first[g] + N_g - 1 in the stack.
+    # Graph g's nodes are first[g] .. first[g] + N_g - 1 in the stack, and
+    # its rows of the reached table are those rows, in that order.
     first = np.add.accumulate(sizes) - sizes
     # a new array: the caller's ends stay as they were
     ends = ends + first.repeat(edge_counts)[:, None]
@@ -397,85 +399,65 @@ def _bfs_stack(sizes: list[int], edge_counts: list[int], read_ends) -> np.ndarra
     by_tail = ends.ravel().argsort(kind="stable")
     tails = ends.ravel().take(by_tail)
     nbr = ends[:, ::-1].ravel().take(by_tail)
-    nodes = np.arange(total)
-    lengths = np.bincount(tails, minlength=total)
     del ends, bounds, by_tail
-    starts = np.add.accumulate(lengths) - lengths
-    has_nbr = lengths > 0
-    first_nbr = nodes.copy()
-    first_nbr[has_nbr] = nbr.take(starts[has_nbr])
-    later = np.ones(len(nbr), dtype=bool)
-    later[starts[has_nbr]] = False
-    # A level ORs into each row its first neighbour's row (its own if it has
-    # none), then, one reduceat segment per hub, its other neighbours' rows.
-    # From the second level on a hub ORs in only the other neighbours that
-    # are hubs too (for k >= 1, B_k(w) = {w} | B_{k-1}(u) lies in B_k(u)
-    # when u is w's one neighbour): by reduceat where it has two or more,
-    # by one gathered row where it has one.  The rows hold these two groups
-    # of hubs, then the other hubs, then the rest, so each reduce and gather
-    # ORs into one slice, not a fancy-indexed set of rows.
-    hub = lengths > 1
-    later_hub = later & hub.take(nbr)
-    more_hubs = np.bincount(tails[later_hub], minlength=total)
-    # The four groups are 0 to 3, int8, so that the stable argsort is a radix sort.
-    group = (3 - hub - np.minimum(more_hubs, 2)).astype(np.int8)
-    order = group.argsort(kind="stable")
-    multi, single, plain = np.bincount(group, minlength=4)[:3].tolist()
-    hubs = multi + single + plain
-    row = np.empty_like(order)
-    row[order] = nodes  # the row of each node
-    first_nbr = row.take(first_nbr.take(order))
-    tail_group = group.take(tails)
-    others = row.take(nbr[later].take(tail_group[later].argsort(kind="stable")))
-    multi_others = row.take(nbr[later_hub & (tail_group == 0)])
-    single_others = row.take(nbr[later_hub & (tail_group == 1)])
-    more = lengths.take(order[:hubs]) - 1
-    more_starts = np.add.accumulate(more) - more
-    more = more_hubs.take(order[:multi])
-    multi_starts = np.add.accumulate(more) - more
-    del nbr, tails, starts, lengths, has_nbr, later, hub, later_hub, more_hubs, group, row
-    del tail_group, more
-    graph = np.arange(stack).repeat(sizes).take(order)
-    local = order - first.take(graph)
-    # A graph's rows are at most four runs, one in each group; each run's
-    # words are summed from its first word by np.add.reduceat.
-    new_run = np.empty(len(graph), dtype=bool)
-    new_run[:1] = True
-    np.not_equal(graph[1:], graph[:-1], out=new_run[1:])
-    runs = new_run.nonzero()[0]
-    run_graph = graph.take(runs)
-    run_starts = runs * words
-    del order, first, graph, new_run, runs
+    nodes = np.arange(total)
+    degree = np.bincount(tails, minlength=total)
+    first_nbr, tails, nbr = _first_neighbours(tails, nbr, nodes)
+    # A level ORs into each row its own row, its first and second
+    # neighbours' rows (its own where it has none) and, one reduceat segment
+    # per node with more, its other neighbours' rows.  From the second level
+    # on a node reads, past its first neighbour, only its neighbours of
+    # degree 2 or more (for k >= 1, B_k(w) = {w} | B_{k-1}(u) lies in B_k(u)
+    # when u is w's one neighbour).
+    rules = []
+    for keep in (slice(None), degree.take(nbr) > 1):
+        second, rest, others = _first_neighbours(tails[keep], nbr[keep], nodes)
+        segments = np.flatnonzero(np.diff(rest, prepend=-1))
+        rules.append((second, rest.take(segments), others, segments))
+    del tails, nbr, degree, rest
+    # Graph g's words are one run from word first[g] * words; a 0-node graph
+    # has none, and counts 0 pairs.
+    filled = sizes > 0
+    first_words = first[filled] * words
+    local = nodes - first.repeat(sizes)
     # Little-endian words, so bit j of a row is bit j % 8 of byte j // 8.
     reached = np.zeros((total, words), dtype="<u8")
     reached.view(np.uint8)[nodes, local >> 3] = 1 << (local & 7)
-    del nodes, local
-    # Each run's reached pairs, level by level; reached only grows, so a
+    del first, local, nodes
+    # Each graph's reached pairs, level by level; reached only grows, so a
     # level's new pairs are the differences.
-    pairs = [np.add.reduceat(np.bitwise_count(reached).ravel(), run_starts, dtype=np.int64)]
+    pairs = [np.add.reduceat(np.bitwise_count(reached).ravel(), first_words, dtype=np.int64)]
     paired = total
-    reducing, gathering = hubs, 0
     while paired < cells:
+        second, hubs, others, segments = rules[0]
+        del rules[:-1]  # level 1's reads are needed once
         step = reached.take(first_nbr, axis=0)
         step |= reached
-        if reducing:
-            step[:reducing] |= np.bitwise_or.reduceat(
-                reached.take(others, axis=0), more_starts, axis=0
-            )
-        if gathering:
-            step[multi:multi + single] |= reached.take(single_others, axis=0)
-        pairs.append(np.add.reduceat(np.bitwise_count(step).ravel(), run_starts, dtype=np.int64))
+        step |= reached.take(second, axis=0)
+        if len(hubs):
+            step[hubs] |= np.bitwise_or.reduceat(reached.take(others, axis=0), segments, axis=0)
+        pairs.append(np.add.reduceat(np.bitwise_count(step).ravel(), first_words, dtype=np.int64))
         # A graph that gains no pair never gains one again, so a stalled
         # member shows once the others are done.
         now = int(np.add.reduce(pairs[-1]))
         if now == paired:
             raise DomainError("graph is disconnected: BFS did not reach every node")
         reached, paired = step, now
-        reducing, gathering, others, more_starts = multi, single, multi_others, multi_starts
-    per_run = np.diff(np.array(pairs), axis=0)
-    per_graph = np.zeros((stack, len(per_run)), dtype=np.int64)
-    np.add.at(per_graph, run_graph, per_run.T)
+    per_graph = np.zeros((stack, len(pairs) - 1), dtype=np.int64)
+    per_graph[filled] = np.diff(np.array(pairs), axis=0).T
     return per_graph
+
+
+def _first_neighbours(tails, nbr, nodes):
+    """Each node's first neighbour in the CSR list ``nbr`` of the sorted
+    nodes ``tails`` (the node itself where it lists none), and the rest of
+    the list."""
+    starts = np.flatnonzero(np.diff(tails, prepend=-1))
+    first = nodes.copy()
+    first[tails.take(starts)] = nbr.take(starts)
+    rest = np.ones(len(tails), dtype=bool)
+    rest[starts] = False
+    return first, tails[rest], nbr[rest]
 
 
 def bfs_distance_sums_many(graphs: Sequence[AdjacencyGraph]) -> list[tuple[int, int]]:

@@ -233,7 +233,7 @@ _FORMULA_INDICES = (IndexSpec("wiener"), IndexSpec("hyper_wiener"))
 # Nodes per stack of criterion 7's random states.  Their rows are up to four
 # words (N <= 250), and their edge tuples stay alive through the BFS: on
 # Python 3.11, at the grid's 2,310 nodes the criterion's tracemalloc peak
-# read 411 KiB, at 2,000 it reads 348 KiB, and the two ran within 0.5 ms.
+# reads 429 KiB, at 2,000 it reads 322 KiB, and the two ran within 0.5 ms.
 _STATE_STACK_NODES = 2000
 
 

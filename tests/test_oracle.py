@@ -418,10 +418,10 @@ def test_bfs_stack_matches_floyd_warshall(first, second):
 
 
 def test_bfs_first_neighbour_and_hub_split_matches_floyd_warshall():
-    """A level ORs in each node's first neighbour (its own row if it has
-    none) and reduces the other neighbours of the hubs only.  Mixed stacks
-    of nodes with no neighbour, with one (leaves, path ends) and hubs of
-    2 to 40 neighbours agree with brute force in every order."""
+    """A level ORs in each node's first and second neighbours (its own row
+    where it has none) and reduces the rest of its neighbours by index.
+    Mixed stacks of nodes with no neighbour, with one (leaves, path ends),
+    with two and with up to 40 agree with brute force in every order."""
     graphs = generic_graphs()
     mixed = [
         AdjacencyGraph(1, ()),
@@ -488,6 +488,15 @@ def test_bfs_stack_rejects_a_disconnected_member_and_mixed_sizes():
     graphs = [path, longer, *generic_graphs().values(), AdjacencyGraph(0, ()), path]
     assert bfs_levels(graphs) == [bfs_levels([g])[0] for g in graphs]
     assert bfs_distance_sums_many(graphs) == [bfs_distance_sums_many([g])[0] for g in graphs]
+    # A 0-node graph counts no pair at the end of a stack and in a stack of
+    # 0-node graphs only, through both entries.
+    empty = AdjacencyGraph(0, ())
+    for graphs in ([path, longer, empty], [empty], [empty] * 3):
+        sums = [bfs_distance_sums_many([g])[0] for g in graphs]
+        assert bfs_levels(graphs) == [bfs_levels([g])[0] for g in graphs]
+        assert bfs_distance_sums_many(graphs) == sums
+        assert oracle._bfs_distance_sums_arrays(*as_arrays(graphs)) == sums
+        assert sums[-1] == (0, 0)
     for graphs in ([longer, two_paths, path], [two_paths, longer]):
         with pytest.raises(DomainError, match="graph is disconnected"):
             bfs_distance_sums_many(graphs)

@@ -125,6 +125,43 @@ def test_criteria_3_to_5_fail_on_a_closed_form_biased_by_5_se(
     assert biased_z == pytest.approx(z + math.copysign(5, z), abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "criterion,key,run,bias",
+    [
+        ("criterion_wiener", "wiener", "summary_m50", "0.00156"),
+        ("criterion_hyper_wiener", "hyper_wiener", "summary_m50", "0.00317"),
+        ("criterion_randic", "randic:1", "summary_m200", "0.00040"),
+    ],
+)
+def test_criteria_3_to_5_fail_on_twice_the_readme_detectable_bias(
+    request, criterion, key, run, bias
+):
+    """README states the relative bias of the mean each of criteria 3-5 can
+    detect.  The default-seed run's index column scaled by 1 + delta, with
+    delta twice that bias, fails under both profiles in both directions,
+    and passes at delta = 0.  At 1.5 times, the seed's own z of about -1.9
+    would put the upward Wiener and hyper-Wiener z on the 4 SE band's edge."""
+    summary = request.getfixturevalue(run)
+    assert summary.config.seed == DEFAULT_SEED == 31415
+    check = getattr(verify, criterion)
+    column = summary.columns[key]
+    delta = 2 * Fraction(bias)
+    for sign in (0, 1, -1):
+        scaled = [value * (1 + sign * delta) for value in column]
+        run_scaled = dataclasses.replace(
+            summary,
+            columns={**summary.columns, key: scaled},
+            moments={**summary.moments, key: experiments._exact_moments(scaled)},
+        )
+        for profile in ("default", "strict"):
+            result = check(run_scaled, profile)
+            z = float(re.search(r"\(z=(.*)\)$", result.actual).group(1))
+            if sign:
+                assert result.verdict == "FAIL" and z * sign > verify.SE_BAND["default"]
+            else:
+                assert result.verdict == "PASS", (profile, z)
+
+
 def test_criterion_8_fails_on_a_compensator_off_by_n_over_m(monkeypatch):
     real = theory.martingale_compensator
     # a constant offset cancels in the residual; one growing with n does not
@@ -283,8 +320,10 @@ def test_criteria_8_and_9_make_one_evaluator_call_per_spine_length(monkeypatch, 
 
 
 def test_criterion_7_tracemalloc_peak_stays_below_400_kib():
-    """Stacks of 10 random states hold more rows at once than stacks of 5;
-    the whole criterion still peaks below 400 KiB."""
+    """The random states run in 7 stacks of at most 2,000 nodes, beside 4
+    grid stacks of at most 2,310.  The reading counts the random states'
+    edge tuples that CPython's free list of 2-tuples keeps as well as held
+    memory; the whole criterion still peaks below 400 KiB."""
     verify.criterion_formula_vs_bfs()
     tracemalloc.start()
     try:
