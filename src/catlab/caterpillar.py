@@ -381,17 +381,17 @@ def _adjacency_arrays(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ...  Its first ends are the spine's 0 .. m - 2, then each spine node
     once per leaf it holds.
     """
-    edge_counts, ends = [], []
+    edge_counts, firsts, times = [], [], []
     for counts in blocks:
         k, m = counts.shape
         # per row: each of 0 .. m - 2 once, then each of 0 .. m - 1 x_i times
-        times = np.ones((k, 2 * m - 1), dtype=np.int64)
-        times[:, m - 1:] = counts
-        firsts = np.tile(np.r_[0:m - 1, 0:m], k).repeat(times.ravel())
-        edges = counts.sum(axis=1) + (m - 1)
-        # a graph's edges are numbered from 1 in its own block of the stack
-        seconds = np.arange(1, len(firsts) + 1) - (np.add.accumulate(edges) - edges).repeat(edges)
-        edge_counts.append(edges)
-        ends.append(np.stack((firsts, seconds), axis=1))
-    edge_counts = np.concatenate(edge_counts)
-    return edge_counts + 1, edge_counts, np.concatenate(ends)
+        row_times = np.ones((k, 2 * m - 1), dtype=np.int64)
+        row_times[:, m - 1:] = counts
+        times.append(row_times.ravel())
+        firsts.append(np.tile(np.concatenate((np.arange(m - 1), np.arange(m))), k))
+        edge_counts.append(counts.sum(axis=1) + (m - 1))
+    edges = np.concatenate(edge_counts)
+    firsts = np.concatenate(firsts).repeat(np.concatenate(times))
+    # a graph's edges are numbered from 1 in its own block of the stack
+    seconds = np.arange(1, len(firsts) + 1) - (np.add.accumulate(edges) - edges).repeat(edges)
+    return edges + 1, edges, np.stack((firsts, seconds), axis=1)

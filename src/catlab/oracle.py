@@ -38,9 +38,9 @@ reads :class:`AdjacencyGraph` objects: it refuses a malformed node count
 or edge and flattens the stack's edges once into one list of ends.  The
 private :func:`_bfs_distance_sums_arrays` reads int arrays of node
 counts, edge counts and (E, 2) ends, and leaves them unchanged.
-Criterion 7 of :mod:`catlab.verify` runs its exhaustive grid through the
-array entry, from :func:`~catlab.caterpillar._adjacency_arrays`, and its
-random states through :func:`bfs_distance_sums_many`.  Each level ORs
+Criterion 7 of :mod:`catlab.verify` runs its exhaustive grid and its
+random states through the array entry, from
+:func:`~catlab.caterpillar._adjacency_arrays`.  Each level ORs
 into every row the rows of the node's first and second neighbours (its
 own row where it has none) and, for the nodes with more, the rows of
 their other neighbours, by ``np.bitwise_or.reduceat`` over a CSR list of

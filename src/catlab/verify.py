@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .caterpillar import Caterpillar, RngSeed, _adjacency_arrays, simulate_counts, to_adjacency
+from .caterpillar import Caterpillar, RngSeed, _adjacency_arrays, simulate_counts
 from .errors import DomainError
 from .experiments import (
     DEFAULT_SEED,
@@ -28,14 +28,8 @@ from .experiments import (
     run_mc,
     zagreb_normality,
 )
-from .indices import IndexSpec, compute_indices_batch, hyper_wiener, randic, wiener, zagreb
-from .oracle import (
-    _bfs_distance_sums_arrays,
-    _composition_blocks,
-    _enumerate_moments,
-    bfs_distance_sums_many,
-    one_step_means,
-)
+from .indices import IndexSpec, compute_indices_batch, randic, zagreb
+from .oracle import _bfs_distance_sums_arrays, _composition_blocks, _enumerate_moments, one_step_means
 from . import theory
 
 __all__ = [
@@ -231,9 +225,9 @@ def criterion_oracle_equivalence() -> CriterionResult:
 _FORMULA_INDICES = (IndexSpec("wiener"), IndexSpec("hyper_wiener"))
 
 # Nodes per stack of criterion 7's random states.  Their rows are up to four
-# words (N <= 250), and their edge tuples stay alive through the BFS: on
-# Python 3.11, at the grid's 2,310 nodes the criterion's tracemalloc peak
-# reads 429 KiB, at 2,000 it reads 322 KiB, and the two ran within 0.5 ms.
+# words (N <= 250); a stack holds its leaf-count arrays and no edge tuple.
+# On Python 3.11 the criterion's tracemalloc peak reads 392 KiB at the
+# grid's 2,310 nodes and 344 KiB at 2,000.
 _STATE_STACK_NODES = 2000
 
 
@@ -252,9 +246,11 @@ def _stacks(sizes, budget):
 
 
 def _formula_stacks():
-    """Criterion 7's stacks, each of which runs one all-sources BFS: the
+    """Criterion 7's stacks, each of which runs one all-sources BFS, as lists
+    of int64 leaf-count matrices, one per run of equal spine length: the
     exhaustive grid's points (m, n), whole and in (m, n) order, then the
-    random states, sorted by m.
+    random states, sorted by m.  A stack's matrices are built when it is
+    reached.
 
     Every state of a grid point has N = m + n nodes.  A grid stack holds at
     most the nodes of the largest point, (5, 6), so the peak memory stays
@@ -268,44 +264,31 @@ def _formula_stacks():
     nodes = [math.comb(n + m - 1, m - 1) * (m + n) for m, n in grid]
     states = sorted(_random_states(20_000_101, 100, 50, 200), key=lambda c: c.m)
     sizes = [c.node_count for c in states]
-    return (
-        [[grid[k] for k in run] for run in _stacks(nodes, max(nodes))],
-        [[states[k] for k in run] for run in _stacks(sizes, _STATE_STACK_NODES)],
-    )
+    for run in _stacks(nodes, max(nodes)):
+        yield [
+            np.concatenate([
+                next(_composition_blocks(n, m, math.comb(n + m - 1, m - 1))) for _, n in group
+            ])
+            for m, group in itertools.groupby((grid[k] for k in run), key=lambda point: point[0])
+        ]
+    for run in _stacks(sizes, _STATE_STACK_NODES):
+        yield [
+            np.array([c.leaf_counts for c in group], dtype=np.int64)
+            for _, group in itertools.groupby((states[k] for k in run), key=lambda c: c.m)
+        ]
 
 
-def _grid_failures(points) -> list[str]:
-    """Criterion 7 on one stack of grid points: the batch evaluator's Wiener
-    and hyper-Wiener of each point's compositions against one BFS of the
-    stack, built from its leaf-count matrices, one per spine length."""
-    blocks = [
-        np.concatenate([
-            next(_composition_blocks(n, m, math.comb(n + m - 1, m - 1))) for _, n in group
-        ])
-        for m, group in itertools.groupby(points, key=lambda point: point[0])
-    ]
+def _stack_failures(blocks) -> list[str]:
+    """Criterion 7 on one stack of leaf-count matrices: the failure texts of
+    the states whose batch Wiener and hyper-Wiener differ from their sums
+    (of d, of d^2) in one BFS of the stack."""
     states = ((counts.shape[1], row) for counts in blocks for row in counts.tolist())
     formulas = itertools.chain.from_iterable(
         zip(*compute_indices_batch(counts, _FORMULA_INDICES)) for counts in blocks
     )
-    return _mismatches(states, formulas, _bfs_distance_sums_arrays(*_adjacency_arrays(blocks)))
-
-
-def _state_failures(states) -> list[str]:
-    """Criterion 7 on one stack of random states: the scalar Wiener and
-    hyper-Wiener of each state against one BFS of their adjacency lists."""
-    return _mismatches(
-        ((c.m, c.leaf_counts) for c in states),
-        ((wiener(c), hyper_wiener(c)) for c in states),
-        bfs_distance_sums_many([to_adjacency(c) for c in states]),
-    )
-
-
-def _mismatches(states, formulas, sums) -> list[str]:
-    """The failure texts of the states (m, leaf counts) whose formula values
-    (Wiener, hyper-Wiener) differ from their BFS sums (of d, of d^2)."""
+    sums = _bfs_distance_sums_arrays(*_adjacency_arrays(blocks))
     failures = []
-    for (m, counts), (w, wh), (total, total_sq) in zip(states, formulas, sums):
+    for (m, counts), (w, wh), (total, total_sq) in zip(states, formulas, sums, strict=True):
         if w != total:
             failures.append(f"wiener {m},{tuple(counts)}")
         if wh != total + total_sq:
@@ -314,16 +297,12 @@ def _mismatches(states, formulas, sums) -> list[str]:
 
 
 def criterion_formula_vs_bfs() -> CriterionResult:
-    """The O(m) Wiener and hyper-Wiener formulas against a generic BFS: the
-    batch evaluator on the exhaustive grid (m <= 5, n <= 6), one leaf-count
-    array stack at a time, and the scalar index functions on 100 random
-    states, through :func:`~catlab.caterpillar.to_adjacency`."""
-    grid_stacks, state_stacks = _formula_stacks()
+    """The O(m) Wiener and hyper-Wiener formulas of the batch evaluator
+    against a generic BFS, on the exhaustive grid (m <= 5, n <= 6) and on
+    100 random states, one leaf-count array stack at a time."""
     failures = []
-    for points in grid_stacks:
-        failures += _grid_failures(points)
-    for states in state_stacks:
-        failures += _state_failures(states)
+    for blocks in _formula_stacks():
+        failures += _stack_failures(blocks)
     return CriterionResult(
         cid="7-formula-vs-bfs",
         quantity="O(m) Wiener/hyper-Wiener vs BFS oracle",
@@ -348,7 +327,7 @@ def criterion_martingale() -> CriterionResult:
     states = list(_random_states(20_000_102, 100, 20, 100))
     bad = sum(
         1
-        for c, mean in zip(states, one_step_means(states, "zagreb"))
+        for c, mean in zip(states, one_step_means(states, "zagreb"), strict=True)
         if mean + theory.martingale_compensator(c.m, c.n + 1)
         != zagreb(c) + theory.martingale_compensator(c.m, c.n)
     )
@@ -367,7 +346,7 @@ def criterion_supermartingale() -> CriterionResult:
     states = list(_random_states(20_000_103, 100, 20, 100))
     bad = sum(
         1
-        for c, mean in zip(states, one_step_means(states, "randic:1"))
+        for c, mean in zip(states, one_step_means(states, "randic:1"), strict=True)
         if mean < theory.randic_supermartingale_bound(c.m, c.n + 1, randic(c, 1))
     )
     return CriterionResult(

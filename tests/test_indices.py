@@ -28,7 +28,14 @@ from catlab.indices import (
     wiener,
     zagreb,
 )
-from catlab.oracle import compositions, hyper_wiener_bfs, one_step_successors, wiener_bfs
+from catlab.oracle import (
+    bfs_distance_sums_many,
+    compositions,
+    hyper_wiener_bfs,
+    one_step_successors,
+    wiener_bfs,
+)
+from catlab.verify import _random_states
 from conftest import sampled
 
 
@@ -183,6 +190,11 @@ def test_distance_formulas_match_bfs_random_states():
         g = to_adjacency(c)
         assert wiener(c) == wiener_bfs(g)
         assert hyper_wiener(c) == hyper_wiener_bfs(g)
+    # criterion 7 checks the batch evaluator on its 100 random states; the
+    # scalar functions match one stacked BFS of the same states
+    states = list(_random_states(20_000_101, 100, 50, 200))
+    sums = bfs_distance_sums_many([to_adjacency(c) for c in states])
+    assert [(wiener(c), hyper_wiener(c)) for c in states] == [(w, w + w2) for w, w2 in sums]
 
 
 def test_monotone_growth_one_step():

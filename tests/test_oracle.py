@@ -6,6 +6,7 @@ import operator
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -443,6 +444,49 @@ def test_bfs_first_neighbour_and_hub_split_matches_floyd_warshall():
     for k in range(len(mixed) + 1):
         with pytest.raises(DomainError, match="graph is disconnected"):
             bfs_distance_sums_many(mixed[:k] + [isolated] + mixed[k:])
+
+
+class ReduceatRows:
+    """A stand-in for ``oracle.np``: numpy, except that it records how many
+    rows each ``np.bitwise_or.reduceat`` call reads."""
+
+    def __init__(self):
+        self.rows = []
+        self.bitwise_or = SimpleNamespace(reduceat=self.reduceat)
+
+    def reduceat(self, rows, segments, axis=0):
+        self.rows.append(len(rows))
+        return np.bitwise_or.reduceat(rows, segments, axis=axis)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_bfs_reduces_only_neighbours_of_degree_2_or_more_after_level_1(monkeypatch):
+    """Past its first and second neighbours, a node reduces all its other
+    neighbours' rows at level 1, but from level 2 on only those of degree 2
+    or more: a leaf's row then sets no new bit in its one neighbour's.  The
+    edges are listed leaves first, so the hub's first neighbour is a leaf:
+    at level 1 it reduces 7 leaves and both spine neighbours, later one
+    spine neighbour."""
+    c = Caterpillar(4, (2, 9, 1, 2))
+    g = AdjacencyGraph(c.node_count, to_adjacency(c).edges[::-1])
+    neighbours = [[] for _ in range(g.node_count)]
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    # rows reduced per level: the neighbours past the first two, of any
+    # degree at level 1 and of degree 2 or more, past the first, later
+    level_1 = sum(max(len(nbr) - 2, 0) for nbr in neighbours)
+    later = sum(
+        max(sum(len(neighbours[u]) > 1 for u in nbr[1:]) - 1, 0) for nbr in neighbours
+    )
+    assert (level_1, later) == (12, 2)
+    counting = ReduceatRows()
+    monkeypatch.setattr(oracle, "np", counting)
+    # leaf to leaf across the 4-node spine is the diameter, 5
+    assert oracle._bfs_levels([g]).shape == (1, 5)
+    assert counting.rows == [level_1] + [later] * 4
 
 
 @pytest.mark.parametrize("count", [-3, 2.5, True, False, np.bool_(True), "3", None])

@@ -9,6 +9,7 @@ Monte Carlo run.
 """
 
 import dataclasses
+import itertools
 import math
 import re
 import tracemalloc
@@ -54,7 +55,7 @@ def test_criterion_6_fails_when_an_erratum_offset_is_missing(monkeypatch):
 
 
 def one_batch_value_off(monkeypatch, column, m, counts):
-    """Add 1 to the batch evaluator's ``column`` of criterion 7 at one grid state."""
+    """Add 1 to the batch evaluator's ``column`` of criterion 7 at one state."""
     real = verify.compute_indices_batch
 
     def off(block, specs):
@@ -81,15 +82,36 @@ def test_criterion_7_fails_on_one_wrong_batch_hyper_wiener_value(monkeypatch):
     assert result.actual == "hyper_wiener 5,(0, 2, 0, 0, 4)"
 
 
-def test_criterion_7_fails_on_one_wrong_scalar_wiener_value_of_a_random_state(monkeypatch):
-    """The grid reads the batch evaluator; the random states read the scalar
-    index functions, so a fault there is seen too, and named."""
+@pytest.mark.parametrize("column, index", [(0, "wiener"), (1, "hyper_wiener")],
+                         ids=["wiener", "hyper_wiener"])
+def test_criterion_7_fails_on_one_wrong_batch_value_of_a_random_state(monkeypatch, column, index):
+    """The random states run through the batch evaluator like the grid, so
+    a fault there at one random state is seen too, and the state named."""
     state = list(verify._random_states(20_000_101, 100, 50, 200))[37]
-    real = verify.wiener
-    monkeypatch.setattr(verify, "wiener", lambda c: real(c) + (c == state))
+    one_batch_value_off(monkeypatch, column, state.m, state.leaf_counts)
     result = verify.criterion_formula_vs_bfs()
     assert result.verdict == "FAIL"
-    assert result.actual == f"wiener {state.m},{state.leaf_counts}"
+    assert result.actual == f"{index} {state.m},{state.leaf_counts}"
+
+
+def test_criterion_7_raises_on_a_bfs_stream_one_sum_short(monkeypatch):
+    """A BFS that drops each stack's last state's sums is an error, not a
+    pass over the states it did return."""
+    real = verify._bfs_distance_sums_arrays
+    monkeypatch.setattr(verify, "_bfs_distance_sums_arrays", lambda *arrays: real(*arrays)[:-1])
+    with pytest.raises(ValueError, match="shorter"):
+        verify.criterion_formula_vs_bfs()
+
+
+@pytest.mark.parametrize("criterion", [verify.criterion_martingale,
+                                       verify.criterion_supermartingale])
+def test_criteria_8_and_9_raise_on_one_step_means_one_short(monkeypatch, criterion):
+    """One-step means that drop the last state's mean are an error, not a
+    pass over the states they did return."""
+    real = verify.one_step_means
+    monkeypatch.setattr(verify, "one_step_means", lambda states, index: real(states, index)[:-1])
+    with pytest.raises(ValueError, match="shorter"):
+        criterion()
 
 
 @pytest.mark.parametrize(
@@ -247,7 +269,8 @@ def test_criterion_7_stacks_whole_grid_points_within_the_largest_point(monkeypat
     2,310 nodes of the largest point, (5, 6); the 100 random states, of
     mixed sizes and sorted by m, run as 7 stacks of at most 2,000 nodes,
     each by the same rule: a stack closes when the next item would take it
-    past its budget."""
+    past its budget.  Every stack makes one evaluator call per run of
+    equal spine length."""
     calls, shapes = [], []
     real = oracle._bfs_stack
     monkeypatch.setattr(
@@ -260,26 +283,32 @@ def test_criterion_7_stacks_whole_grid_points_within_the_largest_point(monkeypat
         lambda counts, specs: shapes.append(counts.shape) or real_batch(counts, specs),
     )
     assert verify.criterion_formula_vs_bfs().verdict == "PASS"
-    grid_stacks, state_stacks = verify._formula_stacks()
-    assert len(calls) == 11
-    # one evaluator call per spine length of each grid stack
-    assert shapes == [(28, 2), (84, 3), (126, 4), (84, 4), (126, 5), (126, 5), (210, 5)]
+    stacks = list(verify._formula_stacks())
+    assert len(calls) == len(stacks) == 11
+    # each stack's states as (m, leaf counts), in the order the BFS reads them
+    states = [
+        [(counts.shape[1], tuple(row)) for counts in blocks for row in counts.tolist()]
+        for blocks in stacks
+    ]
+    assert calls == [[m + sum(counts) for m, counts in stack] for stack in states]
+    assert shapes == [
+        (len(list(run)), m) for stack in states
+        for m, run in itertools.groupby(length for length, _ in stack)
+    ]
+    assert shapes[:7] == [(28, 2), (84, 3), (126, 4), (84, 4), (126, 5), (126, 5), (210, 5)]
     grid = [(m, n) for m in range(2, 6) for n in range(7)]
-    points = [[(m, counts) for counts in oracle.compositions(n, m)] for m, n in grid]
+    points = [[(m, tuple(counts)) for counts in oracle.compositions(n, m)] for m, n in grid]
     assert max(len(point) * (m + n) for point, (m, n) in zip(points, grid)) == 2310
     cuts = [0, 20, 26, 27, 28]  # (2, 0) .. (4, 5), (4, 6) .. (5, 4), (5, 5), (5, 6)
-    assert grid_stacks == [grid[a:b] for a, b in zip(cuts, cuts[1:])]
-    assert calls[:4] == [
-        [m + sum(counts) for m, counts in sum(points[a:b], [])] for a, b in zip(cuts, cuts[1:])
-    ]
+    assert states[:4] == [sum(points[a:b], []) for a, b in zip(cuts, cuts[1:])]
     assert list(map(sum, calls[:4])) == [1806, 1890, 1260, 2310]
-    assert calls[4:] == [[c.node_count for c in stack] for stack in state_stacks]
     totals = list(map(sum, calls[4:]))
     assert max(totals) <= 2000
-    assert all(total + stack[0].node_count > 2000
-               for total, stack in zip(totals, state_stacks[1:]))
+    assert all(total + nodes[0] > 2000 for total, nodes in zip(totals, calls[5:]))
     by_m = sorted(verify._random_states(20_000_101, 100, 50, 200), key=lambda c: c.m)
-    assert sum(state_stacks, []) == by_m
+    assert sum(states[4:], []) == [(c.m, c.leaf_counts) for c in by_m]
+    # the random stacks' evaluator calls: one per distinct m of each stack
+    assert len(shapes) - 7 == sum(len({m for m, _ in stack}) for stack in states[4:])
 
 
 def test_criterion_6_makes_one_enumeration_pass_per_grid_point(monkeypatch):
@@ -321,9 +350,8 @@ def test_criteria_8_and_9_make_one_evaluator_call_per_spine_length(monkeypatch, 
 
 def test_criterion_7_tracemalloc_peak_stays_below_400_kib():
     """The random states run in 7 stacks of at most 2,000 nodes, beside 4
-    grid stacks of at most 2,310.  The reading counts the random states'
-    edge tuples that CPython's free list of 2-tuples keeps as well as held
-    memory; the whole criterion still peaks below 400 KiB."""
+    grid stacks of at most 2,310, each from its own leaf-count arrays; the
+    whole criterion peaks below 400 KiB."""
     verify.criterion_formula_vs_bfs()
     tracemalloc.start()
     try:
