@@ -228,9 +228,9 @@ def fits_int64(m: int, n: int) -> bool:
       Gini row sums and denominators stay below 6 N^2.
 
     Only the Wiener and hyper-Wiener row sums can pass 2^63; :func:`_row_sums`
-    takes them in 32-bit limbs, exact for fewer than 2^31 terms a row,
-    which the bound implies (m^3 < 2^63).  Holds at (10^4, 10^6), where
-    hyper-Wiener reaches 8.5e18; at n = 0 it first fails at m = 2^21.
+    takes them in 32-bit limbs, exact within the bound (m^3 < 2^63 and
+    N^2 < 2^63 / 6).  Holds at (10^4, 10^6), where hyper-Wiener reaches
+    8.5e18; at n = 0 it first fails at m = 2^21.
     """
     size = n + m
     return size * size * max(m + 1, 6) < 2**63
@@ -242,16 +242,21 @@ def _check_int64(m: int, n: int) -> None:
         raise DomainError("batched index evaluation needs int64 counts within fits_int64")
 
 
-def _row_sums(terms: np.ndarray) -> list[int]:
-    """Exact row sums of an int64 matrix as Python ints, from 32-bit limbs.
+def _row_sums(terms: np.ndarray, added: np.ndarray, factor: int = 1) -> list[int]:
+    """``factor`` times each row's sum of an int64 matrix plus its int64
+    ``added`` term, exactly, as Python ints, from 32-bit limbs.
 
-    The low limbs (t & 0xFFFFFFFF) and the high limbs (t >> 32, an
-    arithmetic shift, so negative terms stay exact) are summed apart in
-    int64, which cannot overflow for fewer than 2^31 terms a row.
+    The low limbs (t & 0xFFFFFFFF), with ``added``, and the high limbs
+    (t >> 32, an arithmetic shift, so negative terms stay exact) are summed
+    apart in int64.  Within :func:`fits_int64`, m^3 < 2^63, so a row has
+    m - 1 < 2^21 terms and its low limbs sum below 2^53; the Wiener and
+    hyper-Wiener batches add their pendant-edge terms, below 1.5 N^2 < 2^61
+    as N^2 < 2^63 / 6, so no low sum reaches 2^63.
     """
-    low = (terms & 0xFFFFFFFF).sum(axis=1).tolist()
+    low = (terms & 0xFFFFFFFF).sum(axis=1)
+    low += added
     high = (terms >> 32).sum(axis=1).tolist()
-    return [(h << 32) + lo for h, lo in zip(high, low)]
+    return [factor * ((h << 32) + lo) for h, lo in zip(high, low.tolist())]
 
 
 class _term:
@@ -282,11 +287,6 @@ class _BlockTerms:
         self.counts = counts
         self.m = counts.shape[1]
         self.n = n
-
-    @_term
-    def totals(self) -> list[int]:
-        """n as Python ints."""
-        return self.n.tolist()
 
     @_term
     def size(self) -> np.ndarray:
@@ -355,9 +355,10 @@ def _randic_batch(t: _BlockTerms) -> list[int]:
 
 
 def _wiener_batch(t: _BlockTerms) -> list[int]:
-    """:func:`wiener` of every row: each spine edge adds L R, each pendant edge N - 1."""
-    m = t.m
-    return [k * (k + m - 1) + s for k, s in zip(t.totals, _row_sums(t.left * t.right))]
+    """:func:`wiener` of every row: each spine edge adds L R, each of the
+    n pendant edges N - 1, so n (n + m - 1) in all."""
+    n = t.n
+    return _row_sums(t.left * t.right, n * (n + t.m - 1))
 
 
 def _hyper_wiener_batch(t: _BlockTerms) -> list[int]:
@@ -366,16 +367,14 @@ def _hyper_wiener_batch(t: _BlockTerms) -> list[int]:
     As in :func:`_distance_sums`, spine edge i adds L R to sum d, and shares
     (the earlier spine edges' L + the leaves among its L) R pairs with the
     edges on its left and (leaves on its right) L with the pendant edges on
-    its right.  Any two pendant edges share one pair.
+    its right.  The n pendant edges add n (n + m - 1) to sum d, and any two
+    of them share one pair.
     """
-    m = t.m
+    n = t.n
     left, left_leaves = t.left, t.left_leaves
     reach = np.cumsum(left, axis=1) + left_leaves  # L + earlier L's + leaves among L
-    terms = reach * t.right + (t.n[:, None] - left_leaves) * left
-    return [
-        2 * (k * (k + m - 1) + k * (k - 1) // 2 + s)
-        for k, s in zip(t.totals, _row_sums(terms))
-    ]
+    terms = reach * t.right + (n[:, None] - left_leaves) * left
+    return _row_sums(terms, n * (n + t.m - 1) + n * (n - 1) // 2, 2)
 
 
 def compute_indices_batch(counts: np.ndarray, specs: Sequence[IndexSpec]) -> list[list]:

@@ -30,33 +30,37 @@ The BFS oracle is a generic graph algorithm that knows nothing of spines or
 leaves, so it stays independent of the edge-cut formula it checks.  It runs
 one level-synchronous BFS from every node at once, over a stack of G graphs
 with node counts N_g laid out block-diagonally: node v of graph g is node
-N_0 + ... + N_{g-1} + v of the stack, and its reached set is a row of
-ceil(max N_g / 64) uint64 words.  Two entries share one core,
-:func:`_bfs_stack`, which holds the guards and the per-end bounds check
-and reads node counts and edge ends only.  :func:`bfs_distance_sums_many`
-reads :class:`AdjacencyGraph` objects: it refuses a malformed node count
-or edge and flattens the stack's edges once into one list of ends.  The
-private :func:`_bfs_distance_sums_arrays` reads int arrays of node
-counts, edge counts and (E, 2) ends, and leaves them unchanged.
-Criterion 7 of :mod:`catlab.verify` runs its exhaustive grid and its
-random states through the array entry, from
-:func:`~catlab.caterpillar._adjacency_arrays`.  Each level ORs
-into every row the rows of the node's first and second neighbours (its
-own row where it has none) and, for the nodes with more, the rows of
-their other neighbours, by ``np.bitwise_or.reduceat`` over a CSR list of
-open neighbourhoods sorted out of the edge lists and written back by
-index.  A reduceat costs per segment, and most nodes of a sparse graph
-have one or two neighbours.  From the second level on, the row of a node
-with one neighbour sets no new bit in that neighbour's row, so past its
-first neighbour a node reads only neighbours of degree 2 or more.  Graph
-g's rows are one run, in its own node order; the pairs it has reached are
-``np.bitwise_count`` summed by ``np.add.reduceat`` from its first word,
-and the pairs at distance k are its gain at level k.  Only these per-level
-counts are kept, no distance table, and both distance sums are products
-of the count matrix with d and d^2.  A stack pays numpy's per-call cost
-once for all its graphs: criterion 7 runs whole points of its exhaustive
-grid as one stack while its nodes stay within the largest point's, and
-its random states, sorted by spine length, in stacks of up to 2,000 nodes.
+N_0 + ... + N_{g-1} + v of the stack, and a reached set is a row of
+ceil(max N_g / 64) uint64 words, one bit per node of its graph.  Two
+entries share one core, :func:`_bfs_stack`, which holds the guards and the
+per-end bounds check and reads node counts and edge ends only.
+:func:`bfs_distance_sums_many` reads :class:`AdjacencyGraph` objects: it
+refuses a malformed node count or edge and flattens the stack's edges once
+into one list of ends.  The private :func:`_bfs_distance_sums_arrays`
+reads int arrays of node counts, edge counts and (E, 2) ends, and leaves
+them unchanged.  Criterion 7 of :mod:`catlab.verify` runs its exhaustive
+grid and its random states through the array entry, from
+:func:`~catlab.caterpillar._adjacency_arrays`.
+
+Only the non-pendant nodes have rows.  A pendant is a node w of degree 1
+whose one neighbour u has degree 2 or more: every leaf of a caterpillar and,
+but in K_2, every leafless spine end, 78% of criterion 7's random states'
+nodes.  In any graph B_k(w) = {w} | B_{k-1}(u), so w's row would hold
+nothing that u's rows do not.  Level 1 is written straight from the edge
+list: each row gets its own bit and every neighbour's, by
+``np.bitwise_or.at``.  From level 2 on, a row ORs in its own row and the
+rows of its first and second non-pendant neighbours (its own where it has
+none) and, for the rows with more, the rows of the others, unbuffered; a
+caterpillar's spine nodes have at most two such neighbours.  Graph g's rows
+are one run, in its own node order.  The pairs it has reached by level k
+are its rows' popcounts plus, for each row, its pendants times its popcount
+at level k - 1 (times 2 at level 1): one ``np.add.reduceat`` of popcounts
+weighted to carry both sums in one int64 a graph.  The pairs at distance k
+are the gain at level k.  Only these per-level counts are kept, no distance
+table, and both distance sums are products of the count matrix with d and
+d^2.  A stack pays numpy's per-call cost once for all its graphs: criterion
+7 runs whole points of its exhaustive grid, and its random states sorted by
+spine length, in stacks of up to 4,500 nodes.
 
 The one-step law, :func:`one_step_means`, is the exact mean of any index
 over the m successors of each of many states, evaluated as one batch of
@@ -353,6 +357,11 @@ def _bfs_stack(sizes: list[int], edge_counts: list[int], read_ends) -> np.ndarra
     pairs and the gathered neighbour rows of ceil(max N_g / 64) words must
     stay within ``ENUMERATION_GUARD`` cells, and every end within its own
     graph's nodes (else :class:`DomainError`).
+
+    Only non-pendant nodes have a row of the reached table.  A pendant is a
+    node of degree 1 whose one neighbour u has degree 2 or more, and
+    B_k(w) = {w} | B_{k-1}(u) for any graph, so its row would hold nothing
+    that u's rows do not: its counts are read off u's previous level.
     """
     stack = len(sizes)
     if not stack:
@@ -371,9 +380,8 @@ def _bfs_stack(sizes: list[int], edge_counts: list[int], read_ends) -> np.ndarra
             f" guard of {ENUMERATION_GUARD}"
         )
     words = -(-max(sizes) // 64)
-    # A level holds each node's first neighbour's row (or its own), then its
-    # second neighbours' or its further neighbours' rows: at most one row per
-    # node and per edge end where every node has a neighbour.
+    # The table has at most one row per node, and a level gathers at most
+    # one row per row and per edge end.
     total = sum(sizes)
     gathered = total + 2 * sum(edge_counts)
     if gathered * words > ENUMERATION_GUARD:
@@ -381,83 +389,128 @@ def _bfs_stack(sizes: list[int], edge_counts: list[int], read_ends) -> np.ndarra
             f"BFS neighbour rows of {gathered} x {words} words exceed the"
             f" guard of {ENUMERATION_GUARD}"
         )
+    # Within the guards the stack has fewer than 10^7 nodes and edge ends,
+    # and its table fewer than 8 x 10^7 bytes, so int32 holds every node,
+    # row and byte number.  numpy turns an int32 index array into intp on
+    # each use, so only arrays held through the set-up are int32, and each
+    # is dropped once read: criterion 7's stacks of 4,500 nodes stay within
+    # its test's 400 KiB tracemalloc peak that way.
+    sizes = np.array(sizes, dtype=np.int32)
     # Each end within its own graph's nodes: an end of N_g would reach the
     # next graph's rows.  As unsigned, a negative end reads at least 2^63.
-    sizes = np.array(sizes, dtype=np.intp)
-    bounds = sizes.repeat(edge_counts)
-    # a narrower int (numpy int8 ends) would wrap on the shift below
-    ends = read_ends().astype(np.intp, copy=False)
-    outside = (ends.view(np.uintp) >= bounds.view(np.uintp)[:, None]).nonzero()[0]
-    if outside.size:
-        raise DomainError(f"an edge end lies outside the nodes [0, {bounds[outside[0]]})")
-    # Graph g's nodes are first[g] .. first[g] + N_g - 1 in the stack, and
-    # its rows of the reached table are those rows, in that order.
-    first = np.add.accumulate(sizes) - sizes
-    # a new array: the caller's ends stay as they were
-    ends = ends + first.repeat(edge_counts)[:, None]
-    # CSR list of open neighbourhoods, sorted by node.
-    by_tail = ends.ravel().argsort(kind="stable")
-    tails = ends.ravel().take(by_tail)
-    nbr = ends[:, ::-1].ravel().take(by_tail)
-    del ends, bounds, by_tail
-    nodes = np.arange(total)
+    bounds = sizes.astype(np.uint32).repeat(edge_counts)
+    ends = read_ends()
+    outside = ends.astype(np.intp, copy=False).view(np.uintp) >= bounds[:, None]
+    if outside.any():
+        raise DomainError(
+            f"an edge end lies outside the nodes [0, {bounds[outside.nonzero()[0][0]]})"
+        )
+    del bounds, outside
+    # Graph g's nodes are first[g] .. first[g] + N_g - 1 in the stack.  Each
+    # edge end as a node of the stack, widened before the shift (numpy int8
+    # ends would wrap) into a new array, so the caller's ends stay; and the
+    # other end of its edge.
+    first = np.add.accumulate(sizes, dtype=np.int32) - sizes
+    tails = ends.astype(np.int32).ravel()
+    tails += first.repeat(edge_counts).repeat(2)
+    heads = tails.reshape(-1, 2)[:, ::-1].ravel()
+    # A self-loop adds 2 to its node's degree, and a repeated edge 1 to each
+    # end's, so neither leaves a pendant.  Each other node keeps a row, in
+    # node order, and counts its pendant neighbours.
     degree = np.bincount(tails, minlength=total)
-    first_nbr, tails, nbr = _first_neighbours(tails, nbr, nodes)
-    # A level ORs into each row its own row, its first and second
-    # neighbours' rows (its own where it has none) and, one reduceat segment
-    # per node with more, its other neighbours' rows.  From the second level
-    # on a node reads, past its first neighbour, only its neighbours of
-    # degree 2 or more (for k >= 1, B_k(w) = {w} | B_{k-1}(u) lies in B_k(u)
-    # when u is w's one neighbour).
-    rules = []
-    for keep in (slice(None), degree.take(nbr) > 1):
-        second, rest, others = _first_neighbours(tails[keep], nbr[keep], nodes)
-        segments = np.flatnonzero(np.diff(rest, prepend=-1))
-        rules.append((second, rest.take(segments), others, segments))
-    del tails, nbr, degree, rest
-    # Graph g's words are one run from word first[g] * words; a 0-node graph
-    # has none, and counts 0 pairs.
+    pendant = (degree == 1).take(tails)
+    pendant &= (degree > 1).take(heads)
+    del degree
+    kept = np.ones(total, dtype=bool)
+    kept[tails[pendant]] = False
+    pendants = np.bincount(heads[pendant], minlength=total)[kept]
+    rows = len(pendants)
+    row = np.add.accumulate(kept, dtype=np.int32) - 1
+    # The ends with a row (all but the pendants' own) as rows, and the other
+    # ends of their edges as nodes.
+    tails = row.take(tails[~pendant])
+    heads = heads[~pendant]
+    del pendant
+    # From level 2 on, a row ORs in its own row and its non-pendant
+    # neighbours' rows: for k >= 2 a pendant neighbour's B_{k-1} lies in the
+    # row's own.  Its first and second such neighbours' rows (its own where
+    # it has none) are two gathers; the rows with more (none in a
+    # caterpillar) OR in the rest unbuffered, a row once per neighbour.
+    inner = kept.take(heads)
+    nodes = np.arange(rows)
+    first_nbr, hubs, others = _first_neighbours(tails[inner], row.take(heads[inner]), nodes)
+    second, hubs, others = _first_neighbours(hubs, others, nodes)
+    del inner, row, nodes
+    # Level 1, from the edge list: each row gets its own bit and every
+    # neighbour's.  Little-endian words, so bit j of row r is bit j % 8 of
+    # byte 8 * words * r + j // 8.  A row's own bits are one a row; its
+    # neighbours' can share a byte, so they are ORed in unbuffered.
+    reached = np.zeros((rows, words), dtype="<u8")
+    table = reached.view(np.uint8).reshape(-1)
+    column = np.arange(total, dtype=np.int32) - first.repeat(sizes)
+    own = column[kept]
+    table[8 * words * np.arange(rows) + (own >> 3)] = 1 << (own & 7)
+    column = column.take(heads)
+    del own, heads
+    tails *= 8 * words
+    tails += column >> 3
+    np.bitwise_or.at(table, tails, 1 << (column & 7).astype(np.uint8))
+    del table, tails, column
+    # Graph g's rows are one run, and so are their words; a 0-node graph has
+    # none, and counts 0 pairs.
     filled = sizes > 0
-    first_words = first[filled] * words
-    local = nodes - first.repeat(sizes)
-    # Little-endian words, so bit j of a row is bit j % 8 of byte j // 8.
-    reached = np.zeros((total, words), dtype="<u8")
-    reached.view(np.uint8)[nodes, local >> 3] = 1 << (local & 7)
-    del first, local, nodes
-    # Each graph's reached pairs, level by level; reached only grows, so a
-    # level's new pairs are the differences.
-    pairs = [np.add.reduceat(np.bitwise_count(reached).ravel(), first_words, dtype=np.int64)]
-    paired = total
+    first_rows = (np.add.accumulate(kept) - kept)[first[filled]]
+    first_words = first_rows * words
+    # Graph g's ordered pairs within distance k are the sum S_k of |B_k(v)|
+    # over its rows plus, for each pendant w of a row u, |B_k(w)|: that is
+    # |B_{k-1}(u)| from k = 2 on, so the sum T_{k-1} of l_v |B_{k-1}(v)|
+    # over its rows, l_v being v's pendants; B_1(w) = {w, u}, so T_0 is
+    # twice its pendants.  One reduceat of the words weighted 1 + l_v 2^32
+    # gives S_k + 2^32 T_k: each is at most the guarded pairs, below 2^32.
+    weights = (1 + (pendants << 32)).repeat(words)
+    levels = []
+    paired, lag = total, 2 * int(np.add.reduce(pendants))
     while paired < cells:
-        second, hubs, others, segments = rules[0]
-        del rules[:-1]  # level 1's reads are needed once
-        step = reached.take(first_nbr, axis=0)
-        step |= reached
-        step |= reached.take(second, axis=0)
-        if len(hubs):
-            step[hubs] |= np.bitwise_or.reduceat(reached.take(others, axis=0), segments, axis=0)
-        pairs.append(np.add.reduceat(np.bitwise_count(step).ravel(), first_words, dtype=np.int64))
+        if levels:
+            step = reached.take(first_nbr, axis=0)
+            step |= reached
+            step |= reached.take(second, axis=0)
+            if len(hubs):
+                np.bitwise_or.at(step, hubs, reached.take(others, axis=0))
+            reached = step
+        levels.append(np.add.reduceat(np.bitwise_count(reached).ravel() * weights, first_words))
         # A graph that gains no pair never gains one again, so a stalled
         # member shows once the others are done.
-        now = int(np.add.reduce(pairs[-1]))
+        level = int(np.add.reduce(levels[-1]))
+        now = (level & 0xFFFFFFFF) + lag
         if now == paired:
             raise DomainError("graph is disconnected: BFS did not reach every node")
-        reached, paired = step, now
-    per_graph = np.zeros((stack, len(pairs) - 1), dtype=np.int64)
-    per_graph[filled] = np.diff(np.array(pairs), axis=0).T
+        paired, lag = now, level >> 32
+    # The pairs within distance k only grow, so a level's new pairs are the
+    # differences.
+    per_graph = np.zeros((stack, len(levels)), dtype=np.int64)
+    if levels:
+        levels = np.array(levels)
+        within = levels & 0xFFFFFFFF
+        within[0] += 2 * np.add.reduceat(pendants, first_rows)
+        within[1:] += levels[:-1] >> 32
+        per_graph[filled] = np.diff(within, axis=0, prepend=sizes[filled][None]).T
     return per_graph
 
 
-def _first_neighbours(tails, nbr, nodes):
-    """Each node's first neighbour in the CSR list ``nbr`` of the sorted
-    nodes ``tails`` (the node itself where it lists none), and the rest of
-    the list."""
-    starts = np.flatnonzero(np.diff(tails, prepend=-1))
+def _first_neighbours(tails, heads, nodes):
+    """A first neighbour of each of ``nodes`` in the edge list ``tails`` ->
+    ``heads``, in any order (the node itself where it lists none), and the
+    edges to its other neighbours.
+
+    Where a node lists several, one indexed assignment keeps one of them;
+    every edge to that one, a repeated edge too, leaves the list, since its
+    row would be ORed in twice.
+    """
     first = nodes.copy()
-    first[tails.take(starts)] = nbr.take(starts)
-    rest = np.ones(len(tails), dtype=bool)
-    rest[starts] = False
-    return first, tails[rest], nbr[rest]
+    first[tails] = heads
+    rest = heads != first.take(tails)
+    return first, tails[rest], heads[rest]
 
 
 def bfs_distance_sums_many(graphs: Sequence[AdjacencyGraph]) -> list[tuple[int, int]]:

@@ -224,11 +224,13 @@ def criterion_oracle_equivalence() -> CriterionResult:
 # The indices criterion 7 checks, in the order of its failure texts.
 _FORMULA_INDICES = (IndexSpec("wiener"), IndexSpec("hyper_wiener"))
 
-# Nodes per stack of criterion 7's random states.  Their rows are up to four
-# words (N <= 250); a stack holds its leaf-count arrays and no edge tuple.
-# On Python 3.11 the criterion's tracemalloc peak reads 392 KiB at the
-# grid's 2,310 nodes and 344 KiB at 2,000.
-_STATE_STACK_NODES = 2000
+# Nodes per stack of criterion 7, grid and random states alike.  Only the
+# non-pendant nodes (22% of the random states', 39% of the grid's) have BFS
+# rows, and a stack holds its leaf-count arrays and no edge tuple.  On Python
+# 3.11 with numpy 2.4 the criterion's tracemalloc peak reads 338 KiB at 4,500
+# nodes, against the test's 400 KiB.  The random states run as 3 stacks from
+# 4,410 nodes on, and fewer stacks run fewer levels.
+_STACK_NODES = 4500
 
 
 def _stacks(sizes, budget):
@@ -252,26 +254,23 @@ def _formula_stacks():
     random states, sorted by m.  A stack's matrices are built when it is
     reached.
 
-    Every state of a grid point has N = m + n nodes.  A grid stack holds at
-    most the nodes of the largest point, (5, 6), so the peak memory stays
-    that of one BFS of that point: the 784 grid states run as 4 stacks.
-    One stack per m held twice as much.  A random stack holds at most
-    ``_STATE_STACK_NODES``, so the 100 random states run as 7 stacks.  A
-    stack runs as many levels as its longest diameter, about m + 1, so the
-    random states run sorted by spine length.
+    Every state of a grid point has N = m + n nodes.  A stack holds at most
+    ``_STACK_NODES`` nodes, so the 784 grid states run as 2 stacks and the
+    100 random states as 3.  A stack runs as many levels as its longest
+    diameter, about m + 1, so the random states run sorted by spine length.
     """
     grid = [(m, n) for m in range(2, 6) for n in range(7)]
     nodes = [math.comb(n + m - 1, m - 1) * (m + n) for m, n in grid]
     states = sorted(_random_states(20_000_101, 100, 50, 200), key=lambda c: c.m)
     sizes = [c.node_count for c in states]
-    for run in _stacks(nodes, max(nodes)):
+    for run in _stacks(nodes, _STACK_NODES):
         yield [
             np.concatenate([
                 next(_composition_blocks(n, m, math.comb(n + m - 1, m - 1))) for _, n in group
             ])
             for m, group in itertools.groupby((grid[k] for k in run), key=lambda point: point[0])
         ]
-    for run in _stacks(sizes, _STATE_STACK_NODES):
+    for run in _stacks(sizes, _STACK_NODES):
         yield [
             np.array([c.leaf_counts for c in group], dtype=np.int64)
             for _, group in itertools.groupby((states[k] for k in run), key=lambda c: c.m)

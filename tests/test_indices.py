@@ -345,4 +345,22 @@ def test_limb_row_sums_are_exact_for_negative_terms():
     terms = rng.integers(-(2**62), 2**62, size=(4, 1000), dtype=np.int64)
     terms[0] = -(2**63)  # every limb at its extreme
     terms[1] = 2**63 - 1
-    assert _row_sums(terms) == [sum(row) for row in terms.tolist()]
+    assert _row_sums(terms, np.zeros(4, dtype=np.int64)) == [sum(row) for row in terms.tolist()]
+    added = rng.integers(0, 2**61, size=4, dtype=np.int64)
+    assert _row_sums(terms, added, 2) == [
+        2 * (sum(row) + a) for row, a in zip(terms.tolist(), added.tolist())
+    ]
+
+
+def test_limb_row_sums_are_exact_at_the_int64_bound():
+    """Within fits_int64 a row has at most 2^21 - 2 terms, whose low limbs
+    sum below 2^53, and the added pendant-edge terms stay below 1.5 N^2 at
+    the largest N; both extremes at once still leave the low sums in int64."""
+    m, n = 2**21 - 1, 1_239_850_260
+    assert fits_int64(m, 0) and fits_int64(2, n) and not fits_int64(2, n + 1)
+    size = n + 2
+    added = n * (n + 1) + n * (n - 1) // 2  # hyper-Wiener's at (2, n)
+    assert 1.5 * size**2 > added > 2**61 - 2**60
+    terms = np.full((1, m - 1), -1, dtype=np.int64)  # every low limb 2^32 - 1
+    assert (m - 1) * (2**32 - 1) + added < 2**63
+    assert _row_sums(terms, np.array([added]), 2) == [2 * (added - (m - 1))]

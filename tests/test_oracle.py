@@ -6,7 +6,6 @@ import operator
 import re
 import tracemalloc
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -353,9 +352,9 @@ def test_bfs_neighbour_rows_guard():
 def floyd_warshall(g):
     """All-pairs distances by brute-force relaxation through every node."""
     dist = np.full((g.node_count, g.node_count), g.node_count, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
     for u, v in g.edges:
         dist[u, v] = dist[v, u] = 1
+    np.fill_diagonal(dist, 0)  # after the edges: a self-loop is no distance
     for k in range(g.node_count):
         dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
     return dist
@@ -372,8 +371,8 @@ def generic_graphs():
                                    + tuple((v, v + 4) for v in range(12))),
         "one node": AdjacencyGraph(1, ()),
         "130 nodes, 3 words a row": AdjacencyGraph(130, tuple(tree + chords)),
-        # After the first level a hub ORs in only its neighbours of degree 2
-        # or more: none here, one, or several.
+        # A row ORs in only its non-pendant neighbours' rows: none here (only
+        # the hub has a row), one, or several.
         "star K_{1,6}": AdjacencyGraph(7, tuple((0, v) for v in range(1, 7))),
         "K_2": AdjacencyGraph(2, ((0, 1),)),
         "path P_5": AdjacencyGraph(5, tuple((v, v + 1) for v in range(4))),
@@ -385,6 +384,12 @@ def generic_graphs():
         "hubs whose first neighbour is a leaf": AdjacencyGraph(
             9, ((0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (2, 6), (7, 8), (3, 7))
         ),
+        # three 2-paths from the hub 0: three pendants, each two steps away
+        "spider": AdjacencyGraph(7, ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6))),
+        # the leaf 3 has degree 2 through its repeated edge, so it keeps a row
+        "leaf doubled by a repeated edge": AdjacencyGraph(4, ((0, 1), (1, 2), (1, 3), (1, 3))),
+        # the path end 3 has degree 3 through its self-loop, the end 0 is a pendant
+        "self-loop on a path end": AdjacencyGraph(4, ((0, 1), (1, 2), (2, 3), (3, 3))),
     }
 
 
@@ -419,10 +424,11 @@ def test_bfs_stack_matches_floyd_warshall(first, second):
 
 
 def test_bfs_first_neighbour_and_hub_split_matches_floyd_warshall():
-    """A level ORs in each node's first and second neighbours (its own row
-    where it has none) and reduces the rest of its neighbours by index.
-    Mixed stacks of nodes with no neighbour, with one (leaves, path ends),
-    with two and with up to 40 agree with brute force in every order."""
+    """From level 2 on a row ORs in its first and second non-pendant
+    neighbours' rows (its own where it has none) and, unbuffered, the rest
+    of them.  Mixed stacks of nodes with no neighbour, with one
+    (leaves, path ends), with two and with up to 40 agree with brute force
+    in every order."""
     graphs = generic_graphs()
     mixed = [
         AdjacencyGraph(1, ()),
@@ -430,10 +436,12 @@ def test_bfs_first_neighbour_and_hub_split_matches_floyd_warshall():
         AdjacencyGraph(9, tuple((v, v + 1) for v in range(8))),  # the 9-node path
         graphs["cycle C_7"],
         graphs["130 nodes, 3 words a row"],
-        AdjacencyGraph(2, ((1, 0),)),  # no hub at all
+        AdjacencyGraph(2, ((1, 0),)),  # K_2: no hub, and no pendant
     ]
     want = {id(g): floyd_warshall(g) for g in mixed}
     orders = [mixed, mixed[::-1], mixed[1::2] + mixed[::2], [mixed[0]] * 3, mixed[1:2] * 2]
+    # K_2 and one node keep a row for every node, the star for its hub only
+    orders += [[mixed[5], mixed[0], mixed[1]], [mixed[1], mixed[5], mixed[0], mixed[1]]]
     for graphs in orders:
         dists = [want[id(g)] for g in graphs]
         assert bfs_levels(graphs) == [floyd_warshall_levels(d) for d in dists]
@@ -446,47 +454,55 @@ def test_bfs_first_neighbour_and_hub_split_matches_floyd_warshall():
             bfs_distance_sums_many(mixed[:k] + [isolated] + mixed[k:])
 
 
-class ReduceatRows:
-    """A stand-in for ``oracle.np``: numpy, except that it records how many
-    rows each ``np.bitwise_or.reduceat`` call reads."""
+class GatheredRows:
+    """A stand-in for ``oracle.np``: numpy, except that the reached table it
+    makes records the rows its gathers read, level by level, a level ending
+    at its popcount."""
 
     def __init__(self):
-        self.rows = []
-        self.bitwise_or = SimpleNamespace(reduceat=self.reduceat)
+        self.shapes = []
+        self.levels = [set()]
+        levels = self.levels
 
-    def reduceat(self, rows, segments, axis=0):
-        self.rows.append(len(rows))
-        return np.bitwise_or.reduceat(rows, segments, axis=axis)
+        class Table(np.ndarray):
+            def take(self, indices, axis=None, **kwargs):
+                levels[-1].update(np.asarray(indices).tolist())
+                return super().take(indices, axis=axis, **kwargs)
+
+        self.table = Table
+
+    def zeros(self, shape, dtype=float):
+        zeros = np.zeros(shape, dtype)
+        if np.dtype(dtype) != np.uint64 or len(zeros.shape) != 2:
+            return zeros
+        self.shapes.append(zeros.shape)
+        return zeros.view(self.table)
+
+    def bitwise_count(self, words):
+        self.levels.append(set())
+        return np.bitwise_count(words)
 
     def __getattr__(self, name):
         return getattr(np, name)
 
 
-def test_bfs_reduces_only_neighbours_of_degree_2_or_more_after_level_1(monkeypatch):
-    """Past its first and second neighbours, a node reduces all its other
-    neighbours' rows at level 1, but from level 2 on only those of degree 2
-    or more: a leaf's row then sets no new bit in its one neighbour's.  The
-    edges are listed leaves first, so the hub's first neighbour is a leaf:
-    at level 1 it reduces 7 leaves and both spine neighbours, later one
-    spine neighbour."""
-    c = Caterpillar(4, (2, 9, 1, 2))
-    g = AdjacencyGraph(c.node_count, to_adjacency(c).edges[::-1])
-    neighbours = [[] for _ in range(g.node_count)]
-    for u, v in g.edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    # rows reduced per level: the neighbours past the first two, of any
-    # degree at level 1 and of degree 2 or more, past the first, later
-    level_1 = sum(max(len(nbr) - 2, 0) for nbr in neighbours)
-    later = sum(
-        max(sum(len(neighbours[u]) > 1 for u in nbr[1:]) - 1, 0) for nbr in neighbours
-    )
-    assert (level_1, later) == (12, 2)
-    counting = ReduceatRows()
-    monkeypatch.setattr(oracle, "np", counting)
-    # leaf to leaf across the 4-node spine is the diameter, 5
-    assert oracle._bfs_levels([g]).shape == (1, 5)
-    assert counting.rows == [level_1] + [later] * 4
+@pytest.mark.parametrize("c, rows, nodes, diameter", [
+    (Caterpillar(4, (2, 9, 1, 2)), 4, 18, 5),  # every spine node holds a leaf
+    (Caterpillar(5, (0, 3, 0, 2, 0)), 3, 10, 4),  # its leafless spine ends are pendants
+], ids=["4-of-18", "3-of-10"])
+def test_bfs_gathers_read_only_non_pendant_rows(monkeypatch, c, rows, nodes, diameter):
+    """Only the non-pendant nodes have rows: 4 of 18, and 3 of 10.  Level 1
+    is written from the edge list and reads no row; each later level reads
+    every row and no other.  Keeping every node's row fails this."""
+    g = to_adjacency(c)
+    degree = np.bincount(np.ravel(g.edges), minlength=g.node_count)
+    pendants = {v for u, w in g.edges for v, x in ((u, w), (w, u)) if degree[v] == 1 < degree[x]}
+    assert (g.node_count - len(pendants), g.node_count) == (rows, nodes)
+    gathered = GatheredRows()
+    monkeypatch.setattr(oracle, "np", gathered)
+    assert oracle._bfs_levels([g]).shape == (1, diameter)
+    assert gathered.shapes == [(rows, 1)]
+    assert gathered.levels == [set()] + [set(range(rows))] * (diameter - 1) + [set()]
 
 
 @pytest.mark.parametrize("count", [-3, 2.5, True, False, np.bool_(True), "3", None])

@@ -263,14 +263,13 @@ def test_suite_all_draws_each_replicate_set_at_most_twice(monkeypatch):
     assert draws.total() == 23
 
 
-def test_criterion_7_stacks_whole_grid_points_within_the_largest_point(monkeypatch):
-    """The 784 grid states run as 4 stacked BFS calls of whole (m, n) grid
-    points, in (m, n) order, each point once and each stack within the
-    2,310 nodes of the largest point, (5, 6); the 100 random states, of
-    mixed sizes and sorted by m, run as 7 stacks of at most 2,000 nodes,
-    each by the same rule: a stack closes when the next item would take it
-    past its budget.  Every stack makes one evaluator call per run of
-    equal spine length."""
+def test_criterion_7_stacks_whole_grid_points_within_the_node_budget(monkeypatch):
+    """The 784 grid states run as 2 stacked BFS calls of whole (m, n) grid
+    points, in (m, n) order, each point once and each stack within 4,500
+    nodes; the 100 random states, of mixed sizes and sorted by m, run as 3
+    stacks within the same budget, by the same rule: a stack closes when
+    the next item would take it past the budget.  Every stack makes one
+    evaluator call per run of equal spine length."""
     calls, shapes = [], []
     real = oracle._bfs_stack
     monkeypatch.setattr(
@@ -284,7 +283,7 @@ def test_criterion_7_stacks_whole_grid_points_within_the_largest_point(monkeypat
     )
     assert verify.criterion_formula_vs_bfs().verdict == "PASS"
     stacks = list(verify._formula_stacks())
-    assert len(calls) == len(stacks) == 11
+    assert len(calls) == len(stacks) == 5
     # each stack's states as (m, leaf counts), in the order the BFS reads them
     states = [
         [(counts.shape[1], tuple(row)) for counts in blocks for row in counts.tolist()]
@@ -295,20 +294,21 @@ def test_criterion_7_stacks_whole_grid_points_within_the_largest_point(monkeypat
         (len(list(run)), m) for stack in states
         for m, run in itertools.groupby(length for length, _ in stack)
     ]
-    assert shapes[:7] == [(28, 2), (84, 3), (126, 4), (84, 4), (126, 5), (126, 5), (210, 5)]
+    assert shapes[:5] == [(28, 2), (84, 3), (210, 4), (126, 5), (336, 5)]
     grid = [(m, n) for m in range(2, 6) for n in range(7)]
     points = [[(m, tuple(counts)) for counts in oracle.compositions(n, m)] for m, n in grid]
-    assert max(len(point) * (m + n) for point, (m, n) in zip(points, grid)) == 2310
-    cuts = [0, 20, 26, 27, 28]  # (2, 0) .. (4, 5), (4, 6) .. (5, 4), (5, 5), (5, 6)
-    assert states[:4] == [sum(points[a:b], []) for a, b in zip(cuts, cuts[1:])]
-    assert list(map(sum, calls[:4])) == [1806, 1890, 1260, 2310]
-    totals = list(map(sum, calls[4:]))
-    assert max(totals) <= 2000
-    assert all(total + nodes[0] > 2000 for total, nodes in zip(totals, calls[5:]))
+    cuts = [0, 26, 28]  # (2, 0) .. (5, 4), then (5, 5) and (5, 6)
+    assert states[:2] == [sum(points[a:b], []) for a, b in zip(cuts, cuts[1:])]
+    assert list(map(sum, calls[:2])) == [3696, 3570]
+    # (5, 5), 126 states of 10 nodes, would take the first stack past 4,500
+    assert 3696 + 1260 > verify._STACK_NODES == 4500
+    totals = list(map(sum, calls[2:]))
+    assert totals == [4414, 4308, 4138]
+    assert all(total + nodes[0] > 4500 for total, nodes in zip(totals, calls[3:]))
     by_m = sorted(verify._random_states(20_000_101, 100, 50, 200), key=lambda c: c.m)
-    assert sum(states[4:], []) == [(c.m, c.leaf_counts) for c in by_m]
+    assert sum(states[2:], []) == [(c.m, c.leaf_counts) for c in by_m]
     # the random stacks' evaluator calls: one per distinct m of each stack
-    assert len(shapes) - 7 == sum(len({m for m, _ in stack}) for stack in states[4:])
+    assert len(shapes) - 5 == sum(len({m for m, _ in stack}) for stack in states[2:])
 
 
 def test_criterion_6_makes_one_enumeration_pass_per_grid_point(monkeypatch):
@@ -349,9 +349,9 @@ def test_criteria_8_and_9_make_one_evaluator_call_per_spine_length(monkeypatch, 
 
 
 def test_criterion_7_tracemalloc_peak_stays_below_400_kib():
-    """The random states run in 7 stacks of at most 2,000 nodes, beside 4
-    grid stacks of at most 2,310, each from its own leaf-count arrays; the
-    whole criterion peaks below 400 KiB."""
+    """The grid and random states run in 5 stacks of at most 4,500 nodes,
+    each from its own leaf-count arrays, with BFS rows for their non-pendant
+    nodes only; the whole criterion peaks below 400 KiB."""
     verify.criterion_formula_vs_bfs()
     tracemalloc.start()
     try:
